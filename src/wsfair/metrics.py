@@ -173,7 +173,7 @@ def center_scan(x: FeatureMatrix, correct, groups: GroupAssignment,
         candidates = np.sort(rng_stream(seed, _CENTER_SCAN_STREAM).choice(
             n, size=max_candidates, replace=False))
     k = max(1, int(np.ceil(neighborhood_frac * n)))
-    vals = x.values
+    vals = x.values - x.values.mean(axis=0)    # keeps the expanded form precise
     sq = np.einsum("ij,ij->i", vals, vals)
     best_acc, best_row = -1.0, -1
     for c in candidates:

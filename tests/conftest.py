@@ -29,3 +29,15 @@ def normal_cdf(x):
 
 def logistic(z):
     return 1.0 / (1.0 + math.exp(-z))
+
+
+def brute_force_nn(src, dst, k):
+    """(n_src, k) nearest destination rows by a full scan, ordered by
+    (squared distance, index), on both clouds centered on the destination
+    mean. Exact ties therefore go to the lowest destination index."""
+    src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
+    mean = dst.mean(axis=0)
+    src, dst = src - mean, dst - mean
+    d2 = ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=-1)
+    cols = np.broadcast_to(np.arange(dst.shape[0]), d2.shape)
+    return np.lexsort((cols, d2), axis=1)[:, :k]

@@ -225,6 +225,22 @@ def test_center_scan_recovers_planted_center():
     assert np.median(ranks) <= 0.01
 
 
+def test_center_scan_ignores_where_the_data_sits():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((500, 2))
+    correct = rng.random(500) < lf_accuracy_at(
+        LabelingFunctionSpec(decision="stochastic", theta=2.0, center=np.zeros(2)), x)
+    groups = _groups(rng.integers(0, 2, 500))
+    base = center_scan(FeatureMatrix(x), correct, groups)
+    far = center_scan(FeatureMatrix(x + 1e6), correct, groups)
+    assert far.best_center_row == base.best_center_row
+    for g, pts in base.curve.items():
+        got = np.array(far.curve[g])
+        assert got.shape == (len(pts), 2)
+        assert np.array_equal(got[:, 1], [acc for _, acc in pts])
+        assert np.allclose(got[:, 0], [r for r, _ in pts], rtol=1e-7, atol=0.0)
+
+
 def test_center_scan_translated_group_starts_farther():
     rng = np.random.default_rng(6)
     n = 3000

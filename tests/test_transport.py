@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import brute_force_nn
 from wsfair.core import (DataError, EmptyDestination, FeatureMatrix,
                          SingularCovariance, TooFewRows, ZeroMatrix)
 from wsfair.synth import GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset
@@ -11,7 +12,8 @@ from wsfair.transport import (GaussianMoments, TransportMap, apply_linear,
                               barycentric_project, effective_rank,
                               estimate_moments, fit_linear_ot, fit_map,
                               fit_sinkhorn, knn_borrow, linear_map_from_json,
-                              matrix_sqrt_psd, nn_indices, transport)
+                              matrix_sqrt_psd, nn_indices, pairwise_cost,
+                              transport)
 
 
 def _random_spd(rng, d):
@@ -156,6 +158,15 @@ def test_linear_map_json_round_trip():
 # Sinkhorn
 # ---------------------------------------------------------------------------
 
+def test_pairwise_cost_ignores_where_the_data_sits():
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((30, 3)), rng.standard_normal((20, 3))
+    want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+    for offset in (0.0, 1e6):
+        got = pairwise_cost(a + offset, b + offset)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+
+
 def test_sinkhorn_single_pair():
     tmap = fit_sinkhorn(FeatureMatrix([[0.0]]), FeatureMatrix([[5.0]]))
     assert np.allclose(tmap.coupling, [[1.0]])
@@ -278,6 +289,34 @@ def test_knn_tie_breaks_to_lowest_index():
     assert knn_borrow(src, dst, np.array([-1, 1]), k=1)[0] == -1
     idx = nn_indices(src, dst, k=2)
     assert idx[0].tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nn_indices_match_brute_force_oracle(k, d):
+    rng = np.random.default_rng(100 + 10 * k + d)
+    # Small-integer lattice points: many destination duplicates and many
+    # equidistant neighbors. 64 rows keep the centering exact; with 50 rows
+    # it rounds, so distances may also differ only in their last bits.
+    for n_dst, offset in ((64, 0.0), (50, 0.0), (50, 1e4)):
+        lat_dst = rng.integers(-2, 3, size=(n_dst, d)) + offset
+        lat_src = rng.integers(-2, 3, size=(40, d)) + offset
+        idx = nn_indices(lat_src, lat_dst, k)
+        assert np.array_equal(idx, brute_force_nn(lat_src, lat_dst, k))
+    # Continuous cloud with duplicated destination rows and sources placed on
+    # destination rows and on midpoints between two of them.
+    dst = rng.standard_normal((300, d))
+    dst = np.vstack([dst, dst[rng.choice(300, size=60)]])
+    pairs = rng.choice(dst.shape[0], size=(40, 2))
+    src = np.vstack([rng.standard_normal((200, d)), dst[:40],
+                     (dst[pairs[:, 0]] + dst[pairs[:, 1]]) / 2.0])
+    assert np.array_equal(nn_indices(src, dst, k), brute_force_nn(src, dst, k))
+
+
+def test_nn_indices_uses_every_destination_row_when_k_is_n_dst():
+    dst = np.array([[1.0], [-1.0], [1.0], [3.0]])
+    src = np.array([[0.0], [2.0]])
+    assert nn_indices(src, dst, k=4).tolist() == [[0, 1, 2, 3], [0, 2, 3, 1]]
 
 
 def test_knn_majority_and_tie():
