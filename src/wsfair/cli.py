@@ -99,9 +99,9 @@ def _parse_grid(text: str):
         raise BadArgs(f"--grid expects comma-separated integers, got {text!r}")
 
 
-def _sbm_config(args) -> sbm.SbmConfig:
-    return sbm.SbmConfig(epsilon=args.epsilon, ot_kind=_OT_OF_METHOD[args.method],
-                         eta=args.eta, knn_k=args.knn_k, seed=args.seed,
+def _sbm_config(args, method: str, seed: int) -> sbm.SbmConfig:
+    return sbm.SbmConfig(epsilon=args.epsilon, ot_kind=_OT_OF_METHOD[method],
+                         eta=args.eta, knn_k=args.knn_k, seed=seed,
                          sinkhorn_max_points=args.sinkhorn_max_points)
 
 
@@ -170,7 +170,7 @@ def cmd_run(args, out: _Outputs) -> int:
     weak = load_weak_csv(args.weak, feats.row_ids)
     truth = load_label_csv(args.labels, feats.row_ids) if args.labels else None
 
-    cfg = _sbm_config(args)
+    cfg = _sbm_config(args, args.method, args.seed)
     result = sbm.run_pipeline(feats, groups, weak, cfg,
                               with_sbm=args.method != "baseline",
                               class_prior=args.class_prior)
@@ -178,8 +178,7 @@ def cmd_run(args, out: _Outputs) -> int:
     train_targets = result.labels if args.hard_labels else result.scores
     model = em.train_logreg(feats, train_targets,
                             em.TrainConfig(lr=args.lr, l2=args.l2,
-                                           max_iters=args.max_iters, tol=args.tol,
-                                           seed=args.seed))
+                                           max_iters=args.max_iters, tol=args.tol))
     end_scores = em.predict_logreg(model, feats)
     end_labels = lm.predict_labels(end_scores)
 
@@ -252,9 +251,7 @@ def _sweep_cell(experiment: str, x: int, seed: int, method: str, args) -> dict:
     else:
         feats, groups, truth, weak, _ = synth.gen_lfcount_dataset(args.n, x, seed)
         lf_index = None
-    cfg = sbm.SbmConfig(epsilon=args.epsilon, ot_kind=_OT_OF_METHOD[method],
-                        eta=args.eta, knn_k=args.knn_k, seed=seed,
-                        sinkhorn_max_points=args.sinkhorn_max_points)
+    cfg = _sbm_config(args, method, seed)
     if args.eval == "direct-lf":
         used = weak
         if method != "baseline":

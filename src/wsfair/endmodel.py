@@ -24,7 +24,6 @@ class TrainConfig:
     l2: float = 1e-4
     max_iters: int = 5000
     tol: float = 1e-6
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,7 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
         w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
     return LogisticModel(weights=w, bias=float(b), standardize_mean=mean,
                          standardize_std=std,
-                         training_meta={"iterations": iters, "final_loss": loss,
-                                        "seed": cfg.seed})
+                         training_meta={"iterations": iters, "final_loss": loss})
 
 
 def predict_logreg(model: LogisticModel, x: FeatureMatrix) -> ScoreVector:

@@ -5,16 +5,19 @@ Two fitted map families plus an identity bypass:
 * linear: the closed-form affine map between Gaussian moment pairs,
   A = S_s^{-1/2} (S_s^{1/2} S_t S_s^{1/2})^{1/2} S_s^{-1/2},  b = mu_t - A mu_s,
   which pushes N(mu_s, S_s) exactly onto N(mu_t, S_t).
-* sinkhorn-barycentric: entropically regularized coupling between the two
-  empirical clouds (uniform marginals), followed by the barycentric projection
-  x_i -> sum_j pi~_ij y_j with the row-rescaled plan pi~ = n_src * pi.
+* sinkhorn-barycentric: entropically regularized transport between the two
+  empirical clouds (uniform marginals), stored as the destination
+  log-potential gn = g / eta. A row x maps to its barycentric image
+  sum_j softmax_j(gn - |x - y_j|^2 / eta) y_j, which is the row-rescaled plan
+  applied to the destination points and is defined for any row, fitted or not.
 
 After mapping, labels are borrowed from Euclidean nearest neighbors in the
 destination cloud, found exactly with a k-d tree (scipy, imported on first
-use). The Sinkhorn fit is dense: its cost matrix and coupling are quadratic in
-memory, which is why fits above a point cap are subsampled. Every distance is
-taken on clouds centered on the destination mean, so results do not depend on
-where the data sits in feature space.
+use). The Sinkhorn fit holds a dense fit-size cost matrix, which is why fits
+above a point cap are subsampled; applying the map streams fixed-size row
+blocks, so no n_src x n_dst array is ever held. Every distance is taken on
+clouds centered on the destination mean, so results do not depend on where
+the data sits in feature space.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ EIG_FLOOR = 1e-12
 MAX_CONDITION = 1e12
 SINKHORN_TOL = 1e-10          # internal; stricter than the 1e-9 contract
 SINKHORN_MAX_ITERS = 10_000
-SINKHORN_MAX_POINTS = 5_000   # per-side fit cap; the plan is quadratic in memory
+SINKHORN_MAX_POINTS = 5_000   # per-side fit cap; the fit cost is quadratic in memory
+SINKHORN_BLOCK_ROWS = 1_024   # source rows per block when applying a Sinkhorn map
 LOG_DOMAIN_CUTOFF = 700.0     # exp underflow threshold for cost/eta
 
 _SUBSAMPLE_STREAM = 90
@@ -86,19 +90,20 @@ class TransportMap:
     """A fitted source-to-destination map.
 
     kind "linear" carries (A, b); kind "sinkhorn-barycentric" carries the
-    row-stochastic rescaled coupling plus the destination reference points the
-    columns align with (and their indices into the original destination set
-    when the fit was subsampled). `converged` is False when Sinkhorn hit the
-    iteration cap and returned its best iterate.
+    destination reference points (and their indices into the original
+    destination set, a subsample when the fit was capped), the destination
+    log-potential `gn` with one entry per reference point, and `eta`.
+    `converged` is False when Sinkhorn hit the iteration cap and returned its
+    best iterate.
     """
 
     kind: str
     A: np.ndarray = None
     b: np.ndarray = None
-    coupling: np.ndarray = None
     dst_reference: np.ndarray = None
     dst_indices: np.ndarray = None
-    src_row_ids: tuple = None
+    gn: np.ndarray = None
+    eta: float = None
     converged: bool = True
 
     def __post_init__(self):
@@ -110,11 +115,10 @@ class TransportMap:
             if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
                 raise DataError("linear map coefficients must be finite")
         if self.kind == "sinkhorn-barycentric":
-            if self.coupling is None or self.dst_reference is None:
-                raise DataError("sinkhorn map needs a coupling and destination reference")
-            rows = self.coupling.sum(axis=1)
-            if np.abs(rows - 1.0).max(initial=0.0) > 1e-6:
-                raise DataError("rescaled coupling rows must sum to 1 within 1e-6")
+            if self.gn is None or self.dst_reference is None or self.eta is None:
+                raise DataError("sinkhorn map needs a potential, eta and destination reference")
+            if np.shape(self.gn) != (len(self.dst_reference),) or not np.isfinite(self.gn).all():
+                raise DataError("destination potential must be finite, one entry per reference row")
 
     def to_json(self) -> str:
         if self.kind != "linear":
@@ -167,22 +171,17 @@ def apply_linear(tmap: TransportMap, x: FeatureMatrix) -> FeatureMatrix:
 # Entropic OT.
 # ---------------------------------------------------------------------------
 
-def pairwise_cost(a: np.ndarray, b: np.ndarray, cost: str = "sqeuclidean") -> np.ndarray:
-    """Dense cost matrix; squared Euclidean by default (Gaussian-Monge theory),
-    plain Euclidean behind a flag. Both clouds are centered on b's mean first,
-    so the expanded form |a|^2 + |b|^2 - 2 a.b keeps its precision far from
-    the origin."""
+def pairwise_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense squared Euclidean cost matrix (Gaussian-Monge theory). Both
+    clouds are centered on b's mean first, so the expanded form
+    |a|^2 + |b|^2 - 2 a.b keeps its precision far from the origin."""
     mean = b.mean(axis=0)
     a, b = a - mean, b - mean
     aa = np.einsum("ij,ij->i", a, a)
     bb = np.einsum("ij,ij->i", b, b)
     d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
     np.maximum(d2, 0.0, out=d2)
-    if cost == "sqeuclidean":
-        return d2
-    if cost == "euclidean":
-        return np.sqrt(d2)
-    raise DataError(f"unknown cost {cost!r}")
+    return d2
 
 
 def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
@@ -195,8 +194,8 @@ def _sinkhorn_potentials(cost_over_eta: np.ndarray, tol: float, max_iters: int):
 
     Runs the plain scaling iterations when the kernel cannot underflow and
     falls back to the log-domain recursion otherwise. The source potential is
-    implied by one final row update, which makes every coupling row an exact
-    softmax over gn - cost/eta.
+    implied by one final row update, which makes every row of the plan an
+    exact softmax over gn - cost/eta.
     """
     n_src, n_dst = cost_over_eta.shape
     loga = -np.log(n_src)
@@ -243,56 +242,36 @@ def _sinkhorn_potentials(cost_over_eta: np.ndarray, tol: float, max_iters: int):
 
 
 def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *,
-                 cost: str = "sqeuclidean", tol: float = SINKHORN_TOL,
-                 max_iters: int = SINKHORN_MAX_ITERS,
+                 tol: float = SINKHORN_TOL, max_iters: int = SINKHORN_MAX_ITERS,
                  max_points: int = SINKHORN_MAX_POINTS, seed: int = 0) -> TransportMap:
-    """Entropic coupling between the two clouds with uniform marginals.
+    """Entropic transport between the two clouds with uniform marginals.
 
-    Sides larger than `max_points` are fit on a seeded uniform subsample; the
-    returned coupling still covers every source row, extended through the
-    fitted destination potential (the row of an entropic plan is a softmax in
-    the potential, so the extension agrees exactly with the converged plan on
-    the sampled rows). Rows are rescaled by n_src as in the barycentric
-    projection convention, hence row-stochastic.
+    Sides larger than `max_points` are fit on a seeded uniform subsample. The
+    fit keeps only the destination potential: a row of the entropic plan is a
+    softmax in that potential, so `apply_map` extends the map to every source
+    row, and on the sampled rows it agrees exactly with the converged plan.
     """
     if eta <= 0.0:
         raise DataError("eta must be positive")
     if x_src.d != x_dst.d:
         raise DimensionMismatch("source and destination dimensions differ")
-    src_vals = x_src.values
+    fit_src = x_src.values
     dst_vals, dst_idx = x_dst.values, np.arange(x_dst.n)
-    fit_src = src_vals
     if x_src.n > max_points:
         keep = np.sort(rng_stream(seed, _SUBSAMPLE_STREAM, 0).choice(
             x_src.n, size=max_points, replace=False))
-        fit_src = src_vals[keep]
+        fit_src = fit_src[keep]
     if x_dst.n > max_points:
         dst_idx = np.sort(rng_stream(seed, _SUBSAMPLE_STREAM, 1).choice(
             x_dst.n, size=max_points, replace=False))
         dst_vals = dst_vals[dst_idx]
 
-    cost_fit = pairwise_cost(fit_src, dst_vals, cost) / eta
+    cost_fit = pairwise_cost(fit_src, dst_vals) / eta
     if not np.isfinite(cost_fit).all():
         raise DataError("cost matrix must be finite")
     gn, converged = _sinkhorn_potentials(cost_fit, tol, max_iters)
-
-    logits = gn[None, :] - pairwise_cost(src_vals, dst_vals, cost) / eta
-    zmax = logits.max(axis=1, keepdims=True)
-    w = np.exp(logits - zmax)
-    coupling = w / w.sum(axis=1, keepdims=True)
-    return TransportMap(kind="sinkhorn-barycentric", coupling=coupling,
-                        dst_reference=dst_vals, dst_indices=dst_idx,
-                        src_row_ids=x_src.row_ids, converged=converged)
-
-
-def barycentric_project(tmap: TransportMap, x_dst: FeatureMatrix) -> FeatureMatrix:
-    """Coupling-weighted average of destination rows, one image per source row."""
-    if tmap.kind != "sinkhorn-barycentric":
-        raise DataError("barycentric projection needs a sinkhorn map")
-    if x_dst.n != tmap.coupling.shape[1]:
-        raise DimensionMismatch(
-            f"coupling has {tmap.coupling.shape[1]} columns, destination has {x_dst.n} rows")
-    return FeatureMatrix(tmap.coupling @ x_dst.values, tmap.src_row_ids)
+    return TransportMap(kind="sinkhorn-barycentric", dst_reference=dst_vals,
+                        dst_indices=dst_idx, gn=gn, eta=eta, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -366,39 +345,37 @@ def knn_borrow(x_mapped_src, x_dst, labels_dst, k: int = 1) -> np.ndarray:
 
 def fit_map(x_src: FeatureMatrix, x_dst: FeatureMatrix, ot_kind: str, *,
             eta: float = 1.0, seed: int = 0,
-            max_points: int = SINKHORN_MAX_POINTS, cost: str = "sqeuclidean") -> TransportMap:
+            max_points: int = SINKHORN_MAX_POINTS) -> TransportMap:
     """Fit the configured map family, or return the identity bypass."""
     if ot_kind == "none":
         return TransportMap(kind="identity")
     if ot_kind == "linear":
         return fit_linear_ot(estimate_moments(x_src), estimate_moments(x_dst))
     if ot_kind == "sinkhorn":
-        return fit_sinkhorn(x_src, x_dst, eta, cost=cost, max_points=max_points, seed=seed)
+        return fit_sinkhorn(x_src, x_dst, eta, max_points=max_points, seed=seed)
     raise DataError(f"unknown ot_kind {ot_kind!r}")
 
 
 def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
+    """Image of each row of x_src under the map; row ids are preserved.
+
+    A Sinkhorn row maps to the softmax(gn - cost/eta)-weighted average of the
+    destination reference points, computed SINKHORN_BLOCK_ROWS rows at a time.
+    """
     if tmap.kind == "identity":
         return x_src
     if tmap.kind == "linear":
         return apply_linear(tmap, x_src)
-    return barycentric_project(tmap, FeatureMatrix(tmap.dst_reference))
-
-
-def transport(x_src: FeatureMatrix, x_dst: FeatureMatrix, labels_dst,
-              ot_kind: str = "none", *, k: int = 1, eta: float = 1.0,
-              seed: int = 0, max_points: int = SINKHORN_MAX_POINTS,
-              cost: str = "sqeuclidean") -> np.ndarray:
-    """Map the source cloud onto the destination and borrow labels there."""
-    tmap = fit_map(x_src, x_dst, ot_kind, eta=eta, seed=seed,
-                   max_points=max_points, cost=cost)
-    mapped = apply_map(tmap, x_src)
-    dst_vals = x_dst.values
-    labels = np.asarray(labels_dst)
-    if tmap.kind == "sinkhorn-barycentric" and tmap.dst_indices.size != x_dst.n:
-        dst_vals = x_dst.values[tmap.dst_indices]
-        labels = labels[tmap.dst_indices]
-    return knn_borrow(mapped, dst_vals, labels, k)
+    ref = tmap.dst_reference
+    if ref.shape[1] != x_src.d:
+        raise DimensionMismatch(f"map is {ref.shape[1]}-d, features are {x_src.d}-d")
+    out = np.empty((x_src.n, x_src.d))
+    for lo in range(0, x_src.n, SINKHORN_BLOCK_ROWS):
+        block = slice(lo, lo + SINKHORN_BLOCK_ROWS)
+        logits = tmap.gn - pairwise_cost(x_src.values[block], ref) / tmap.eta
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        out[block] = (w / w.sum(axis=1, keepdims=True)) @ ref
+    return FeatureMatrix(out, x_src.row_ids)
 
 
 def effective_rank(cov: np.ndarray) -> float:

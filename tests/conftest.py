@@ -41,3 +41,18 @@ def brute_force_nn(src, dst, k):
     d2 = ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=-1)
     cols = np.broadcast_to(np.arange(dst.shape[0]), d2.shape)
     return np.lexsort((cols, d2), axis=1)[:, :k]
+
+
+def sinkhorn_plan(tmap, x_src):
+    """Dense row-rescaled plan of a fitted Sinkhorn map over the rows of x_src.
+
+    Row i is the softmax over j of gn_j - |x_i - y_j|^2 / eta, with the cost
+    taken from coordinate differences. Each row sums to 1; dividing by the
+    number of source rows gives the entropic coupling pi.
+    """
+    x = np.asarray(getattr(x_src, "values", x_src), dtype=float)
+    ref = tmap.dst_reference
+    cost = ((x[:, None, :] - ref[None, :, :]) ** 2).sum(axis=-1)
+    logits = tmap.gn - cost / tmap.eta
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)

@@ -22,7 +22,7 @@ from wsfair.synth import (GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset,
                           LabelingFunctionSpec, shift_accuracy_sweep)
 from wsfair.transport import estimate_moments, fit_linear_ot, fit_sinkhorn
 
-from conftest import sample_ci_votes
+from conftest import sample_ci_votes, sinkhorn_plan
 
 SEEDS = range(10)
 
@@ -171,7 +171,7 @@ def test_criterion_7_sinkhorn_feasibility():
         dst = FeatureMatrix(master.standard_normal((n_dst, d)))
         tmap = fit_sinkhorn(src, dst, eta=1.0)
         assert tmap.converged
-        pi = tmap.coupling / n_src
+        pi = sinkhorn_plan(tmap, src) / n_src
         worst_row = max(worst_row, float(np.abs(pi.sum(axis=1) - 1.0 / n_src).sum()))
         worst_col = max(worst_col, float(np.abs(pi.sum(axis=0) - 1.0 / n_dst).sum()))
         min_entry = min(min_entry, float(pi.min()))
@@ -179,7 +179,7 @@ def test_criterion_7_sinkhorn_feasibility():
     two = fit_sinkhorn(FeatureMatrix(pts), FeatureMatrix(pts), eta=1.0)
     q = math.exp(-10.0)
     closed_form = np.array([[1.0, q], [q, 1.0]]) / (1.0 + q)
-    closed_err = float(np.abs(two.coupling - closed_form).max())
+    closed_err = float(np.abs(sinkhorn_plan(two, pts) - closed_form).max())
     ok = worst_row <= 1e-9 and worst_col <= 1e-9 and min_entry >= 0.0 \
         and closed_err <= 1e-6
     _report(7, ok,

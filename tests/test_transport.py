@@ -1,19 +1,19 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_nn
+from conftest import brute_force_nn, sinkhorn_plan
 from wsfair.core import (DataError, EmptyDestination, FeatureMatrix,
                          SingularCovariance, TooFewRows, ZeroMatrix)
 from wsfair.synth import GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset
 from wsfair.transport import (GaussianMoments, TransportMap, apply_linear,
-                              barycentric_project, effective_rank,
-                              estimate_moments, fit_linear_ot, fit_map,
-                              fit_sinkhorn, knn_borrow, linear_map_from_json,
-                              matrix_sqrt_psd, nn_indices, pairwise_cost,
-                              transport)
+                              apply_map, effective_rank, estimate_moments,
+                              fit_linear_ot, fit_map, fit_sinkhorn, knn_borrow,
+                              linear_map_from_json, matrix_sqrt_psd, nn_indices,
+                              pairwise_cost)
 
 
 def _random_spd(rng, d):
@@ -168,8 +168,9 @@ def test_pairwise_cost_ignores_where_the_data_sits():
 
 
 def test_sinkhorn_single_pair():
-    tmap = fit_sinkhorn(FeatureMatrix([[0.0]]), FeatureMatrix([[5.0]]))
-    assert np.allclose(tmap.coupling, [[1.0]])
+    src = FeatureMatrix([[0.0]])
+    tmap = fit_sinkhorn(src, FeatureMatrix([[5.0]]))
+    assert np.allclose(sinkhorn_plan(tmap, src), [[1.0]])
 
 
 def test_sinkhorn_equal_costs_uniform():
@@ -177,7 +178,7 @@ def test_sinkhorn_equal_costs_uniform():
     src = FeatureMatrix([[0.0, 1.0], [0.0, -1.0]])
     dst = FeatureMatrix([[1.0, 0.0], [-1.0, 0.0]])
     tmap = fit_sinkhorn(src, dst)
-    assert np.allclose(tmap.coupling, 0.5, atol=1e-9)
+    assert np.allclose(sinkhorn_plan(tmap, src), 0.5, atol=1e-9)
 
 
 def test_sinkhorn_2x2_closed_form():
@@ -186,10 +187,11 @@ def test_sinkhorn_2x2_closed_form():
     # 1/(1+e^-10) exactly
     pts = [[0.0], [math.sqrt(10.0)]]
     tmap = fit_sinkhorn(FeatureMatrix(pts), FeatureMatrix(pts), eta=1.0)
+    plan = sinkhorn_plan(tmap, pts)
     q = math.exp(-10.0)
     want = np.array([[1.0, q], [q, 1.0]]) / (1.0 + q)
-    assert np.abs(tmap.coupling - want).max() < 1e-6
-    assert tmap.coupling[0, 0] >= 0.99 and tmap.coupling[1, 1] >= 0.99
+    assert np.abs(plan - want).max() < 1e-6
+    assert plan[0, 0] >= 0.99 and plan[1, 1] >= 0.99
 
 
 def test_sinkhorn_marginals_and_nonnegativity():
@@ -198,7 +200,7 @@ def test_sinkhorn_marginals_and_nonnegativity():
     dst = FeatureMatrix(rng.standard_normal((80, 3)))
     tmap = fit_sinkhorn(src, dst)
     assert tmap.converged
-    pi = tmap.coupling / 120
+    pi = sinkhorn_plan(tmap, src) / 120
     assert (pi >= 0).all()
     assert np.abs(pi.sum(axis=1) - 1 / 120).sum() <= 1e-9
     assert np.abs(pi.sum(axis=0) - 1 / 80).sum() <= 1e-9
@@ -211,7 +213,7 @@ def test_sinkhorn_log_domain_far_clouds():
     dst = FeatureMatrix(rng.standard_normal((30, 2)) + 60.0)
     tmap = fit_sinkhorn(src, dst, eta=1.0)
     assert tmap.converged
-    pi = tmap.coupling / 40
+    pi = sinkhorn_plan(tmap, src) / 40
     assert np.abs(pi.sum(axis=0) - 1 / 30).sum() <= 1e-9
 
 
@@ -222,7 +224,8 @@ def test_sinkhorn_row_permutation_equivariance():
     perm = rng.permutation(25)
     t1 = fit_sinkhorn(FeatureMatrix(src), dst)
     t2 = fit_sinkhorn(FeatureMatrix(src[perm]), dst)
-    assert np.allclose(t1.coupling[perm], t2.coupling, atol=1e-12)
+    assert np.allclose(sinkhorn_plan(t1, src)[perm], sinkhorn_plan(t2, src[perm]),
+                       atol=1e-12)
 
 
 def test_sinkhorn_subsampled_fit():
@@ -230,31 +233,89 @@ def test_sinkhorn_subsampled_fit():
     src = FeatureMatrix(rng.standard_normal((130, 2)))
     dst = FeatureMatrix(rng.standard_normal((90, 2)))
     tmap = fit_sinkhorn(src, dst, max_points=50, seed=3)
-    assert tmap.coupling.shape == (130, 50)
-    assert np.abs(tmap.coupling.sum(axis=1) - 1.0).max() < 1e-9
+    plan = sinkhorn_plan(tmap, src)
+    assert plan.shape == (130, 50)
+    assert np.abs(plan.sum(axis=1) - 1.0).max() < 1e-9
     again = fit_sinkhorn(src, dst, max_points=50, seed=3)
-    assert np.array_equal(tmap.coupling, again.coupling)
+    assert np.array_equal(plan, sinkhorn_plan(again, src))
     assert np.array_equal(tmap.dst_indices, again.dst_indices)
 
 
+def test_sinkhorn_map_rejects_a_bad_potential():
+    ref = np.zeros((3, 2))
+    for gn in (np.zeros(2), np.array([0.0, np.nan, 0.0])):
+        with pytest.raises(DataError):
+            TransportMap(kind="sinkhorn-barycentric", dst_reference=ref,
+                         dst_indices=np.arange(3), gn=gn, eta=1.0)
+
+
 def test_barycentric_identity_permutation():
+    # With a flat potential and a tiny eta each row's plan is a point mass on
+    # its nearest reference row, so rows sitting on dst[[1, 2, 0]] map there.
     dst = FeatureMatrix([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    perm = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    tmap = TransportMap(kind="sinkhorn-barycentric", coupling=perm,
-                        dst_reference=dst.values, dst_indices=np.arange(3),
-                        src_row_ids=("a", "b", "c"))
-    out = barycentric_project(tmap, dst)
+    tmap = TransportMap(kind="sinkhorn-barycentric", dst_reference=dst.values,
+                        dst_indices=np.arange(3), gn=np.zeros(3), eta=1e-3)
+    src = FeatureMatrix(dst.values[[1, 2, 0]], row_ids=("a", "b", "c"))
+    assert np.allclose(sinkhorn_plan(tmap, src), np.eye(3)[[1, 2, 0]])
+    out = apply_map(tmap, src)
     assert np.allclose(out.values, dst.values[[1, 2, 0]])
     assert out.row_ids == ("a", "b", "c")
 
 
 def test_barycentric_uniform_maps_to_centroid():
-    dst = FeatureMatrix([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-    unif = np.full((2, 4), 0.25)
-    tmap = TransportMap(kind="sinkhorn-barycentric", coupling=unif,
-                        dst_reference=dst.values, dst_indices=np.arange(4))
-    out = barycentric_project(tmap, dst)
-    assert np.allclose(out.values, [[1.0, 1.0], [1.0, 1.0]])
+    # Both source rows are equally far from all four reference rows, so with a
+    # flat potential the plan is uniform and each row maps to the centroid.
+    dst = FeatureMatrix([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                         [0.0, 2.0, 0.0], [2.0, 2.0, 0.0]])
+    tmap = TransportMap(kind="sinkhorn-barycentric", dst_reference=dst.values,
+                        dst_indices=np.arange(4), gn=np.zeros(4), eta=1.0)
+    src = FeatureMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 5.0]])
+    assert np.allclose(sinkhorn_plan(tmap, src), 0.25)
+    out = apply_map(tmap, src)
+    assert np.allclose(out.values, [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+
+
+def test_barycentric_image_is_the_plan_applied_to_the_reference():
+    # Source rows span several apply blocks and include a subsampled fit.
+    rng = np.random.default_rng(15)
+    src = FeatureMatrix(rng.standard_normal((2_500, 3)))
+    dst = FeatureMatrix(rng.standard_normal((300, 3)) + 0.5)
+    for max_points in (5_000, 200):
+        tmap = fit_sinkhorn(src, dst, max_points=max_points, seed=1)
+        out = apply_map(tmap, src)
+        want = sinkhorn_plan(tmap, src) @ tmap.dst_reference
+        assert np.allclose(out.values, want, rtol=0.0, atol=1e-12)
+        assert out.row_ids == src.row_ids
+
+
+def test_sinkhorn_map_applies_to_the_rows_it_is_given():
+    rng = np.random.default_rng(16)
+    src = FeatureMatrix(rng.standard_normal((100, 2)))
+    dst = FeatureMatrix(rng.standard_normal((80, 2)) - 1.0)
+    tmap = fit_sinkhorn(src, dst)
+    full = apply_map(tmap, src)
+    rows = rng.choice(100, size=10, replace=False)
+    part = apply_map(tmap, src.take(rows))
+    assert part.n == 10
+    assert np.allclose(part.values, full.values[rows], rtol=0.0, atol=1e-12)
+    assert part.row_ids == tuple(src.row_ids[i] for i in rows)
+
+
+def test_sinkhorn_fit_and_apply_never_hold_a_dense_plan():
+    # 40,000 source rows against 500 destination rows: the dense plan alone
+    # would take n_src * n_dst * 8 bytes.
+    rng = np.random.default_rng(17)
+    src = FeatureMatrix(rng.standard_normal((40_000, 2)))
+    dst = FeatureMatrix(rng.standard_normal((500, 2)))
+    tracemalloc.start()
+    try:
+        tmap = fit_map(src, dst, "sinkhorn")
+        mapped = apply_map(tmap, src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mapped.n == src.n
+    assert peak < src.n * dst.n * 8, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_barycentric_mean_matches_destination_mean():
@@ -262,12 +323,12 @@ def test_barycentric_mean_matches_destination_mean():
     feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(2000, 0)
     x0, x1 = feats.take(groups.indices(0)), feats.take(groups.indices(1))
     tmap = fit_sinkhorn(x1, x0, eta=1.0)
-    projected = barycentric_project(tmap, x0)
+    projected = apply_map(tmap, x1)
     assert np.linalg.norm(projected.values.mean(axis=0) - x0.values.mean(axis=0)) < 0.1
 
 
 # ---------------------------------------------------------------------------
-# kNN borrowing and the composed transport op
+# kNN borrowing, and fit -> apply -> borrow chains
 # ---------------------------------------------------------------------------
 
 def test_knn_identity_on_equal_sets():
@@ -348,24 +409,30 @@ def test_transport_none_copies_shared_points():
     rng = np.random.default_rng(13)
     dst_vals = rng.standard_normal((50, 2))
     labels = rng.choice([-1, 1], size=50)
-    src = FeatureMatrix(dst_vals[10:30])
-    borrowed = transport(src, FeatureMatrix(dst_vals), labels, "none")
+    src, dst = FeatureMatrix(dst_vals[10:30]), FeatureMatrix(dst_vals)
+    borrowed = knn_borrow(apply_map(fit_map(src, dst, "none"), src), dst, labels)
     assert np.array_equal(borrowed, labels[10:30])
 
 
-def test_transport_linear_recovers_group1_labels():
-    feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(10_000, 0)
+def _borrow_group1_labels(n_per_group, ot_kind):
+    """Labels group 1 borrows from group 0 after mapping onto it, and its truth.
+    Both groups stay under the Sinkhorn cap, so the destination is whole."""
+    feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(n_per_group, 0)
     i0, i1 = groups.indices(0), groups.indices(1)
-    borrowed = transport(feats.take(i1), feats.take(i0), truth.labels[i0], "linear")
-    assert (borrowed == truth.labels[i1]).mean() >= 0.95
+    x_src, x_dst = feats.take(i1), feats.take(i0)
+    tmap = fit_map(x_src, x_dst, ot_kind, seed=0)
+    borrowed = knn_borrow(apply_map(tmap, x_src), x_dst, truth.labels[i0])
+    return borrowed, truth.labels[i1]
+
+
+def test_transport_linear_recovers_group1_labels():
+    borrowed, want = _borrow_group1_labels(10_000, "linear")
+    assert (borrowed == want).mean() >= 0.95
 
 
 def test_transport_sinkhorn_recovers_group1_labels():
-    feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(2_000, 0)
-    i0, i1 = groups.indices(0), groups.indices(1)
-    borrowed = transport(feats.take(i1), feats.take(i0), truth.labels[i0],
-                         "sinkhorn", seed=0)
-    assert (borrowed == truth.labels[i1]).mean() >= 0.90
+    borrowed, want = _borrow_group1_labels(2_000, "sinkhorn")
+    assert (borrowed == want).mean() >= 0.90
 
 
 def test_fit_map_rejects_unknown_kind():
