@@ -3,9 +3,8 @@ optimal-transport correction of labeling-function votes."""
 
 __version__ = "0.1.0"
 
-from .core import (Dataset, FeatureMatrix, GroupAssignment, LabelVector,
-                   ScoreVector, WeakLabelMatrix, merge_split, split_by_group,
-                   validate_dataset)
+from .core import (FeatureMatrix, GroupAssignment, LabelVector, ScoreVector,
+                   WeakLabelMatrix, split_by_group, validate_dataset)
 from .labelmodel import (AccuracyEstimate, LabelModelParams, fit_label_model,
                          majority_vote, predict_labels, predict_proba,
                          resolve_signs, triplet_estimate)

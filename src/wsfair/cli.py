@@ -21,7 +21,7 @@ from . import __version__
 from .core import (DataError, GroupAssignment, LabelVector,
                    NumericalError, WeakLabelMatrix, feature_csv_text, format_real,
                    label_csv_text, load_feature_csv, load_label_csv, load_weak_csv,
-                   weak_csv_text)
+                   split_by_group, weak_csv_text)
 from . import endmodel as em
 from . import labelmodel as lm
 from . import metrics as mx
@@ -100,25 +100,12 @@ def _parse_grid(text: str):
 
 
 def _sbm_config(args, method: str, seed: int) -> sbm.SbmConfig:
-    return sbm.SbmConfig(epsilon=args.epsilon, ot_kind=_OT_OF_METHOD[method],
-                         eta=args.eta, knn_k=args.knn_k, seed=seed,
-                         sinkhorn_max_points=args.sinkhorn_max_points)
-
-
-def _report_dict(pred: LabelVector, truth, groups: GroupAssignment) -> dict:
-    """FairnessReport JSON; metrics needing truth or two groups become null."""
-    n0 = int((groups.group_of == 0).sum())
-    n1 = int((groups.group_of == 1).sum())
-    out = {"accuracy": None, "f1": None, "dp_gap": None, "eo_gap": None,
-           "n0": n0, "n1": n1}
-    if truth is not None:
-        acc, f1 = mx.accuracy_f1(pred, truth)
-        out["accuracy"], out["f1"] = acc, f1
-    if n0 and n1:
-        out["dp_gap"] = mx.dp_gap(pred, groups)
-        if truth is not None:
-            out["eo_gap"] = mx.eo_gap(pred, truth, groups)
-    return out
+    try:
+        return sbm.SbmConfig(epsilon=args.epsilon, ot_kind=_OT_OF_METHOD[method],
+                             eta=args.eta, knn_k=args.knn_k, seed=seed,
+                             sinkhorn_max_points=args.sinkhorn_max_points)
+    except ValueError as exc:
+        raise BadArgs(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +127,8 @@ def cmd_synth(args, out: _Outputs) -> int:
         feats, groups, truth, weak, meta = synth.gen_shift_dataset(
             args.n, args.seed, theta=args.theta, shift=args.shift, m=args.m)
     out.write(outdir / "features.csv", feature_csv_text(feats, groups))
-    out.write(outdir / "weak.csv", weak_csv_text(weak, feats.row_ids))
-    out.write(outdir / "labels.csv", label_csv_text(truth, feats.row_ids))
+    out.write(outdir / "weak.csv", weak_csv_text(weak))
+    out.write(outdir / "labels.csv", label_csv_text(truth))
     out.write(outdir / "specs.json", json.dumps(meta.to_json(), indent=2) + "\n")
     return 0
 
@@ -166,11 +153,18 @@ def _per_lf_csv(weak_pre: WeakLabelMatrix, weak_post: WeakLabelMatrix,
 
 
 def cmd_run(args, out: _Outputs) -> int:
-    feats, groups = load_feature_csv(args.features)
-    weak = load_weak_csv(args.weak, feats.row_ids)
-    truth = load_label_csv(args.labels, feats.row_ids) if args.labels else None
-
     cfg = _sbm_config(args, args.method, args.seed)
+    if not 0.0 < args.class_prior < 1.0:
+        raise BadArgs("--class-prior must lie strictly inside (0, 1)")
+    feats, groups, ids = load_feature_csv(args.features)
+    weak = load_weak_csv(args.weak, ids)
+    truth = load_label_csv(args.labels, ids) if args.labels else None
+    if args.direct_lf_eval and not 0 <= args.lf_index < weak.m:
+        raise BadArgs(f"--lf-index must index one of {weak.m} LFs")
+
+    def report_of(pred: LabelVector) -> dict:
+        return mx.fairness_report(pred, truth, groups).to_json()
+
     result = sbm.run_pipeline(feats, groups, weak, cfg,
                               with_sbm=args.method != "baseline",
                               class_prior=args.class_prior)
@@ -186,12 +180,12 @@ def cmd_run(args, out: _Outputs) -> int:
     if args.postprocess == "dp-threshold":
         thresholds, post_pred = mx.dp_threshold(end_scores, groups, result.labels,
                                                 grid=args.grid)
-        post_report = _report_dict(post_pred, truth, groups)
+        post_report = report_of(post_pred)
 
     direct_report = None
     if args.direct_lf_eval:
         col = LabelVector(result.weak_used.votes[:, args.lf_index])
-        direct_report = _report_dict(col, truth, groups)
+        direct_report = report_of(col)
 
     report = {
         "spec_version": SPEC_VERSION,
@@ -205,8 +199,8 @@ def cmd_run(args, out: _Outputs) -> int:
                    "lf_index": args.lf_index,
                    "endmodel": {"lr": args.lr, "l2": args.l2,
                                 "max_iters": args.max_iters, "tol": args.tol}},
-        "label_model": _report_dict(result.labels, truth, groups),
-        "end_model": _report_dict(end_labels, truth, groups),
+        "label_model": report_of(result.labels),
+        "end_model": report_of(end_labels),
         "end_model_postprocessed": post_report,
         "direct_lf": direct_report,
         "thresholds": list(thresholds) if thresholds else None,
@@ -264,6 +258,9 @@ def _sweep_cell(experiment: str, x: int, seed: int, method: str, args) -> dict:
 
 
 def cmd_sweep(args, out: _Outputs) -> int:
+    _sbm_config(args, "baseline", 0)     # rejects bad SBM settings up front
+    if args.n < 1:
+        raise BadArgs("--n must be positive")
     seeds = _parse_seed_range(args.seeds)
     grid = _parse_grid(args.grid)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -315,9 +312,9 @@ def cmd_sweep(args, out: _Outputs) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_center_scan(args, out: _Outputs) -> int:
-    feats, groups = load_feature_csv(args.features)
-    weak = load_weak_csv(args.weak, feats.row_ids)
-    truth = load_label_csv(args.labels, feats.row_ids)
+    feats, groups, ids = load_feature_csv(args.features)
+    weak = load_weak_csv(args.weak, ids)
+    truth = load_label_csv(args.labels, ids)
     if not 0 <= args.lf < weak.m:
         raise BadArgs(f"--lf must index one of {weak.m} LFs")
     correct = weak.votes[:, args.lf] == truth.labels
@@ -327,11 +324,10 @@ def cmd_center_scan(args, out: _Outputs) -> int:
 
 
 def cmd_estimate(args, out: _Outputs) -> int:
-    feats, groups = load_feature_csv(args.features)
-    weak = load_weak_csv(args.weak, feats.row_ids)
+    feats, groups, ids = load_feature_csv(args.features)
+    weak = load_weak_csv(args.weak, ids)
     ests = {"all": lm.resolve_signs(lm.triplet_estimate(weak), weak)}
     if groups.indices(0).size and groups.indices(1).size:
-        from .core import split_by_group
         sp = split_by_group(feats, groups, weak)
         est0, est1 = sbm.group_accuracies(sp.w0, sp.w1)
         ests["0"], ests["1"] = est0, est1
@@ -343,14 +339,12 @@ def cmd_estimate(args, out: _Outputs) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_pipeline_args(p):
-    p.add_argument("--method", choices=METHODS, default="baseline")
+def _add_sbm_args(p):
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--knn-k", dest="knn_k", type=int, default=1)
     p.add_argument("--sinkhorn-max-points", dest="sinkhorn_max_points", type=int,
                    default=SINKHORN_MAX_POINTS)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> _Parser:
@@ -373,7 +367,9 @@ def build_parser() -> _Parser:
     p.add_argument("--weak", required=True)
     p.add_argument("--labels", default=None)
     p.add_argument("--outdir", required=True)
-    _add_pipeline_args(p)
+    p.add_argument("--method", choices=METHODS, default="baseline")
+    _add_sbm_args(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--postprocess", choices=("none", "dp-threshold"), default="none")
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--class-prior", dest="class_prior", type=float, default=0.5)
@@ -396,11 +392,7 @@ def build_parser() -> _Parser:
                    default="label-model")
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--theta", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--knn-k", dest="knn_k", type=int, default=1)
-    p.add_argument("--sinkhorn-max-points", dest="sinkhorn_max_points", type=int,
-                   default=SINKHORN_MAX_POINTS)
+    _add_sbm_args(p)
 
     p = sub.add_parser("center-scan", help="locate an LF's high-accuracy region")
     p.add_argument("--features", required=True)

@@ -120,10 +120,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n x d real feature matrix with opaque, unique per-row identifiers."""
+    """n x d real feature matrix; rows are identified by position."""
 
     values: np.ndarray
-    row_ids: tuple = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -134,17 +133,7 @@ class FeatureMatrix:
             raise DimensionMismatch(f"need n >= 1 and d >= 1, got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteFeature("features contain NaN or infinity")
-        ids = self.row_ids
-        if ids is None:
-            ids = tuple(str(i) for i in range(n))
-        else:
-            ids = tuple(str(i) for i in ids)
-            if len(ids) != n:
-                raise DimensionMismatch(f"{len(ids)} row ids for {n} rows")
-            if len(set(ids)) != n:
-                raise DataError("row ids must be unique")
         object.__setattr__(self, "values", _frozen(vals))
-        object.__setattr__(self, "row_ids", ids)
 
     @property
     def n(self) -> int:
@@ -155,8 +144,7 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def take(self, idx) -> "FeatureMatrix":
-        idx = np.asarray(idx)
-        return FeatureMatrix(self.values[idx], tuple(self.row_ids[i] for i in idx))
+        return FeatureMatrix(self.values[np.asarray(idx)])
 
 
 @dataclass(frozen=True)
@@ -254,22 +242,13 @@ class ScoreVector:
         return self.scores.shape[0]
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Validated (features, groups, weak labels) triple."""
-
-    features: FeatureMatrix
-    groups: GroupAssignment
-    weak: WeakLabelMatrix
-
-
 def validate_dataset(features: FeatureMatrix, groups: GroupAssignment,
-                     weak: WeakLabelMatrix, *, require_two_groups: bool = False) -> Dataset:
-    """Check the three inputs agree and return a dataset handle.
+                     weak: WeakLabelMatrix, *, require_two_groups: bool = False) -> None:
+    """Check that the three inputs agree; raise a DataError when they do not.
 
-    Idempotent and side-effect free; the handle shares the (read-only) inputs.
-    With `require_two_groups` an all-one-group assignment is rejected here
-    instead of failing later inside a two-group operation.
+    Idempotent and side-effect free. With `require_two_groups` an
+    all-one-group assignment is rejected here instead of failing later inside
+    a two-group operation.
     """
     if not (features.n == groups.n == weak.n):
         raise DimensionMismatch(
@@ -278,7 +257,6 @@ def validate_dataset(features: FeatureMatrix, groups: GroupAssignment,
         for g in (0, 1):
             if groups.indices(g).size == 0:
                 raise EmptyGroup(f"group {g} is empty")
-    return Dataset(features, groups, weak)
 
 
 @dataclass(frozen=True)
@@ -292,18 +270,10 @@ class GroupSplit:
     idx0: np.ndarray
     idx1: np.ndarray
 
-    def restore_votes(self, votes0: np.ndarray, votes1: np.ndarray) -> np.ndarray:
-        """Invert the split for per-group vote blocks."""
-        n = self.idx0.size + self.idx1.size
-        out = np.empty((n,) + votes0.shape[1:], dtype=votes0.dtype)
-        out[self.idx0] = votes0
-        out[self.idx1] = votes1
-        return out
-
 
 def split_by_group(features: FeatureMatrix, groups: GroupAssignment,
                    weak: WeakLabelMatrix) -> GroupSplit:
-    """Partition rows by group; the index maps make the split invertible."""
+    """Partition rows by group; idx0/idx1 give each part's rows in the input."""
     validate_dataset(features, groups, weak)
     idx0, idx1 = groups.indices(0), groups.indices(1)
     if idx0.size == 0 or idx1.size == 0:
@@ -311,21 +281,6 @@ def split_by_group(features: FeatureMatrix, groups: GroupAssignment,
     return GroupSplit(features.take(idx0), weak.take(idx0),
                       features.take(idx1), weak.take(idx1),
                       _frozen(idx0), _frozen(idx1))
-
-
-def merge_split(split: GroupSplit) -> tuple[FeatureMatrix, WeakLabelMatrix]:
-    """Rebuild the original feature and vote matrices from a split."""
-    n = split.idx0.size + split.idx1.size
-    feats = np.empty((n, split.x0.d))
-    feats[split.idx0] = split.x0.values
-    feats[split.idx1] = split.x1.values
-    ids = [None] * n
-    for pos, i in enumerate(split.idx0):
-        ids[i] = split.x0.row_ids[pos]
-    for pos, i in enumerate(split.idx1):
-        ids[i] = split.x1.row_ids[pos]
-    votes = split.restore_votes(split.w0.votes, split.w1.votes)
-    return FeatureMatrix(feats, tuple(ids)), WeakLabelMatrix(votes, split.w0.lf_names)
 
 
 # ---------------------------------------------------------------------------
@@ -341,50 +296,50 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def load_feature_csv(path) -> tuple[FeatureMatrix, GroupAssignment]:
+def _read_csv(path, prefix: list, min_width: int, expected: str, parse):
+    """(header, parse(rows)) over the non-empty rows, each as wide as the header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 3 or rows[0][0] != "id" or rows[0][1] != "group":
-        raise DataError(f"{path}: expected header id,group,f1,...")
-    ids, grp, vals = [], [], []
-    for r in rows[1:]:
-        if not r:
-            continue
-        ids.append(r[0])
-        grp.append(int(r[1]))
-        vals.append([float(x) for x in r[2:]])
-    return FeatureMatrix(np.array(vals), tuple(ids)), GroupAssignment(np.array(grp))
+    if not rows or rows[0][:len(prefix)] != prefix or len(rows[0]) < min_width:
+        raise DataError(f"{path}: expected header {expected}")
+    body = [r for r in rows[1:] if r]
+    if set(map(len, body)) - {len(rows[0])}:
+        raise DataError(f"{path}: every row must have the header's {len(rows[0])} cells")
+    try:
+        return rows[0], parse(body)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-def load_weak_csv(path, row_ids: tuple) -> WeakLabelMatrix:
-    """Load a vote matrix and align its rows to `row_ids` from the feature CSV."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "id" or len(rows[0]) < 2:
-        raise DataError(f"{path}: expected header id,lf_1,...")
-    names = tuple(rows[0][1:])
-    by_id = {}
-    for r in rows[1:]:
-        if not r:
-            continue
-        by_id[r[0]] = [int(x) for x in r[1:]]
-    missing = [i for i in row_ids if i not in by_id]
-    if missing or len(by_id) != len(row_ids):
+def _aligned(path, by_id: dict, ids: tuple) -> np.ndarray:
+    """Rows of `by_id` in the order of the feature CSV's `ids`."""
+    if len(by_id) != len(ids) or any(i not in by_id for i in ids):
         raise DataError(f"{path}: ids do not match the feature CSV")
-    votes = np.array([by_id[i] for i in row_ids])
-    return WeakLabelMatrix(votes, names)
+    return np.array([by_id[i] for i in ids])
 
 
-def load_label_csv(path, row_ids: tuple) -> LabelVector:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["id", "y"]:
-        raise DataError(f"{path}: expected header id,y")
-    by_id = {r[0]: int(r[1]) for r in rows[1:] if r}
-    missing = [i for i in row_ids if i not in by_id]
-    if missing or len(by_id) != len(row_ids):
-        raise DataError(f"{path}: ids do not match the feature CSV")
-    return LabelVector(np.array([by_id[i] for i in row_ids]))
+def load_feature_csv(path) -> tuple[FeatureMatrix, GroupAssignment, tuple]:
+    """(features, groups, ids); the ids serve only to align the other CSVs."""
+    _, (ids, grp, vals) = _read_csv(
+        path, ["id", "group"], 3, "id,group,f1,...",
+        lambda body: (tuple(r[0] for r in body), [int(r[1]) for r in body],
+                      [[float(x) for x in r[2:]] for r in body]))
+    if len(set(ids)) != len(ids):
+        raise DataError(f"{path}: row ids must be unique")
+    return FeatureMatrix(np.array(vals)), GroupAssignment(np.array(grp)), ids
+
+
+def load_weak_csv(path, ids: tuple) -> WeakLabelMatrix:
+    """Load a vote matrix and align its rows to `ids` from the feature CSV."""
+    header, by_id = _read_csv(path, ["id"], 2, "id,lf_1,...",
+                              lambda body: {r[0]: [int(x) for x in r[1:]] for r in body})
+    return WeakLabelMatrix(_aligned(path, by_id, ids), tuple(header[1:]))
+
+
+def load_label_csv(path, ids: tuple) -> LabelVector:
+    _, by_id = _read_csv(path, ["id", "y"], 2, "id,y",
+                         lambda body: {r[0]: int(r[1]) for r in body})
+    return LabelVector(_aligned(path, by_id, ids))
 
 
 def feature_csv_text(features: FeatureMatrix, groups: GroupAssignment) -> str:
@@ -392,23 +347,23 @@ def feature_csv_text(features: FeatureMatrix, groups: GroupAssignment) -> str:
     header = ["id", "group"] + [f"f{j + 1}" for j in range(features.d)]
     buf.write(",".join(header) + "\n")
     for i in range(features.n):
-        row = [features.row_ids[i], str(int(groups.group_of[i]))]
+        row = [str(i), str(int(groups.group_of[i]))]
         row += [format_real(x) for x in features.values[i]]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
 
-def weak_csv_text(weak: WeakLabelMatrix, row_ids: tuple) -> str:
+def weak_csv_text(weak: WeakLabelMatrix) -> str:
     buf = io.StringIO()
     buf.write(",".join(("id",) + weak.lf_names) + "\n")
     for i in range(weak.n):
-        buf.write(",".join((row_ids[i],) + tuple(str(int(v)) for v in weak.votes[i])) + "\n")
+        buf.write(",".join((str(i),) + tuple(str(int(v)) for v in weak.votes[i])) + "\n")
     return buf.getvalue()
 
 
-def label_csv_text(labels: LabelVector, row_ids: tuple) -> str:
+def label_csv_text(labels: LabelVector) -> str:
     buf = io.StringIO()
     buf.write("id,y\n")
     for i in range(labels.n):
-        buf.write(f"{row_ids[i]},{int(labels.labels[i])}\n")
+        buf.write(f"{i},{int(labels.labels[i])}\n")
     return buf.getvalue()

@@ -141,30 +141,18 @@ def resolve_signs(magnitudes: AccuracyEstimate, weak: WeakLabelMatrix) -> Accura
                             signed=True)
 
 
-def fit_label_model(acc: AccuracyEstimate, class_prior: float = 0.5, *,
-                    estimate_prior: bool = False,
-                    weak: WeakLabelMatrix = None) -> LabelModelParams:
+def fit_label_model(acc: AccuracyEstimate, class_prior: float = 0.5) -> LabelModelParams:
     """Naive-Bayes weights from signed accuracies.
 
     weight_j = log((1 + a_j) / (1 - a_j)), the log-odds of LF j being right.
-    With `estimate_prior` the class prior is re-estimated in one refinement
-    pass as the weighted-vote positive rate (requires `weak`).
     """
     a = acc.per_lf
     weights = np.log1p(a) - np.log1p(-a)
     prior = float(class_prior)
     if not 0.0 < prior < 1.0:
         raise ValueError("class prior must lie strictly inside (0, 1)")
-    params = LabelModelParams(weights=weights,
-                              class_prior_logit=float(np.log(prior / (1.0 - prior))))
-    if estimate_prior:
-        if weak is None:
-            raise ValueError("estimate_prior requires the weak label matrix")
-        labels = predict_labels(predict_proba(params, weak))
-        rate = float(np.clip((labels.labels == 1).mean(), DELTA, 1.0 - DELTA))
-        params = LabelModelParams(weights=weights,
-                                  class_prior_logit=float(np.log(rate / (1.0 - rate))))
-    return params
+    return LabelModelParams(weights=weights,
+                            class_prior_logit=float(np.log(prior / (1.0 - prior))))
 
 
 def predict_proba(params: LabelModelParams, weak: WeakLabelMatrix) -> ScoreVector:

@@ -16,17 +16,20 @@ from .core import (DataError, EmptyGroup, FeatureMatrix, GroupAssignment,
                    LabelVector, LengthMismatch, ScoreVector, TooFewRows, rng_stream)
 
 _CENTER_SCAN_STREAM = 91
+CENTER_SCAN_NEIGHBORHOOD_FRAC = 0.10
+CENTER_SCAN_STEP_FRAC = 0.02
 CENTER_SCAN_MAX_CANDIDATES = 2000
 
 
 @dataclass(frozen=True)
 class FairnessReport:
-    accuracy: float
-    f1: float
-    dp_gap: float
-    eo_gap: float          # None when undefined
+    """Metrics of one prediction; each is None when its inputs are missing."""
+
+    accuracy: float        # None without truth
+    f1: float              # None without truth
+    dp_gap: float          # None with one group
+    eo_gap: float          # None without truth, with one group, or when undefined
     n_per_group: tuple
-    positives_per_group: tuple
 
     def to_json(self) -> dict:
         return {"accuracy": self.accuracy, "f1": self.f1, "dp_gap": self.dp_gap,
@@ -94,15 +97,20 @@ def accuracy_f1(pred: LabelVector, truth: LabelVector):
     return acc, 2.0 * tp / (2 * tp + fp + fn)
 
 
-def fairness_report(pred: LabelVector, truth: LabelVector,
-                    groups: GroupAssignment) -> FairnessReport:
-    m0, m1 = _group_masks(groups, pred.n)
-    acc, f1 = accuracy_f1(pred, truth)
-    pos = pred.labels == 1
-    return FairnessReport(accuracy=acc, f1=f1, dp_gap=dp_gap(pred, groups),
-                          eo_gap=eo_gap(pred, truth, groups),
-                          n_per_group=(int(m0.sum()), int(m1.sum())),
-                          positives_per_group=(int(pos[m0].sum()), int(pos[m1].sum())))
+def fairness_report(pred: LabelVector, truth, groups: GroupAssignment) -> FairnessReport:
+    """Report of `pred`; `truth` may be None and `groups` may hold one group."""
+    if groups.n != pred.n:
+        raise LengthMismatch("group assignment length does not match predictions")
+    n0 = int((groups.group_of == 0).sum())
+    n1 = int((groups.group_of == 1).sum())
+    acc = f1 = gap = eo = None
+    if truth is not None:
+        acc, f1 = accuracy_f1(pred, truth)
+    if n0 and n1:
+        gap = dp_gap(pred, groups)
+        if truth is not None:
+            eo = eo_gap(pred, truth, groups)
+    return FairnessReport(accuracy=acc, f1=f1, dp_gap=gap, eo_gap=eo, n_per_group=(n0, n1))
 
 
 def dp_threshold(scores: ScoreVector, groups: GroupAssignment, reference: LabelVector,
@@ -146,18 +154,16 @@ def dp_threshold(scores: ScoreVector, groups: GroupAssignment, reference: LabelV
     return (float(t0), float(t1)), pred
 
 
-def center_scan(x: FeatureMatrix, correct, groups: GroupAssignment,
-                neighborhood_frac: float = 0.10, step_frac: float = 0.02, *,
-                max_candidates: int = CENTER_SCAN_MAX_CANDIDATES,
+def center_scan(x: FeatureMatrix, correct, groups: GroupAssignment, *,
                 seed: int = 0) -> CenterScan:
     """Locate the highest-accuracy region of an LF and trace its decay.
 
     Diagnostic only (needs truth). The best center is the candidate row whose
-    nearest `neighborhood_frac` of all rows has the highest agreement rate
-    (ties to the lowest row index; candidates are subsampled over
-    `max_candidates` rows). Per group, shells of `step_frac` rows are then
-    expanded outward from that center, recording cumulative accuracy against
-    the farthest distance reached.
+    nearest CENTER_SCAN_NEIGHBORHOOD_FRAC of all rows has the highest
+    agreement rate (ties to the lowest row index; candidates are subsampled
+    over CENTER_SCAN_MAX_CANDIDATES rows). Per group, shells of
+    CENTER_SCAN_STEP_FRAC rows are then expanded outward from that center,
+    recording cumulative accuracy against the farthest distance reached.
     """
     correct = np.asarray(correct, dtype=bool)
     n = x.n
@@ -167,12 +173,12 @@ def center_scan(x: FeatureMatrix, correct, groups: GroupAssignment,
         raise LengthMismatch("correctness vector length does not match features")
     _group_masks(groups, n)
 
-    if n <= max_candidates:
+    if n <= CENTER_SCAN_MAX_CANDIDATES:
         candidates = np.arange(n)
     else:
         candidates = np.sort(rng_stream(seed, _CENTER_SCAN_STREAM).choice(
-            n, size=max_candidates, replace=False))
-    k = max(1, int(np.ceil(neighborhood_frac * n)))
+            n, size=CENTER_SCAN_MAX_CANDIDATES, replace=False))
+    k = max(1, int(np.ceil(CENTER_SCAN_NEIGHBORHOOD_FRAC * n)))
     vals = x.values - x.values.mean(axis=0)    # keeps the expanded form precise
     sq = np.einsum("ij,ij->i", vals, vals)
     best_acc, best_row = -1.0, -1
@@ -189,7 +195,7 @@ def center_scan(x: FeatureMatrix, correct, groups: GroupAssignment,
         rows = groups.indices(g)
         d = np.sqrt(np.maximum(sq[rows] + sq[best_row] - 2.0 * (vals[rows] @ center), 0.0))
         order = np.argsort(d, kind="stable")
-        step = max(1, int(np.ceil(step_frac * rows.size)))
+        step = max(1, int(np.ceil(CENTER_SCAN_STEP_FRAC * rows.size)))
         pts = []
         for size in range(step, rows.size + step, step):
             size = min(size, rows.size)

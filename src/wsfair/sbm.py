@@ -39,10 +39,12 @@ class SbmConfig:
     sinkhorn_max_points: int = SINKHORN_MAX_POINTS
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be >= 0")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
+        if self.sinkhorn_max_points < 1:
+            raise ValueError("sinkhorn_max_points must be >= 1")
         if self.ot_kind not in OT_KINDS:
             raise ValueError(f"ot_kind must be one of {OT_KINDS}")
 
@@ -157,7 +159,7 @@ class PipelineResult:
 
 def run_pipeline(features: FeatureMatrix, groups: GroupAssignment,
                  weak: WeakLabelMatrix, cfg: SbmConfig, with_sbm: bool = True, *,
-                 class_prior: float = 0.5, estimate_prior: bool = False) -> PipelineResult:
+                 class_prior: float = 0.5) -> PipelineResult:
     """Optionally run SBM, then fit the label model and produce pseudolabels."""
     validate_dataset(features, groups, weak)
     audit = None
@@ -165,7 +167,7 @@ def run_pipeline(features: FeatureMatrix, groups: GroupAssignment,
     if with_sbm:
         used, audit = run_sbm(features, groups, weak, cfg)
     est = lm.resolve_signs(lm.triplet_estimate(used), used)
-    params = lm.fit_label_model(est, class_prior, estimate_prior=estimate_prior, weak=used)
+    params = lm.fit_label_model(est, class_prior)
     scores = lm.predict_proba(params, used)
     return PipelineResult(scores=scores, labels=lm.predict_labels(scores),
                           audit=audit, weak_used=used)

@@ -159,12 +159,12 @@ def fit_linear_ot(src: GaussianMoments, dst: GaussianMoments) -> TransportMap:
 
 
 def apply_linear(tmap: TransportMap, x: FeatureMatrix) -> FeatureMatrix:
-    """Row-wise affine image A x + b; row ids are preserved."""
+    """Row-wise affine image A x + b, in input row order."""
     if tmap.kind != "linear":
         raise DataError("apply_linear needs a linear map")
     if tmap.A.shape[1] != x.d:
         raise DimensionMismatch(f"map is {tmap.A.shape[1]}-d, features are {x.d}-d")
-    return FeatureMatrix(x.values @ tmap.A.T + tmap.b, x.row_ids)
+    return FeatureMatrix(x.values @ tmap.A.T + tmap.b)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def fit_map(x_src: FeatureMatrix, x_dst: FeatureMatrix, ot_kind: str, *,
 
 
 def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
-    """Image of each row of x_src under the map; row ids are preserved.
+    """Image of each row of x_src under the map, in input row order.
 
     A Sinkhorn row maps to the softmax(gn - cost/eta)-weighted average of the
     destination reference points, computed SINKHORN_BLOCK_ROWS rows at a time.
@@ -375,7 +375,7 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
         logits = tmap.gn - pairwise_cost(x_src.values[block], ref) / tmap.eta
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
         out[block] = (w / w.sum(axis=1, keepdims=True)) @ ref
-    return FeatureMatrix(out, x_src.row_ids)
+    return FeatureMatrix(out)
 
 
 def effective_rank(cov: np.ndarray) -> float:

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from wsfair.cli import main
 
 
@@ -209,3 +211,75 @@ def test_version_and_unknown_method(tmp_path):
                 "--seeds", "0..0", "--methods", "warp-drive",
                 "--out", str(tmp_path / "x.csv"))
     assert code == 1
+
+
+def _run_args(outdir, rd, *extra):
+    return ("run", "--features", str(outdir / "features.csv"),
+            "--weak", str(outdir / "weak.csv"), "--labels", str(outdir / "labels.csv"),
+            "--outdir", str(rd)) + extra
+
+
+@pytest.mark.parametrize("extra", [
+    ("--knn-k", "0"),
+    ("--class-prior", "1.5"),
+    ("--direct-lf-eval", "--lf-index", "9"),
+    ("--method", "sbm-sinkhorn", "--sinkhorn-max-points", "0"),
+    ("--epsilon", "-1"),
+])
+def test_run_bad_value_is_usage_error(tmp_path, extra):
+    outdir = _synth_gauss_pair(tmp_path, n=200, seed=8)
+    rd = tmp_path / "out"
+    assert _run(*_run_args(outdir, rd, *extra)) == 1
+    assert not rd.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ("--knn-k", "0"),
+    ("--methods", "sbm-sinkhorn", "--sinkhorn-max-points", "0"),
+    ("--epsilon", "-1"),
+    ("--n", "0"),
+])
+def test_sweep_bad_value_is_usage_error(tmp_path, extra):
+    out = tmp_path / "x.csv"
+    code = _run("sweep", "--experiment", "samples", "--grid", "100",
+                "--seeds", "0..0", "--out", str(out), *extra)
+    assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["features.csv", "weak.csv", "labels.csv"])
+def test_run_malformed_cell_exits_2(tmp_path, capsys, name):
+    outdir = _synth_gauss_pair(tmp_path, n=100, seed=10)
+    path = outdir / name
+    lines = path.read_text().split("\n")
+    lines[3] = lines[3][:-1] + "x"     # the last cell of row 2 no longer parses
+    path.write_text("\n".join(lines))
+    rd = tmp_path / "out"
+    assert _run(*_run_args(outdir, rd)) == 2
+    assert name in capsys.readouterr().out
+    assert not rd.exists()
+
+
+def test_run_one_group_reports_null_gaps(tmp_path):
+    data = tmp_path / "data"
+    assert _run("synth", "--experiment", "shift", "--n", "300", "--shift", "10",
+                "--seed", "1", "--outdir", str(data)) == 0
+    rd = tmp_path / "out"
+    assert _run(*_run_args(data, rd, "--method", "baseline")) == 0
+    report = json.loads((rd / "report.json").read_text())
+    for part in ("label_model", "end_model"):
+        rep = report[part]
+        assert rep["dp_gap"] is None and rep["eo_gap"] is None
+        assert rep["n0"] == 300 and rep["n1"] == 0
+        assert rep["accuracy"] is not None
+
+
+def test_run_duplicate_feature_id_exits_2(tmp_path):
+    outdir = _synth_gauss_pair(tmp_path, n=100, seed=9)
+    path = outdir / "features.csv"
+    lines = path.read_text().split("\n")
+    lines[2] = "0," + lines[2].split(",", 1)[1]     # row 1 reuses id 0
+    path.write_text("\n".join(lines))
+    rd = tmp_path / "out"
+    assert _run(*_run_args(outdir, rd)) == 2
+    assert not rd.exists()

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from wsfair.core import (DimensionMismatch, EmptyGroup, FeatureMatrix,
+from wsfair.core import (DataError, DimensionMismatch, EmptyGroup, FeatureMatrix,
                          GroupAssignment, InvalidVote, LabelVector,
                          NonFiniteFeature, ScoreVector, WeakLabelMatrix,
                          feature_csv_text, label_csv_text, load_feature_csv,
-                         load_label_csv, load_weak_csv, merge_split,
-                         split_by_group, validate_dataset, weak_csv_text)
+                         load_label_csv, load_weak_csv, split_by_group,
+                         validate_dataset, weak_csv_text)
 
 
 def _dataset(n=4, m=3, seed=0):
@@ -20,8 +20,7 @@ def _dataset(n=4, m=3, seed=0):
 def test_validate_well_formed():
     feats, _, weak = _dataset()
     groups = GroupAssignment([0, 1, 0, 1])
-    ds = validate_dataset(feats, groups, weak)
-    assert ds.features is feats and ds.weak is weak
+    assert validate_dataset(feats, groups, weak) is None
 
 
 def test_zero_vote_rejected():
@@ -73,10 +72,11 @@ def test_containers_are_immutable():
 def test_validate_is_idempotent():
     feats, _, weak = _dataset()
     groups = GroupAssignment([0, 1, 0, 1])
-    d1 = validate_dataset(feats, groups, weak)
-    d2 = validate_dataset(feats, groups, weak)
-    assert np.array_equal(d1.weak.votes, d2.weak.votes)
-    assert np.array_equal(d1.features.values, d2.features.values)
+    votes, values = weak.votes.copy(), feats.values.copy()
+    assert validate_dataset(feats, groups, weak) is None
+    assert validate_dataset(feats, groups, weak) is None
+    assert np.array_equal(weak.votes, votes)
+    assert np.array_equal(feats.values, values)
 
 
 def test_split_direct_partition():
@@ -95,8 +95,8 @@ def test_split_empty_group_raises():
         split_by_group(feats, GroupAssignment([0, 0, 0, 0]), weak)
 
 
-def test_split_merge_round_trip():
-    # bit-exact inversion of the split, several random datasets
+def test_split_index_maps_rebuild_the_input():
+    # bit-exact inversion of the split through idx0/idx1, several random datasets
     for seed in range(5):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 40))
@@ -106,21 +106,12 @@ def test_split_merge_round_trip():
         groups = GroupAssignment(g)
         weak = WeakLabelMatrix(rng.choice([-1, 1], size=(n, 4)))
         sp = split_by_group(feats, groups, weak)
-        feats2, weak2 = merge_split(sp)
-        assert np.array_equal(feats2.values, feats.values)
-        assert feats2.row_ids == feats.row_ids
-        assert np.array_equal(weak2.votes, weak.votes)
-
-
-def test_row_ids_preserved_through_take():
-    feats = FeatureMatrix(np.eye(3), row_ids=("a", "b", "c"))
-    sub = feats.take([2, 0])
-    assert sub.row_ids == ("c", "a")
-
-
-def test_duplicate_row_ids_rejected():
-    with pytest.raises(Exception):
-        FeatureMatrix(np.eye(2), row_ids=("a", "a"))
+        feats2 = np.empty_like(feats.values)
+        votes2 = np.empty_like(weak.votes)
+        feats2[sp.idx0], feats2[sp.idx1] = sp.x0.values, sp.x1.values
+        votes2[sp.idx0], votes2[sp.idx1] = sp.w0.votes, sp.w1.votes
+        assert np.array_equal(feats2, feats.values)
+        assert np.array_equal(votes2, weak.votes)
 
 
 def test_csv_round_trip(tmp_path):
@@ -129,11 +120,12 @@ def test_csv_round_trip(tmp_path):
     truth = LabelVector(np.random.default_rng(0).choice([-1, 1], size=6))
     fp, wp, lp = tmp_path / "f.csv", tmp_path / "w.csv", tmp_path / "l.csv"
     fp.write_text(feature_csv_text(feats, groups), encoding="utf-8")
-    wp.write_text(weak_csv_text(weak, feats.row_ids), encoding="utf-8")
-    lp.write_text(label_csv_text(truth, feats.row_ids), encoding="utf-8")
-    feats2, groups2 = load_feature_csv(fp)
-    weak2 = load_weak_csv(wp, feats2.row_ids)
-    truth2 = load_label_csv(lp, feats2.row_ids)
+    wp.write_text(weak_csv_text(weak), encoding="utf-8")
+    lp.write_text(label_csv_text(truth), encoding="utf-8")
+    feats2, groups2, ids = load_feature_csv(fp)
+    assert ids == ("0", "1", "2", "3", "4", "5")
+    weak2 = load_weak_csv(wp, ids)
+    truth2 = load_label_csv(lp, ids)
     assert np.array_equal(feats2.values, feats.values)
     assert np.array_equal(groups2.group_of, groups.group_of)
     assert np.array_equal(weak2.votes, weak.votes)
@@ -141,9 +133,35 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_weak_csv_id_mismatch(tmp_path):
-    feats, _, weak = _dataset(n=4)
-    groups = GroupAssignment([0, 1, 0, 1])
+    _, _, weak = _dataset(n=4)
     wp = tmp_path / "w.csv"
-    wp.write_text(weak_csv_text(weak, ("9", "8", "7", "6")), encoding="utf-8")
-    with pytest.raises(Exception):
-        load_weak_csv(wp, feats.row_ids)
+    wp.write_text(weak_csv_text(weak), encoding="utf-8")
+    with pytest.raises(DataError):
+        load_weak_csv(wp, ("9", "8", "7", "6"))
+
+
+_GOOD_CSV = {"f.csv": "id,group,f1,f2\n0,0,1.5,2\n1,1,-3,4e-2\n",
+             "w.csv": "id,lf_1,lf_2,lf_3\n0,1,-1,1\n1,-1,-1,1\n",
+             "l.csv": "id,y\n0,1\n1,-1\n"}
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("f.csv", "1,1,-3", "1,x,-3"),         # group not an integer
+    ("f.csv", "0,0,1.5", "0,0,abc"),       # feature not a number
+    ("f.csv", "1,1,-3,4e-2", "1,1,-3"),    # ragged row
+    ("f.csv", "0,0,", "0,1.0,"),           # group written as a real
+    ("w.csv", "0,1,-1", "0,1,-x"),         # vote not an integer
+    ("w.csv", "1,-1,-1,1", "1,-1,-1,1,1"),  # ragged row
+    ("l.csv", "1,-1", "1,no"),             # label not an integer
+    ("l.csv", "0,1\n", "0\n"),             # ragged row
+])
+def test_malformed_csv_cell_is_a_data_error_naming_the_file(tmp_path, name, old, new):
+    paths = {}
+    for fname, text in _GOOD_CSV.items():
+        paths[fname] = tmp_path / fname
+        paths[fname].write_text(text.replace(old, new, 1) if fname == name else text,
+                                encoding="utf-8")
+    with pytest.raises(DataError, match=name):
+        _, _, ids = load_feature_csv(paths["f.csv"])
+        load_weak_csv(paths["w.csv"], ids)
+        load_label_csv(paths["l.csv"], ids)

@@ -54,7 +54,7 @@ def test_votes_invariant_under_rigid_motion(ot_kind):
     base, _ = _base("pair", ot_kind)
     rot = _rotation(feats.d, 1)
     for offset in (0.0, 1e4, 1e6):
-        moved = FeatureMatrix(feats.values @ rot.T + offset, feats.row_ids)
+        moved = FeatureMatrix(feats.values @ rot.T + offset)
         votes, _ = run_sbm(moved, groups, weak, _config(ot_kind))
         changed = int((votes.votes != base).sum())
         assert changed == 0, f"offset {offset:g} changed {changed} votes"

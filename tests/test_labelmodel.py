@@ -257,13 +257,3 @@ def test_label_invariance_under_common_positive_scaling():
             l1 = predict_labels(predict_proba(p1, weak))
             l2 = predict_labels(predict_proba(p2, weak))
             assert np.array_equal(l1.labels, l2.labels)
-
-
-def test_estimated_prior_refinement():
-    votes, _ = sample_ci_votes([0.9, 0.8, 0.7], 5000, seed=11, class_prior=0.8)
-    weak = WeakLabelMatrix(votes)
-    est = resolve_signs(triplet_estimate(weak), weak)
-    params = fit_label_model(est, estimate_prior=True, weak=weak)
-    assert params.class_prior_logit > 0.5  # leans positive, log(0.8/0.2) ~ 1.39
-    with pytest.raises(ValueError):
-        fit_label_model(est, estimate_prior=True)

@@ -106,6 +106,19 @@ def test_fairness_report_json():
     assert js["n0"] == 2 and js["n1"] == 2
 
 
+def test_fairness_report_without_truth_or_second_group():
+    pred = LabelVector([1, -1, 1, 1])
+    no_truth = fairness_report(pred, None, _groups([0, 0, 1, 1])).to_json()
+    assert no_truth == {"accuracy": None, "f1": None, "dp_gap": 0.5, "eo_gap": None,
+                        "n0": 2, "n1": 2}
+    one_group = fairness_report(pred, LabelVector([1, 1, 1, -1]), _groups([1, 1, 1, 1]))
+    assert one_group.accuracy == 0.5 and one_group.f1 == pytest.approx(2 / 3)
+    assert one_group.dp_gap is None and one_group.eo_gap is None
+    assert one_group.n_per_group == (0, 4)
+    with pytest.raises(LengthMismatch):
+        fairness_report(pred, None, _groups([0, 1]))
+
+
 # ---------------------------------------------------------------------------
 # dp_threshold
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ def test_config_validation():
         SbmConfig(knn_k=0)
     with pytest.raises(ValueError):
         SbmConfig(ot_kind="banana")
+    with pytest.raises(ValueError):
+        SbmConfig(sinkhorn_max_points=0)
+    with pytest.raises(ValueError):
+        SbmConfig(epsilon=float("nan"))
 
 
 def test_group_accuracies_symmetric_distributions():
