@@ -154,6 +154,10 @@ def _per_lf_csv(weak_pre: WeakLabelMatrix, weak_post: WeakLabelMatrix,
 
 def cmd_run(args, out: _Outputs) -> int:
     cfg = _sbm_config(args, args.method, args.seed)
+    try:
+        train_cfg = em.TrainConfig(l2=args.l2, max_iters=args.max_iters, tol=args.tol)
+    except ValueError as exc:
+        raise BadArgs(str(exc)) from None
     if not 0.0 < args.class_prior < 1.0:
         raise BadArgs("--class-prior must lie strictly inside (0, 1)")
     feats, groups, ids = load_feature_csv(args.features)
@@ -170,9 +174,7 @@ def cmd_run(args, out: _Outputs) -> int:
                               class_prior=args.class_prior)
 
     train_targets = result.labels if args.hard_labels else result.scores
-    model = em.train_logreg(feats, train_targets,
-                            em.TrainConfig(lr=args.lr, l2=args.l2,
-                                           max_iters=args.max_iters, tol=args.tol))
+    model = em.train_logreg(feats, train_targets, train_cfg)
     end_scores = em.predict_logreg(model, feats)
     end_labels = lm.predict_labels(end_scores)
 
@@ -197,10 +199,11 @@ def cmd_run(args, out: _Outputs) -> int:
                    "hard_labels": bool(args.hard_labels),
                    "direct_lf_eval": bool(args.direct_lf_eval),
                    "lf_index": args.lf_index,
-                   "endmodel": {"lr": args.lr, "l2": args.l2,
-                                "max_iters": args.max_iters, "tol": args.tol}},
+                   "endmodel": {"l2": args.l2, "max_iters": args.max_iters,
+                                "tol": args.tol}},
         "label_model": report_of(result.labels),
         "end_model": report_of(end_labels),
+        "end_model_fit": model.training_meta,
         "end_model_postprocessed": post_report,
         "direct_lf": direct_report,
         "thresholds": list(thresholds) if thresholds else None,
@@ -376,7 +379,6 @@ def build_parser() -> _Parser:
     p.add_argument("--hard-labels", dest="hard_labels", action="store_true")
     p.add_argument("--direct-lf-eval", dest="direct_lf_eval", action="store_true")
     p.add_argument("--lf-index", dest="lf_index", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--l2", type=float, default=1e-4)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=5000)
     p.add_argument("--tol", type=float, default=1e-6)

@@ -1,9 +1,9 @@
 """Logistic-regression end model trained on (possibly soft) pseudolabels.
 
-Deterministic full-batch gradient descent on mean cross-entropy plus an L2
-penalty (l2/2)*||w||^2 on the weights (not the bias). Soft targets in [0, 1]
-are used directly as target probabilities, so training on {0, 1} targets
-coincides exactly with hard-label training. Features are standardized
+Deterministic damped Newton, run to the optimum of mean cross-entropy plus an
+L2 penalty (l2/2)*||w||^2 on the weights (not the bias). Soft targets in
+[0, 1] are used directly as target probabilities, so training on {0, 1}
+targets coincides exactly with hard-label training. Features are standardized
 per column inside training (constant columns skipped); the standardization is
 stored in the model and replayed at prediction time.
 """
@@ -20,10 +20,17 @@ from .core import (DataError, DimensionMismatch, FeatureMatrix, LabelVector,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 0.5
     l2: float = 1e-4
     max_iters: int = 5000
     tol: float = 1e-6
+
+    def __post_init__(self):
+        if not (np.isfinite(self.l2) and self.l2 >= 0.0):
+            raise ValueError("l2 must be finite and >= 0")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be finite and > 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -33,11 +40,6 @@ class LogisticModel:
     standardize_mean: np.ndarray
     standardize_std: np.ndarray
     training_meta: dict
-
-    def to_json(self) -> dict:
-        return {"w": self.weights.tolist(), "b": self.bias,
-                "standardize": {"mean": self.standardize_mean.tolist(),
-                                "std": self.standardize_std.tolist()}}
 
 
 def _as_targets(targets, n: int) -> np.ndarray:
@@ -70,11 +72,13 @@ def loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, targets: np.ndarray,
 
 
 def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> LogisticModel:
-    """Fit by full-batch descent with halving of the step on loss increase.
+    """Fit by damped Newton steps on the (d+1)x(d+1) Hessian.
 
-    The halved step is kept for subsequent iterations, so the loss sequence is
-    non-increasing. Stops when the sup norm of the gradient drops below tol or
-    at max_iters.
+    H = X'diag(p(1-p))X/n + diag(l2, ..., l2, 0), X the standardized features
+    with a ones column, is solved by least squares, so a singular H (l2 = 0 on
+    separable data) still gives a step. Its length starts at 1 and halves until
+    the loss does not rise. Stops when the sup norm of the gradient drops below
+    tol or at max_iters.
     """
     cfg = config or TrainConfig()
     if x.n < 2:
@@ -85,26 +89,31 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
     std = x.values.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     xs = (x.values - mean) / std
+    xt = np.column_stack([xs, np.ones(x.n)])
+    ridge = np.diag(np.append(np.full(x.d, cfg.l2), 0.0))
 
     w = np.zeros(x.d)
     b = 0.0
-    lr = cfg.lr
     loss, grad_w, grad_b = loss_and_grad(w, b, xs, t, cfg.l2)
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
         if not np.isfinite(loss):
-            raise NonFiniteLoss("training loss diverged; lower the learning rate")
+            raise NonFiniteLoss("training loss is not finite")
         if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) < cfg.tol:
             iters -= 1
             break
+        p = sigmoid(xs @ w + b)
+        hess = xt.T @ (xt * (p * (1.0 - p))[:, None]) / x.n + ridge
+        step = np.linalg.lstsq(hess, np.append(grad_w, grad_b), rcond=None)[0]
+        alpha = 1.0
         while True:
-            w_new = w - lr * grad_w
-            b_new = b - lr * grad_b
+            w_new = w - alpha * step[:-1]
+            b_new = b - alpha * step[-1]
             loss_new, gw_new, gb_new = loss_and_grad(w_new, b_new, xs, t, cfg.l2)
             if np.isfinite(loss_new) and loss_new <= loss:
                 break
-            lr /= 2.0
-            if lr < 1e-12:
+            alpha /= 2.0
+            if alpha < 1e-12:
                 raise NonFiniteLoss("step size underflowed while backtracking")
         w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
     return LogisticModel(weights=w, bias=float(b), standardize_mean=mean,

@@ -203,7 +203,8 @@ def _sinkhorn_potentials(cost_over_eta: np.ndarray, tol: float, max_iters: int):
     use_log = cost_over_eta.max(initial=0.0) > LOG_DOMAIN_CUTOFF
 
     if not use_log:
-        k = np.exp(-cost_over_eta)
+        k = np.negative(cost_over_eta)
+        np.exp(k, out=k)
         a = np.full(n_src, 1.0 / n_src)
         b = np.full(n_dst, 1.0 / n_dst)
         v = np.ones(n_dst)

@@ -64,6 +64,8 @@ def test_run_baseline_vs_sbm_linear(tmp_path):
         assert code == 0
         reports[method] = json.loads((rd / "report.json").read_text())
         assert (rd / "per_lf.csv").exists()
+        fit = reports[method]["end_model_fit"]
+        assert 0 < fit["iterations"] <= 20 and fit["final_loss"] > 0.0
     base = reports["baseline"]["direct_lf"]
     sbm = reports["sbm-linear"]["direct_lf"]
     assert sbm["dp_gap"] < base["dp_gap"]
@@ -225,6 +227,13 @@ def _run_args(outdir, rd, *extra):
     ("--direct-lf-eval", "--lf-index", "9"),
     ("--method", "sbm-sinkhorn", "--sinkhorn-max-points", "0"),
     ("--epsilon", "-1"),
+    ("--l2", "nan"),
+    ("--l2", "inf"),
+    ("--l2", "-1"),
+    ("--tol", "nan"),
+    ("--tol", "-1"),
+    ("--max-iters", "-1"),
+    ("--lr", "0.5"),
 ])
 def test_run_bad_value_is_usage_error(tmp_path, extra):
     outdir = _synth_gauss_pair(tmp_path, n=200, seed=8)

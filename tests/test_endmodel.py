@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from wsfair.core import FeatureMatrix, LabelVector, ScoreVector
 from wsfair.endmodel import (LogisticModel, TrainConfig, loss_and_grad,
@@ -6,7 +7,7 @@ from wsfair.endmodel import (LogisticModel, TrainConfig, loss_and_grad,
 from wsfair.labelmodel import predict_labels
 from wsfair.metrics import accuracy_f1
 from wsfair.sbm import SbmConfig, run_pipeline
-from wsfair.synth import gen_gaussian_pair_dataset
+from wsfair.synth import gen_gaussian_pair_dataset, gen_lfcount_dataset
 
 
 def test_separable_two_points():
@@ -52,10 +53,12 @@ def test_gradient_against_central_differences():
 
 
 def test_backtracking_tames_large_learning_rate():
+    # separable data under the default weak l2: the optimum is far from the
+    # zero start, so the fit takes long Newton steps
     rng = np.random.default_rng(2)
     x = FeatureMatrix(rng.standard_normal((200, 2)))
     y = LabelVector(np.where(x.values[:, 0] + 0.5 * x.values[:, 1] > 0, 1, -1))
-    model = train_logreg(x, y, TrainConfig(lr=64.0, max_iters=500))
+    model = train_logreg(x, y, TrainConfig(max_iters=500))
     init_loss, *_ = loss_and_grad(np.zeros(2), 0.0,
                                   (x.values - model.standardize_mean) / model.standardize_std,
                                   (y.labels + 1) / 2.0, 1e-4)
@@ -108,13 +111,34 @@ def test_constant_feature_column_is_skipped():
     assert acc == 1.0
 
 
-def test_model_json_schema():
-    model = LogisticModel(weights=np.array([1.0, -2.0]), bias=0.5,
-                          standardize_mean=np.zeros(2),
-                          standardize_std=np.ones(2), training_meta={})
-    js = model.to_json()
-    assert set(js) == {"w", "b", "standardize"}
-    assert set(js["standardize"]) == {"mean", "std"}
+def test_fit_stops_on_the_gradient_test_for_lfcount_pseudolabels():
+    # the lfcount-baseline setting: one group is translated by 10-50 units on
+    # both axes, so the two standardized columns are nearly collinear
+    feats, groups, _, weak, _ = gen_lfcount_dataset(2000, 12, seed=0)
+    res = run_pipeline(feats, groups, weak, SbmConfig(), with_sbm=False)
+    cfg = TrainConfig(max_iters=3000)
+    model = train_logreg(feats, res.scores, cfg)
+    xs = (feats.values - model.standardize_mean) / model.standardize_std
+    _, gw, gb = loss_and_grad(model.weights, model.bias, xs,
+                              res.scores.scores, cfg.l2)
+    assert max(np.abs(gw).max(), abs(gb)) < cfg.tol
+    assert model.training_meta["iterations"] < cfg.max_iters
+
+
+@pytest.mark.parametrize("case", ["constant-column", "separable"])
+def test_unpenalised_fit_returns_finite_weights(case):
+    # l2 = 0 leaves the Hessian singular (constant column) or the optimum at
+    # infinity (separable data); the fit still returns finite weights
+    rng = np.random.default_rng(5)
+    if case == "constant-column":
+        x = FeatureMatrix(np.column_stack([np.ones(100), rng.standard_normal(100)]))
+        y = LabelVector(rng.choice([-1, 1], 100))
+    else:
+        x = FeatureMatrix(rng.standard_normal((100, 2)))
+        y = LabelVector(np.where(x.values[:, 0] > 0, 1, -1))
+    model = train_logreg(x, y, TrainConfig(l2=0.0))
+    assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
+    assert model.training_meta["iterations"] < 5000
 
 
 def test_end_model_on_sbm_pseudolabels_beats_direct_baseline():

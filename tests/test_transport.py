@@ -314,6 +314,22 @@ def test_sinkhorn_fit_and_apply_never_hold_a_dense_plan():
     assert peak < src.n * dst.n * 8, f"peak {peak / 2**20:.0f} MB"
 
 
+def test_sinkhorn_fit_peak_is_two_fit_sized_arrays():
+    # plain-domain fit at m = 2,000 per side: the cost and its kernel are the
+    # only m x m arrays alive at once
+    m = 2000
+    rng = np.random.default_rng(18)
+    src = FeatureMatrix(rng.standard_normal((m, 2)))
+    dst = FeatureMatrix(rng.standard_normal((m, 2)))
+    tracemalloc.start()
+    try:
+        fit_map(src, dst, "sinkhorn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m * m * 8, f"peak {peak / (m * m * 8):.2f} x m^2 doubles"
+
+
 def test_barycentric_mean_matches_destination_mean():
     # feasibility makes the projected cloud's mean equal the destination mean
     feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(2000, 0)
