@@ -1,10 +1,10 @@
 """Batch entry point: dataset synthesis, pipeline runs, sweeps, diagnostics.
 
 Exit codes: 0 success, 1 usage, 2 data, 3 numerical. A command either writes
-all of its outputs or none (partial files are removed on failure). All
-randomness flows from --seed; repeated invocations with identical arguments
-produce byte-identical files. WSFAIR_THREADS caps sweep parallelism (absent
-means single-threaded); it never changes results, only wall time.
+all of its outputs or none (partial files are removed on failure); a sweep
+keeps a cell's numerical failure as an error row. All randomness flows from
+--seed; identical arguments produce byte-identical files. WSFAIR_THREADS caps
+sweep parallelism (absent means single-threaded) and never changes results.
 """
 
 from __future__ import annotations
@@ -273,25 +273,38 @@ def cmd_sweep(args, out: _Outputs) -> int:
         if args.experiment != "shift" and m not in METHODS:
             raise BadArgs(f"unknown method {m!r}")
 
+    def cell(task):                    # a numerical failure stays in its cell
+        try:
+            return _sweep_cell(args.experiment, *task, args)
+        except NumericalError as exc:
+            return exc
+
     tasks = [(x, seed, method) for x in grid for seed in seeds for method in methods]
     threads = _threads()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda t: _sweep_cell(args.experiment, t[0], t[1], t[2], args), tasks))
+            results = list(pool.map(cell, tasks))
     else:
-        results = [_sweep_cell(args.experiment, x, seed, method, args)
-                   for x, seed, method in tasks]
-    cells = {t: r for t, r in zip(tasks, results)}
+        results = [cell(t) for t in tasks]
+    errors = {t: r for t, r in zip(tasks, results) if isinstance(r, NumericalError)}
+    if errors and len(errors) == len(tasks):
+        raise errors[tasks[0]]
+    for (x, seed, method), exc in errors.items():
+        print(f"cell failed: x={x} seed={seed} method={method}: "
+              f"{type(exc).__name__}: {exc}")
+    cells = {t: {} if t in errors else r for t, r in zip(tasks, results)}
 
     lines = ["x,method,metric,mean,sd,lo,hi"]
     per_seed_lines = ["x,seed,method,metric,value"]
     for x in grid:
         for method in methods:
+            per_seed_lines += [f"{x},{seed},{method},error,"
+                               f"{type(errors[(x, seed, method)]).__name__}"
+                               for seed in seeds if (x, seed, method) in errors]
             for metric in _SWEEP_METRICS:
                 vals = []
                 for seed in seeds:
-                    v = cells[(x, seed, method)][metric]
+                    v = cells[(x, seed, method)].get(metric)
                     if v is None:
                         continue
                     vals.append(v)

@@ -76,10 +76,6 @@ class NonFiniteLoss(NumericalError):
     pass
 
 
-class ZeroMatrix(NumericalError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Small numeric helpers shared across modules.
 # ---------------------------------------------------------------------------

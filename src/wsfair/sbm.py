@@ -41,6 +41,8 @@ class SbmConfig:
     def __post_init__(self):
         if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be >= 0")
+        if not (np.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError("eta must be finite and > 0")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         if self.sinkhorn_max_points < 1:

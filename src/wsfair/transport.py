@@ -13,23 +13,22 @@ Two fitted map families plus an identity bypass:
 
 After mapping, labels are borrowed from Euclidean nearest neighbors in the
 destination cloud, found exactly with a k-d tree (scipy, imported on first
-use). The Sinkhorn fit holds a dense fit-size cost matrix, which is why fits
-above a point cap are subsampled; applying the map streams fixed-size row
-blocks, so no n_src x n_dst array is ever held. Every distance is taken on
-clouds centered on the destination mean, so results do not depend on where
-the data sits in feature space.
+use). The Sinkhorn fit is one absorption-stabilised scaling loop, valid at
+any distance between the clouds. It holds a dense fit-size cost matrix and its
+kernel, which is why fits above a point cap are subsampled; applying the map
+streams fixed-size row blocks, so no n_src x n_dst array is ever held. Every
+distance is taken on clouds centered on the destination mean, so results do
+not depend on where the data sits in feature space.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DataError, DimensionMismatch, EmptyDestination, FeatureMatrix,
-                   NumericalUnderflow, SingularCovariance, TooFewRows, ZeroMatrix,
-                   rng_stream)
+                   NumericalUnderflow, SingularCovariance, TooFewRows, rng_stream)
 
 COV_RIDGE = 1e-6
 EIG_FLOOR = 1e-12
@@ -38,7 +37,7 @@ SINKHORN_TOL = 1e-10          # internal; stricter than the 1e-9 contract
 SINKHORN_MAX_ITERS = 10_000
 SINKHORN_MAX_POINTS = 5_000   # per-side fit cap; the fit cost is quadratic in memory
 SINKHORN_BLOCK_ROWS = 1_024   # source rows per block when applying a Sinkhorn map
-LOG_DOMAIN_CUTOFF = 700.0     # exp underflow threshold for cost/eta
+SINKHORN_ABSORB = 100.0       # |log scaling| that is folded into the potentials
 
 _SUBSAMPLE_STREAM = 90
 
@@ -94,7 +93,7 @@ class TransportMap:
     destination set, a subsample when the fit was capped), the destination
     log-potential `gn` with one entry per reference point, and `eta`.
     `converged` is False when Sinkhorn hit the iteration cap and returned its
-    best iterate.
+    last iterate.
     """
 
     kind: str
@@ -119,19 +118,6 @@ class TransportMap:
                 raise DataError("sinkhorn map needs a potential, eta and destination reference")
             if np.shape(self.gn) != (len(self.dst_reference),) or not np.isfinite(self.gn).all():
                 raise DataError("destination potential must be finite, one entry per reference row")
-
-    def to_json(self) -> str:
-        if self.kind != "linear":
-            raise DataError("only linear maps are JSON-serializable")
-        return json.dumps({"kind": "linear", "A": self.A.tolist(), "b": self.b.tolist()})
-
-
-def linear_map_from_json(text: str) -> TransportMap:
-    obj = json.loads(text)
-    if obj.get("kind") != "linear":
-        raise DataError("expected a linear transport map")
-    return TransportMap(kind="linear", A=np.array(obj["A"], dtype=np.float64),
-                        b=np.array(obj["b"], dtype=np.float64))
 
 
 def estimate_moments(x: FeatureMatrix) -> GaussianMoments:
@@ -184,62 +170,46 @@ def pairwise_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1)
-    return zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-
-
 def _sinkhorn_potentials(cost_over_eta: np.ndarray, tol: float, max_iters: int):
     """Return (gn, converged): gn is the destination log-potential g / eta.
 
-    Runs the plain scaling iterations when the kernel cannot underflow and
-    falls back to the log-domain recursion otherwise. The source potential is
-    implied by one final row update, which makes every row of the plan an
-    exact softmax over gn - cost/eta.
+    Absorption-stabilised scaling (Schmitzer 2019) on the kernel
+    exp(fn_i + gn_j - C_ij), C = cost/eta. fn starts at the row minima of C
+    and gn at their c-transform, so every kernel row and column holds a 1;
+    scalings beyond e^+-SINKHORN_ABSORB are folded into fn and gn and the
+    kernel is rebuilt in place, so none underflows however far apart the
+    clouds sit. The source potential is implied by one final row update,
+    which makes every row of the plan an exact softmax over gn - cost/eta.
     """
     n_src, n_dst = cost_over_eta.shape
-    loga = -np.log(n_src)
-    logb = -np.log(n_dst)
-    use_log = cost_over_eta.max(initial=0.0) > LOG_DOMAIN_CUTOFF
-
-    if not use_log:
-        k = np.negative(cost_over_eta)
-        np.exp(k, out=k)
-        a = np.full(n_src, 1.0 / n_src)
-        b = np.full(n_dst, 1.0 / n_dst)
-        v = np.ones(n_dst)
-        kv = k @ v
-        for _ in range(max_iters):
-            if (kv == 0.0).any():
-                use_log = True
-                break
-            u = a / kv
-            ktu = k.T @ u
-            if (ktu == 0.0).any():
-                use_log = True
-                break
-            v = b / ktu
-            kv = k @ v                 # reused by the next iteration's u update
-            err = np.abs(u * kv - a).sum()
-            if err < tol:
-                return np.log(v), True
-        if not use_log:
-            return np.log(v), False
-
-    fn = np.full(n_src, loga)
-    gn = np.full(n_dst, logb)
+    a, b = 1.0 / n_src, 1.0 / n_dst    # uniform marginals
+    fn = cost_over_eta.min(axis=1)
+    k = np.subtract(fn[:, None], cost_over_eta)
+    gn = -k.max(axis=0)
+    k += gn
+    np.exp(k, out=k)
+    v = np.ones(n_dst)
+    kv = k @ v
+    err, bound = np.inf, np.exp(SINKHORN_ABSORB)
     for _ in range(max_iters):
-        fn = loga - _logsumexp_rows(gn[None, :] - cost_over_eta)
-        gn = logb - _logsumexp_rows(fn[None, :] - cost_over_eta.T)
-        err = np.abs(np.exp(fn + _logsumexp_rows(gn[None, :] - cost_over_eta))
-                     - 1.0 / n_src).sum()
+        u = a / kv
+        v = b / (k.T @ u)
+        kv = k @ v                     # reused by the next iteration's u update
+        err = np.abs(u * kv - a).sum()
         if err < tol:
-            if not np.isfinite(gn).all():
-                raise NumericalUnderflow("sinkhorn potentials are not finite")
-            return gn, True
+            break
+        if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > bound:
+            fn += np.log(u)
+            gn += np.log(v)
+            np.subtract(fn[:, None], cost_over_eta, out=k)
+            k += gn
+            np.exp(k, out=k)
+            v = np.ones(n_dst)
+            kv = k @ v
+    gn = gn + np.log(v)
     if not np.isfinite(gn).all():
         raise NumericalUnderflow("sinkhorn potentials are not finite")
-    return gn, False
+    return gn, bool(err < tol)
 
 
 def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *,
@@ -252,8 +222,8 @@ def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *
     softmax in that potential, so `apply_map` extends the map to every source
     row, and on the sampled rows it agrees exactly with the converged plan.
     """
-    if eta <= 0.0:
-        raise DataError("eta must be positive")
+    if not (np.isfinite(eta) and eta > 0.0):
+        raise DataError("eta must be finite and positive")
     if x_src.d != x_dst.d:
         raise DimensionMismatch("source and destination dimensions differ")
     fit_src = x_src.values
@@ -377,12 +347,3 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
         out[block] = (w / w.sum(axis=1, keepdims=True)) @ ref
     return FeatureMatrix(out)
-
-
-def effective_rank(cov: np.ndarray) -> float:
-    """tr(S) / lambda_max(S): d for isotropic matrices, 1 for rank one."""
-    cov = np.asarray(cov, dtype=np.float64)
-    lam_max = float(np.linalg.eigvalsh((cov + cov.T) / 2.0).max())
-    if lam_max <= 0.0:
-        raise ZeroMatrix("effective rank needs a nonzero PSD matrix")
-    return float(np.trace(cov)) / lam_max

@@ -234,6 +234,9 @@ def _run_args(outdir, rd, *extra):
     ("--tol", "-1"),
     ("--max-iters", "-1"),
     ("--lr", "0.5"),
+    ("--method", "sbm-sinkhorn", "--eta", "0"),
+    ("--method", "sbm-sinkhorn", "--eta", "nan"),
+    ("--method", "sbm-sinkhorn", "--eta", "inf"),
 ])
 def test_run_bad_value_is_usage_error(tmp_path, extra):
     outdir = _synth_gauss_pair(tmp_path, n=200, seed=8)
@@ -247,6 +250,7 @@ def test_run_bad_value_is_usage_error(tmp_path, extra):
     ("--methods", "sbm-sinkhorn", "--sinkhorn-max-points", "0"),
     ("--epsilon", "-1"),
     ("--n", "0"),
+    ("--eta", "-1"),
 ])
 def test_sweep_bad_value_is_usage_error(tmp_path, extra):
     out = tmp_path / "x.csv"
@@ -254,6 +258,36 @@ def test_sweep_bad_value_is_usage_error(tmp_path, extra):
                 "--seeds", "0..0", "--out", str(out), *extra)
     assert code == 1
     assert not out.exists()
+
+
+def test_sweep_failed_cell_is_an_error_row(tmp_path, capsys):
+    # seed 0 of this grid raises DegenerateMoments; seed 1 succeeds
+    args = ("sweep", "--experiment", "lfs", "--grid", "3", "--n", "1000",
+            "--methods", "baseline")
+    blobs = []
+    for i, threads in enumerate(("1", "2")):
+        os.environ["WSFAIR_THREADS"] = threads
+        try:
+            code = _run(*args, "--seeds", "0..1", "--out", str(tmp_path / f"s{i}.csv"),
+                        "--per-seed-out", str(tmp_path / f"p{i}.csv"))
+        finally:
+            del os.environ["WSFAIR_THREADS"]
+        assert code == 0
+        assert capsys.readouterr().out.startswith(
+            "cell failed: x=3 seed=0 method=baseline: DegenerateMoments")
+        blobs.append(((tmp_path / f"s{i}.csv").read_bytes(),
+                      (tmp_path / f"p{i}.csv").read_bytes()))
+    assert blobs[0] == blobs[1]
+    assert _run(*args, "--seeds", "1..1", "--out", str(tmp_path / "one.csv"),
+                "--per-seed-out", str(tmp_path / "one_p.csv")) == 0
+    assert blobs[0][0] == (tmp_path / "one.csv").read_bytes()   # sd 0, seed 1's means
+    per_seed = blobs[0][1].decode().split("\n")
+    assert per_seed[1] == "3,0,baseline,error,DegenerateMoments"
+    assert per_seed[2:] == (tmp_path / "one_p.csv").read_text().split("\n")[1:]
+    out = tmp_path / "none.csv"
+    assert _run(*args, "--seeds", "0..0", "--out", str(out),
+                "--per-seed-out", str(tmp_path / "none_p.csv")) == 3
+    assert not out.exists() and not (tmp_path / "none_p.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["features.csv", "weak.csv", "labels.csv"])

@@ -25,6 +25,9 @@ def test_config_validation():
         SbmConfig(sinkhorn_max_points=0)
     with pytest.raises(ValueError):
         SbmConfig(epsilon=float("nan"))
+    for eta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SbmConfig(eta=eta)
 
 
 def test_group_accuracies_symmetric_distributions():
