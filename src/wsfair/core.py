@@ -284,82 +284,96 @@ def split_by_group(features: FeatureMatrix, groups: GroupAssignment,
 #   features:   id,group,f1,...,fd       (group in {0,1}, 64-bit reals)
 #   weak votes: id,lf_1,...,lf_m         (entries in {-1,1}, ids match features)
 #   labels:     id,y                     (y in {-1,1}; evaluation only)
-# Comma-separated, "." decimal, UTF-8, header row required; reals are written
-# with 17 significant digits, locale independent.
+# Comma-separated, "." decimal, UTF-8, header row required, ids unique in each
+# file; reals are written with 17 significant digits, locale independent.
 # ---------------------------------------------------------------------------
 
 def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _read_csv(path, prefix: list, min_width: int, expected: str, parse):
-    """(header, parse(rows)) over the non-empty rows, each as wide as the header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:len(prefix)] != prefix or len(rows[0]) < min_width:
+def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
+    """(header, records): the body parsed in one pass of numpy's C reader.
+
+    Each record holds the `id` cell as its exact text, then the cells typed
+    by `fields(width)`. A row whose cell count differs from the header's, or
+    a cell that does not parse, is a DataError naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        body = fh.read()
+    if header[:len(prefix)] != prefix or len(header) < min_width:
         raise DataError(f"{path}: expected header {expected}")
-    body = [r for r in rows[1:] if r]
-    if set(map(len, body)) - {len(rows[0])}:
-        raise DataError(f"{path}: every row must have the header's {len(rows[0])} cells")
+    if not body.strip():
+        raise DataError(f"{path}: no data rows")
     try:
-        return rows[0], parse(body)
+        return header, np.loadtxt(io.StringIO(body), [("id", object)] + fields(len(header)),
+                                  delimiter=",", comments=None, quotechar='"', ndmin=1)
     except ValueError as exc:
+        if "columns but" in str(exc):  # numpy's wording for a row of the wrong width
+            raise DataError(f"{path}: every row must have the header's "
+                            f"{len(header)} cells") from None
         raise DataError(f"{path}: {exc}") from None
 
 
-def _aligned(path, by_id: dict, ids: tuple) -> np.ndarray:
-    """Rows of `by_id` in the order of the feature CSV's `ids`."""
-    if len(by_id) != len(ids) or any(i not in by_id for i in ids):
+def _id_order(path, ids: np.ndarray) -> np.ndarray:
+    """argsort of the id texts, which must be unique."""
+    order = np.argsort(ids, kind="stable")  # timsort: ids are mostly in runs
+    ranked = ids[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        raise DataError(f"{path}: row ids must be unique")
+    return order
+
+
+def _aligned(path, rec: np.ndarray, field: str, ids: tuple) -> np.ndarray:
+    """`rec[field]` with its rows in the order of the feature CSV's `ids`."""
+    ids = np.asarray(ids, dtype=object)
+    ours, theirs = _id_order(path, rec["id"]), np.argsort(ids, kind="stable")
+    if len(ours) != len(theirs) or (rec["id"][ours] != ids[theirs]).any():
         raise DataError(f"{path}: ids do not match the feature CSV")
-    return np.array([by_id[i] for i in ids])
+    out = np.empty_like(rec[field])
+    out[theirs] = rec[field][ours]
+    return out
 
 
 def load_feature_csv(path) -> tuple[FeatureMatrix, GroupAssignment, tuple]:
     """(features, groups, ids); the ids serve only to align the other CSVs."""
-    _, (ids, grp, vals) = _read_csv(
-        path, ["id", "group"], 3, "id,group,f1,...",
-        lambda body: (tuple(r[0] for r in body), [int(r[1]) for r in body],
-                      [[float(x) for x in r[2:]] for r in body]))
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: row ids must be unique")
-    return FeatureMatrix(np.array(vals)), GroupAssignment(np.array(grp)), ids
+    _, rec = _read_csv(path, ["id", "group"], 3, "id,group,f1,...",
+                       lambda w: [("group", np.int64), ("x", np.float64, (w - 2,))])
+    _id_order(path, rec["id"])
+    return FeatureMatrix(rec["x"]), GroupAssignment(rec["group"]), tuple(rec["id"].tolist())
 
 
 def load_weak_csv(path, ids: tuple) -> WeakLabelMatrix:
     """Load a vote matrix and align its rows to `ids` from the feature CSV."""
-    header, by_id = _read_csv(path, ["id"], 2, "id,lf_1,...",
-                              lambda body: {r[0]: [int(x) for x in r[1:]] for r in body})
-    return WeakLabelMatrix(_aligned(path, by_id, ids), tuple(header[1:]))
+    header, rec = _read_csv(path, ["id"], 2, "id,lf_1,...",
+                            lambda w: [("v", np.int64, (w - 1,))])
+    return WeakLabelMatrix(_aligned(path, rec, "v", ids), tuple(header[1:]))
 
 
 def load_label_csv(path, ids: tuple) -> LabelVector:
-    _, by_id = _read_csv(path, ["id", "y"], 2, "id,y",
-                         lambda body: {r[0]: int(r[1]) for r in body})
-    return LabelVector(_aligned(path, by_id, ids))
+    # cells after `y` are allowed and ignored
+    _, rec = _read_csv(path, ["id", "y"], 2, "id,y",
+                       lambda w: [("y", np.int64), ("rest", object, (w - 2,))])
+    return LabelVector(_aligned(path, rec, "y", ids))
+
+
+def _csv_text(header: list, rows) -> str:
+    return "\n".join([",".join(header), *map(",".join, rows), ""])
 
 
 def feature_csv_text(features: FeatureMatrix, groups: GroupAssignment) -> str:
-    buf = io.StringIO()
-    header = ["id", "group"] + [f"f{j + 1}" for j in range(features.d)]
-    buf.write(",".join(header) + "\n")
-    for i in range(features.n):
-        row = [str(i), str(int(groups.group_of[i]))]
-        row += [format_real(x) for x in features.values[i]]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    # format(x, ".17g") is format_real's text for a Python float
+    return _csv_text(["id", "group"] + [f"f{j + 1}" for j in range(features.d)],
+                     ([str(i), str(g)] + [format(x, ".17g") for x in row]
+                      for i, (g, row) in enumerate(zip(groups.group_of.tolist(),
+                                                       features.values.tolist()))))
 
 
 def weak_csv_text(weak: WeakLabelMatrix) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(("id",) + weak.lf_names) + "\n")
-    for i in range(weak.n):
-        buf.write(",".join((str(i),) + tuple(str(int(v)) for v in weak.votes[i])) + "\n")
-    return buf.getvalue()
+    return _csv_text(["id", *weak.lf_names],
+                     ([str(i), *map(str, row)] for i, row in enumerate(weak.votes.tolist())))
 
 
 def label_csv_text(labels: LabelVector) -> str:
-    buf = io.StringIO()
-    buf.write("id,y\n")
-    for i in range(labels.n):
-        buf.write(f"{i},{int(labels.labels[i])}\n")
-    return buf.getvalue()
+    return _csv_text(["id", "y"], ((str(i), str(y)) for i, y in enumerate(labels.labels.tolist())))

@@ -326,3 +326,15 @@ def test_run_duplicate_feature_id_exits_2(tmp_path):
     rd = tmp_path / "out"
     assert _run(*_run_args(outdir, rd)) == 2
     assert not rd.exists()
+
+
+@pytest.mark.parametrize("name", ["weak.csv", "labels.csv"])
+def test_run_duplicate_vote_or_label_id_exits_2(tmp_path, capsys, name):
+    outdir = _synth_gauss_pair(tmp_path, n=100, seed=9)
+    path = outdir / name
+    text = path.read_text()
+    path.write_text(text + text.rstrip("\n").rsplit("\n", 1)[1] + "\n")   # last id twice
+    rd = tmp_path / "out"
+    assert _run(*_run_args(outdir, rd)) == 2
+    assert f"{name}: row ids must be unique" in capsys.readouterr().out
+    assert not rd.exists()

@@ -1,5 +1,12 @@
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsfair.core import (DataError, DimensionMismatch, EmptyGroup, FeatureMatrix,
                          GroupAssignment, InvalidVote, LabelVector,
@@ -165,3 +172,127 @@ def test_malformed_csv_cell_is_a_data_error_naming_the_file(tmp_path, name, old,
         _, _, ids = load_feature_csv(paths["f.csv"])
         load_weak_csv(paths["w.csv"], ids)
         load_label_csv(paths["l.csv"], ids)
+
+
+def _load_all(tmp_path, texts):
+    paths = {}
+    for fname, text in texts.items():
+        paths[fname] = tmp_path / fname
+        paths[fname].write_bytes(text.encode("utf-8"))
+    feats, groups, ids = load_feature_csv(paths["f.csv"])
+    weak = load_weak_csv(paths["w.csv"], ids)
+    return feats, groups, ids, weak, load_label_csv(paths["l.csv"], ids)
+
+
+def _assert_same_load(a, b):
+    assert np.array_equal(a[0].values, b[0].values)
+    assert np.array_equal(a[1].group_of, b[1].group_of)
+    assert a[2] == b[2]
+    assert np.array_equal(a[3].votes, b[3].votes) and a[3].lf_names == b[3].lf_names
+    assert np.array_equal(a[4].labels, b[4].labels)
+
+
+@pytest.mark.parametrize("name,extra", [("w.csv", "1,1,1,1\n"), ("l.csv", "1,1\n")])
+def test_duplicate_vote_or_label_id_is_a_data_error(tmp_path, name, extra):
+    texts = dict(_GOOD_CSV, **{name: _GOOD_CSV[name] + extra})    # ids 0, 1, 1
+    with pytest.raises(DataError, match=f"{name}: row ids must be unique"):
+        _load_all(tmp_path, texts)
+
+
+def test_crlf_and_trailing_blank_line_load_like_lf(tmp_path):
+    edits = {"lf": lambda t: t, "crlf": lambda t: t.replace("\n", "\r\n"),
+             "blank": lambda t: t + "\n"}
+    loads = {}
+    for name, edit in edits.items():
+        (tmp_path / name).mkdir()
+        loads[name] = _load_all(tmp_path / name, {k: edit(v) for k, v in _GOOD_CSV.items()})
+    _assert_same_load(loads["crlf"], loads["lf"])
+    _assert_same_load(loads["blank"], loads["lf"])
+    assert loads["crlf"][3].lf_names == ("lf_1", "lf_2", "lf_3")
+
+
+def test_shuffled_vote_and_label_rows_align_to_feature_order(tmp_path):
+    feats, groups, weak = _dataset(n=6, seed=5)
+    truth = LabelVector([1, -1, -1, 1, 1, -1])
+    order = [4, 0, 5, 2, 1, 3]
+    w_lines = weak_csv_text(weak).split("\n")
+    l_lines = label_csv_text(truth).split("\n")
+    texts = {"f.csv": feature_csv_text(feats, groups),
+             "w.csv": "\n".join([w_lines[0]] + [w_lines[1 + i] for i in order]) + "\n",
+             "l.csv": "\n".join([l_lines[0]] + [l_lines[1 + i] for i in order]) + "\n"}
+    _, _, _, weak2, truth2 = _load_all(tmp_path, texts)
+    assert np.array_equal(weak2.votes, weak.votes)
+    assert np.array_equal(truth2.labels, truth.labels)
+
+
+def test_header_only_feature_csv_is_a_data_error_without_warnings(tmp_path):
+    fp = tmp_path / "f.csv"
+    fp.write_text("id,group,f1\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError):
+            load_feature_csv(fp)
+
+
+def test_rows_all_one_cell_too_long_are_a_data_error(tmp_path):
+    texts = dict(_GOOD_CSV, **{"w.csv": "id,lf_1,lf_2\n0,1,-1,1\n1,-1,-1,1\n"})
+    with pytest.raises(DataError, match="w.csv: every row must have the header's 3 cells"):
+        _load_all(tmp_path, texts)
+
+
+def test_quoted_cells_parse_as_csv(tmp_path):
+    texts = {"f.csv": 'id,group,f1\n"a,b",0,"1.5"\n"c""d",1,2\n',
+             "w.csv": 'id,lf_1,lf_2,lf_3\n"c""d",1,1,1\n"a,b",-1,-1,1\n',
+             "l.csv": 'id,y\n"a,b",1\n"c""d",-1\n'}
+    feats, _, ids, weak, truth = _load_all(tmp_path, texts)
+    assert ids == ("a,b", 'c"d')
+    assert feats.values.tolist() == [[1.5], [2.0]]
+    assert weak.votes.tolist() == [[-1, -1, 1], [1, 1, 1]]
+    assert truth.labels.tolist() == [1, -1]
+
+
+def _reference_csv_texts(feats, groups, weak, labels):
+    """The writers' text, formatted one cell at a time."""
+    f = io.StringIO()
+    f.write(",".join(["id", "group"] + [f"f{j + 1}" for j in range(feats.d)]) + "\n")
+    for i in range(feats.n):
+        row = [str(i), str(int(groups.group_of[i]))]
+        f.write(",".join(row + [format(float(x), ".17g") for x in feats.values[i]]) + "\n")
+    w = io.StringIO()
+    w.write(",".join(("id",) + weak.lf_names) + "\n")
+    for i in range(weak.n):
+        w.write(",".join((str(i),) + tuple(str(int(v)) for v in weak.votes[i])) + "\n")
+    lab = "id,y\n" + "".join(f"{i},{int(labels.labels[i])}\n" for i in range(labels.n))
+    return f.getvalue(), w.getvalue(), lab
+
+
+_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-320, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 3.0, -2.0, 1e16, 2.0 ** 53]))
+
+
+@st.composite
+def _csv_datasets(draw):
+    n, d, m = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    x = draw(st.lists(_REALS, min_size=n * d, max_size=n * d))
+    sign = st.sampled_from([-1, 1])
+    return (FeatureMatrix(np.reshape(x, (n, d))),
+            GroupAssignment(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))),
+            WeakLabelMatrix(np.reshape(draw(st.lists(sign, min_size=n * m, max_size=n * m)),
+                                       (n, m))),
+            LabelVector(draw(st.lists(sign, min_size=n, max_size=n))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_csv_datasets())
+def test_writers_match_per_cell_formatting_and_round_trip_bits(data):
+    feats, groups, weak, labels = data
+    texts = (feature_csv_text(feats, groups), weak_csv_text(weak), label_csv_text(labels))
+    assert texts == _reference_csv_texts(feats, groups, weak, labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        back = _load_all(Path(tmp), dict(zip(("f.csv", "w.csv", "l.csv"), texts)))
+    assert back[0].values.view(np.int64).tolist() == feats.values.view(np.int64).tolist()
+    assert np.array_equal(back[1].group_of, groups.group_of)
+    assert np.array_equal(back[3].votes, weak.votes)
+    assert np.array_equal(back[4].labels, labels.labels)
