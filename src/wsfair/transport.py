@@ -13,10 +13,11 @@ Two fitted map families plus an identity bypass:
 
 After mapping, labels are borrowed from Euclidean nearest neighbors in the
 destination cloud, found exactly with a k-d tree (scipy, imported on first
-use). The Sinkhorn fit is one absorption-stabilised scaling loop, valid at
-any distance between the clouds. It holds a dense fit-size cost matrix and its
-kernel, which is why fits above a point cap are subsampled; applying the map
-streams fixed-size row blocks, so no n_src x n_dst array is ever held. Every
+use). The Sinkhorn fit is one Anderson-accelerated, absorption-stabilised
+scaling loop, valid at any distance between the clouds. Its one dense fit-size
+array is the kernel, built in place over the cost, which is why fits above a
+point cap are subsampled; applying the map streams cache-sized row blocks
+through one buffer, so no n_src x n_dst array is ever held. Every
 distance is taken on clouds centered on the destination mean, so results do
 not depend on where the data sits in feature space.
 """
@@ -36,8 +37,9 @@ MAX_CONDITION = 1e12
 SINKHORN_TOL = 1e-10          # internal; stricter than the 1e-9 contract
 SINKHORN_MAX_ITERS = 10_000
 SINKHORN_MAX_POINTS = 5_000   # per-side fit cap; the fit cost is quadratic in memory
-SINKHORN_BLOCK_ROWS = 1_024   # source rows per block when applying a Sinkhorn map
+SINKHORN_BLOCK_ROWS = 32      # source rows per block when applying a Sinkhorn map
 SINKHORN_ABSORB = 100.0       # |log scaling| that is folded into the potentials
+ANDERSON_DEPTH = 6            # residual differences mixed into each Sinkhorn step
 
 _SUBSAMPLE_STREAM = 90
 
@@ -157,59 +159,76 @@ def apply_linear(tmap: TransportMap, x: FeatureMatrix) -> FeatureMatrix:
 # Entropic OT.
 # ---------------------------------------------------------------------------
 
-def pairwise_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense squared Euclidean cost matrix (Gaussian-Monge theory). Both
-    clouds are centered on b's mean first, so the expanded form
-    |a|^2 + |b|^2 - 2 a.b keeps its precision far from the origin."""
+def pairwise_cost(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Dense squared Euclidean cost matrix (Gaussian-Monge theory), written
+    into `out` when given. Both clouds are centered on b's mean first, so the
+    expanded form |a|^2 + |b|^2 - 2 a.b keeps its precision far from the
+    origin."""
     mean = b.mean(axis=0)
     a, b = a - mean, b - mean
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    d2 = np.matmul(-2.0 * a, b.T, out=out)
+    d2 += np.einsum("ij,ij->i", a, a)[:, None]
+    d2 += np.einsum("ij,ij->i", b, b)
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _sinkhorn_potentials(cost_over_eta: np.ndarray, tol: float, max_iters: int):
-    """Return (gn, converged): gn is the destination log-potential g / eta.
+def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float, tol: float,
+                         max_iters: int):
+    """Return (gn, converged, sweeps): gn is the destination log-potential g / eta.
 
-    Absorption-stabilised scaling (Schmitzer 2019) on the kernel
-    exp(fn_i + gn_j - C_ij), C = cost/eta. fn starts at the row minima of C
-    and gn at their c-transform, so every kernel row and column holds a 1;
-    scalings beyond e^+-SINKHORN_ABSORB are folded into fn and gn and the
-    kernel is rebuilt in place, so none underflows however far apart the
-    clouds sit. The source potential is implied by one final row update,
-    which makes every row of the plan an exact softmax over gn - cost/eta.
+    The kernel K = exp(fn_i + gn_j - C_ij), C = cost/eta, is the one n_src x
+    n_dst array; fn starts at the row minima of C and gn at their c-transform,
+    so every kernel row and column holds a 1. The iterate is the destination
+    log-scaling x, and each sweep (two matvecs) evaluates the fixed-point map
+    G(x) = log b - log K^T (a / K e^x) and the column-marginal L1 error of the
+    plan whose rows are exact softmaxes over gn + x - C, which is the map
+    returned. Steps are Anderson-mixed (Walker & Ni 2011) on mean-free residuals,
+    as potentials are defined up to a constant; a mixed step that does not lower
+    the error is replaced by the plain one. |x| beyond SINKHORN_ABSORB is folded
+    into the potentials and the kernel rebuilt in place (Schmitzer 2019), so none
+    underflows however far apart the clouds sit.
     """
-    n_src, n_dst = cost_over_eta.shape
+    n_src, n_dst = len(src), len(dst)
     a, b = 1.0 / n_src, 1.0 / n_dst    # uniform marginals
-    fn = cost_over_eta.min(axis=1)
-    k = np.subtract(fn[:, None], cost_over_eta)
-    gn = -k.max(axis=0)
-    k += gn
-    np.exp(k, out=k)
-    v = np.ones(n_dst)
-    kv = k @ v
-    err, bound = np.inf, np.exp(SINKHORN_ABSORB)
-    for _ in range(max_iters):
-        u = a / kv
-        v = b / (k.T @ u)
-        kv = k @ v                     # reused by the next iteration's u update
-        err = np.abs(u * kv - a).sum()
-        if err < tol:
-            break
-        if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > bound:
-            fn += np.log(u)
-            gn += np.log(v)
-            np.subtract(fn[:, None], cost_over_eta, out=k)
-            k += gn
-            np.exp(k, out=k)
-            v = np.ones(n_dst)
-            kv = k @ v
-    gn = gn + np.log(v)
-    if not np.isfinite(gn).all():
-        raise NumericalUnderflow("sinkhorn potentials are not finite")
-    return gn, bool(err < tol)
+    k = np.empty((n_src, n_dst))
+    with np.errstate(all="ignore"):
+        np.divide(pairwise_cost(src, dst, out=k), eta, out=k)
+        if not np.isfinite(k.max()):
+            raise DataError("cost matrix must be finite")
+        fn = k.min(axis=1)
+        np.subtract(fn[:, None], k, out=k)
+        gn = -k.max(axis=0)
+        np.exp(np.add(k, gn, out=k), out=k)
+        x = x_acc = np.zeros(n_dst)
+        err, sweeps, hist, plain = np.inf, 0, [], None   # hist: (x, G(x)) accepted
+        while sweeps < max_iters:
+            sweeps += 1
+            ev = np.exp(x)
+            u = a / (k @ ev)
+            ktu = k.T @ u
+            trial = np.abs(ev * ktu - b).sum()
+            if plain is not None and not trial < err:
+                x, plain, hist = plain, None, []
+                continue
+            err, x_acc = trial, x
+            if err < tol:
+                break
+            g = np.log(b / ktu)
+            if not np.isfinite(g).all():
+                raise NumericalUnderflow("sinkhorn potentials are not finite")
+            if np.abs(x).max() > SINKHORN_ABSORB:
+                fn, gn, g, x_acc, hist = fn + np.log(u), gn + x, g - x, np.zeros(n_dst), []
+                np.divide(pairwise_cost(src, dst, out=k), eta, out=k)
+                np.exp(np.add(np.subtract(fn[:, None], k, out=k), gn, out=k), out=k)
+            hist = hist[-ANDERSON_DEPTH:] + [(x_acc, g)]
+            x, plain = g, None
+            if len(hist) > 1:
+                xs, gs = (np.array(h) for h in zip(*hist))
+                dr, r = np.diff(gs - xs, axis=0), g - x_acc
+                dr -= dr.mean(axis=1, keepdims=True)
+                gamma = np.linalg.lstsq(dr.T, r - r.mean(), rcond=None)[0]
+                x, plain = g - gamma @ np.diff(gs, axis=0), g
+    return gn + x_acc, bool(err < tol), sweeps
 
 
 def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *,
@@ -237,10 +256,7 @@ def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *
             x_dst.n, size=max_points, replace=False))
         dst_vals = dst_vals[dst_idx]
 
-    cost_fit = pairwise_cost(fit_src, dst_vals) / eta
-    if not np.isfinite(cost_fit).all():
-        raise DataError("cost matrix must be finite")
-    gn, converged = _sinkhorn_potentials(cost_fit, tol, max_iters)
+    gn, converged, _ = _sinkhorn_potentials(fit_src, dst_vals, eta, tol, max_iters)
     return TransportMap(kind="sinkhorn-barycentric", dst_reference=dst_vals,
                         dst_indices=dst_idx, gn=gn, eta=eta, converged=converged)
 
@@ -330,8 +346,11 @@ def fit_map(x_src: FeatureMatrix, x_dst: FeatureMatrix, ot_kind: str, *,
 def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     """Image of each row of x_src under the map, in input row order.
 
-    A Sinkhorn row maps to the softmax(gn - cost/eta)-weighted average of the
-    destination reference points, computed SINKHORN_BLOCK_ROWS rows at a time.
+    A Sinkhorn row x maps to the softmax(gn - |x - y|^2/eta)-weighted average
+    of the destination reference points y, computed SINKHORN_BLOCK_ROWS rows at
+    a time in one reused buffer. The |x|^2 term is constant along a row and
+    cancels in the softmax, so each block is one matmul against the centered
+    reference.
     """
     if tmap.kind == "identity":
         return x_src
@@ -340,10 +359,14 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     ref = tmap.dst_reference
     if ref.shape[1] != x_src.d:
         raise DimensionMismatch(f"map is {ref.shape[1]}-d, features are {x_src.d}-d")
-    out = np.empty((x_src.n, x_src.d))
+    mean = ref.mean(axis=0)
+    ref = ref - mean
+    bias = tmap.gn - np.einsum("ij,ij->i", ref, ref) / tmap.eta
+    buf, out = np.empty((SINKHORN_BLOCK_ROWS, len(ref))), np.empty((x_src.n, x_src.d))
     for lo in range(0, x_src.n, SINKHORN_BLOCK_ROWS):
-        block = slice(lo, lo + SINKHORN_BLOCK_ROWS)
-        logits = tmap.gn - pairwise_cost(x_src.values[block], ref) / tmap.eta
-        w = np.exp(logits - logits.max(axis=1, keepdims=True))
-        out[block] = (w / w.sum(axis=1, keepdims=True)) @ ref
+        rows = (x_src.values[lo:lo + SINKHORN_BLOCK_ROWS] - mean) * (2.0 / tmap.eta)
+        w = np.matmul(rows, ref.T, out=buf[:len(rows)])
+        w += bias
+        np.exp(np.subtract(w, w.max(axis=1, keepdims=True), out=w), out=w)
+        out[lo:lo + len(rows)] = (w @ ref) / w.sum(axis=1, keepdims=True) + mean
     return FeatureMatrix(out)

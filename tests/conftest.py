@@ -56,3 +56,23 @@ def sinkhorn_plan(tmap, x_src):
     logits = tmap.gn - cost / tmap.eta
     w = np.exp(logits - logits.max(axis=1, keepdims=True))
     return w / w.sum(axis=1, keepdims=True)
+
+
+def plain_sinkhorn(cost_over_eta, tol, max_iters=10_000, absorb=100.0):
+    """(gn, converged, sweeps) of plain absorption-stabilised Sinkhorn scaling,
+    u = a / K v then v = b / K^T u, stopped on the row-marginal error."""
+    c = np.asarray(cost_over_eta, dtype=float)
+    a, b = 1.0 / c.shape[0], 1.0 / c.shape[1]
+    fn = c.min(axis=1)
+    gn = (c - fn[:, None]).min(axis=0)
+    k, v, err = np.exp(fn[:, None] + gn - c), np.ones(c.shape[1]), np.inf
+    for sweep in range(1, max_iters + 1):
+        u = a / (k @ v)
+        v = b / (k.T @ u)
+        err = np.abs(u * (k @ v) - a).sum()
+        if err < tol:
+            break
+        if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > math.exp(absorb):
+            fn, gn = fn + np.log(u), gn + np.log(v)
+            k, v = np.exp(fn[:, None] + gn - c), np.ones(c.shape[1])
+    return gn + np.log(v), bool(err < tol), sweep

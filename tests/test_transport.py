@@ -1,17 +1,19 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_nn, sinkhorn_plan
-from wsfair.core import (DataError, EmptyDestination, FeatureMatrix,
+from conftest import brute_force_nn, plain_sinkhorn, sinkhorn_plan
+from wsfair.core import (DataError, EmptyDestination, FeatureMatrix, NumericalUnderflow,
                          SingularCovariance, TooFewRows)
 from wsfair.synth import GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset
 from wsfair.transport import (GaussianMoments, TransportMap, apply_linear,
                               apply_map, estimate_moments, fit_linear_ot, fit_map,
                               fit_sinkhorn, knn_borrow, matrix_sqrt_psd, nn_indices,
-                              pairwise_cost)
+                              pairwise_cost, SINKHORN_BLOCK_ROWS, SINKHORN_MAX_ITERS,
+                              SINKHORN_TOL, _sinkhorn_potentials)
 
 
 def _random_spd(rng, d):
@@ -234,6 +236,63 @@ def test_sinkhorn_subsampled_fit():
     assert np.array_equal(tmap.dst_indices, again.dst_indices)
 
 
+def _cost_over_eta(src, dst, eta):
+    return ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=-1) / eta
+
+
+def test_sinkhorn_matches_the_plain_scaling_oracle():
+    # Random shapes, the 1 x 1 and equal-cost cases, and far clouds at a small
+    # eta, which only converge through absorption. Potentials are defined up
+    # to an additive constant.
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(4):
+        n, m, d = rng.integers(1, 60), rng.integers(1, 60), rng.integers(1, 5)
+        cases.append((rng.standard_normal((n, d)), rng.standard_normal((m, d)) + 0.5,
+                      float(rng.choice([0.5, 1.0, 2.0]))))
+    cases += [(np.zeros((1, 1)), np.full((1, 1), 5.0), 1.0),
+              (np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]]), 1.0),
+              (np.array([[0.0], [1.0]]), np.array([[0.0], [50.0], [100.0]]), 0.1)]
+    for src, dst, eta in cases:
+        gn, converged, _ = _sinkhorn_potentials(src, dst, eta, SINKHORN_TOL, SINKHORN_MAX_ITERS)
+        want, want_converged, _ = plain_sinkhorn(_cost_over_eta(src, dst, eta), SINKHORN_TOL)
+        assert converged and want_converged
+        diff = gn - want
+        assert np.abs(diff - diff.mean()).max() < 1e-8, (src.shape, dst.shape, eta)
+
+
+def test_mixed_sinkhorn_needs_at_most_half_the_plain_sweeps():
+    rng = np.random.default_rng(20)
+    src = rng.standard_normal((1000, 2))
+    dst = rng.standard_normal((1000, 2)) @ GROUP1_MIX.T + GROUP1_OFFSET
+    _, converged, sweeps = _sinkhorn_potentials(src, dst, 1.0, SINKHORN_TOL, SINKHORN_MAX_ITERS)
+    _, plain_converged, plain_sweeps = plain_sinkhorn(_cost_over_eta(src, dst, 1.0),
+                                                      SINKHORN_TOL)
+    assert converged and plain_converged
+    assert sweeps <= plain_sweeps / 2, f"{sweeps} mixed against {plain_sweeps} plain sweeps"
+
+
+def test_sinkhorn_sweep_cap_returns_a_finite_unconverged_potential():
+    rng = np.random.default_rng(21)
+    src, dst = rng.standard_normal((50, 2)), rng.standard_normal((40, 2)) + 1.0
+    gn, converged, sweeps = _sinkhorn_potentials(src, dst, 1.0, SINKHORN_TOL, 2)
+    assert not converged and sweeps == 2
+    assert gn.shape == (40,) and np.isfinite(gn).all()
+
+
+@pytest.mark.parametrize("eta, error", [(1e-300, NumericalUnderflow), (1e-320, DataError)])
+def test_sinkhorn_tiny_eta_raises_without_runtime_warnings(eta, error):
+    # at 1e-300, cost/eta is finite but so large that the kernel's exponents
+    # keep no precision; the subnormal 1e-320 overflows the cost itself
+    rng = np.random.default_rng(8)
+    src = FeatureMatrix(rng.standard_normal((40, 2)))
+    dst = FeatureMatrix(rng.standard_normal((30, 2)) + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            fit_sinkhorn(src, dst, eta=eta)
+
+
 @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
 def test_sinkhorn_rejects_a_bad_eta(eta):
     pts = FeatureMatrix([[0.0], [1.0]])
@@ -284,6 +343,15 @@ def test_barycentric_image_is_the_plan_applied_to_the_reference():
         out = apply_map(tmap, src)
         want = sinkhorn_plan(tmap, src) @ tmap.dst_reference
         assert np.allclose(out.values, want, rtol=0.0, atol=1e-12)
+    # Far from the origin, with a ragged last block: dropping |x|^2 from the
+    # logits must keep the image independent of where the data sits.
+    offset = 1e6
+    src = FeatureMatrix(rng.standard_normal((3 * SINKHORN_BLOCK_ROWS + 7, 3)) + offset)
+    dst = FeatureMatrix(rng.standard_normal((300, 3)) + 0.5 + offset)
+    tmap = fit_sinkhorn(src, dst)
+    out = apply_map(tmap, src).values - offset
+    want = sinkhorn_plan(tmap, src) @ tmap.dst_reference - offset
+    assert np.allclose(out, want, rtol=0.0, atol=1e-9)
 
 
 def test_sinkhorn_map_applies_to_the_rows_it_is_given():
@@ -316,9 +384,9 @@ def test_sinkhorn_fit_and_apply_never_hold_a_dense_plan():
 
 
 @pytest.mark.parametrize("offset", [0.0, 40.0])
-def test_sinkhorn_fit_peak_is_two_fit_sized_arrays(offset):
-    # fit at m = 2,000 per side: the cost and its kernel are the only m x m
-    # arrays alive at once, also when the clouds sit far apart
+def test_sinkhorn_fit_peak_is_one_fit_sized_array(offset):
+    # fit at m = 2,000 per side: the kernel, built in place over the cost, is
+    # the only m x m array alive, also when the clouds sit far apart
     m = 2000
     rng = np.random.default_rng(18)
     src = FeatureMatrix(rng.standard_normal((m, 2)))
@@ -329,7 +397,7 @@ def test_sinkhorn_fit_peak_is_two_fit_sized_arrays(offset):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * m * m * 8, f"peak {peak / (m * m * 8):.2f} x m^2 doubles"
+    assert peak < 1.5 * m * m * 8, f"peak {peak / (m * m * 8):.2f} x m^2 doubles"
 
 
 def test_barycentric_mean_matches_destination_mean():
