@@ -180,8 +180,7 @@ def cmd_run(args, out: _Outputs) -> int:
 
     thresholds, post_report = None, None
     if args.postprocess == "dp-threshold":
-        thresholds, post_pred = mx.dp_threshold(end_scores, groups, result.labels,
-                                                grid=args.grid)
+        thresholds, post_pred = mx.dp_threshold(end_scores, groups, result.labels)
         post_report = report_of(post_pred)
 
     direct_report = None
@@ -194,8 +193,7 @@ def cmd_run(args, out: _Outputs) -> int:
         "config": {"method": args.method, "epsilon": args.epsilon, "eta": args.eta,
                    "knn_k": args.knn_k, "seed": args.seed,
                    "sinkhorn_max_points": args.sinkhorn_max_points,
-                   "postprocess": args.postprocess, "grid": args.grid,
-                   "class_prior": args.class_prior,
+                   "postprocess": args.postprocess, "class_prior": args.class_prior,
                    "hard_labels": bool(args.hard_labels),
                    "direct_lf_eval": bool(args.direct_lf_eval),
                    "lf_index": args.lf_index,
@@ -387,7 +385,6 @@ def build_parser() -> _Parser:
     _add_sbm_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--postprocess", choices=("none", "dp-threshold"), default="none")
-    p.add_argument("--grid", type=int, default=101)
     p.add_argument("--class-prior", dest="class_prior", type=float, default=0.5)
     p.add_argument("--hard-labels", dest="hard_labels", action="store_true")
     p.add_argument("--direct-lf-eval", dest="direct_lf_eval", action="store_true")

@@ -239,20 +239,14 @@ class ScoreVector:
 
 
 def validate_dataset(features: FeatureMatrix, groups: GroupAssignment,
-                     weak: WeakLabelMatrix, *, require_two_groups: bool = False) -> None:
+                     weak: WeakLabelMatrix) -> None:
     """Check that the three inputs agree; raise a DataError when they do not.
 
-    Idempotent and side-effect free. With `require_two_groups` an
-    all-one-group assignment is rejected here instead of failing later inside
-    a two-group operation.
+    Idempotent and side-effect free.
     """
     if not (features.n == groups.n == weak.n):
         raise DimensionMismatch(
             f"row counts differ: features {features.n}, groups {groups.n}, weak {weak.n}")
-    if require_two_groups:
-        for g in (0, 1):
-            if groups.indices(g).size == 0:
-                raise EmptyGroup(f"group {g} is empty")
 
 
 @dataclass(frozen=True)

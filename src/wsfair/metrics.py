@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DataError, EmptyGroup, FeatureMatrix, GroupAssignment,
-                   LabelVector, LengthMismatch, ScoreVector, TooFewRows, rng_stream)
+from .core import (EmptyGroup, FeatureMatrix, GroupAssignment, LabelVector,
+                   LengthMismatch, ScoreVector, TooFewRows, rng_stream)
 
 _CENTER_SCAN_STREAM = 91
 CENTER_SCAN_NEIGHBORHOOD_FRAC = 0.10
@@ -113,45 +113,50 @@ def fairness_report(pred: LabelVector, truth, groups: GroupAssignment) -> Fairne
     return FairnessReport(accuracy=acc, f1=f1, dp_gap=gap, eo_gap=eo, n_per_group=(n0, n1))
 
 
-def dp_threshold(scores: ScoreVector, groups: GroupAssignment, reference: LabelVector,
-                 grid: int = 101):
-    """Per-group threshold search minimizing the demographic parity gap.
+def _cuts(scores: np.ndarray, ref_pos: np.ndarray):
+    """Scores sorted descending, which cuts k (the k highest predicted positive)
+    split no tie, and how many rows agree with the reference at each cut."""
+    order = np.argsort(-scores)
+    desc = scores[order]
+    valid = np.concatenate(([True], desc[:-1] > desc[1:], [True]))
+    hits = np.concatenate(([0], np.cumsum(ref_pos[order])))
+    return desc, valid, 2 * hits - np.arange(desc.size + 1) + (desc.size - hits[-1])
 
-    All (t0, t1) pairs on a uniform grid over [0, 1] are scored; among pairs
-    with the minimal positive-rate gap the one maximizing accuracy against the
-    supplied reference labels wins (pseudolabels in the WS setting, where true
-    labels are unavailable), remaining ties going to the lowest threshold
-    pair. Comparisons use integer counts, so ties are exact. Prediction rule:
-    +1 iff score >= threshold, matching the default 0.5 rule.
+
+def dp_threshold(scores: ScoreVector, groups: GroupAssignment, reference: LabelVector):
+    """Group-wise thresholds with matched positive rates (Hardt et al. 2016).
+
+    An exact search over pairs of cuts (k0, k1), the counts each group
+    predicts positive, that split no tied scores. A pair is feasible when its
+    demographic parity gap |k0/n0 - k1/n1| is at most 1/(2 min(n0, n1)); only
+    the floor and ceiling of k n_small/n_big can partner a cut k of the larger
+    group. The feasible pair agreeing with the most reference labels wins
+    (pseudolabels in the WS setting), then the smaller gap, then fewer
+    positives, then smaller k0. Returns ((t0, t1), pred), pred +1 iff score >=
+    its group's threshold: the lowest score the group predicts positive, or
+    the next float above its highest score when it predicts none.
     """
-    if grid < 2:
-        raise DataError("grid must have at least 2 points")
     if reference.n != scores.n:
         raise LengthMismatch("reference length does not match scores")
-    m0, m1 = _group_masks(groups, scores.n)
-    ts = np.linspace(0.0, 1.0, grid)
-
-    def per_group(mask):
-        s = scores.scores[mask]
-        ref_pos = reference.labels[mask] == 1
-        order = np.sort(s)
-        # rows with s >= t, and how many of those are reference-positive
-        pos = s.size - np.searchsorted(order, ts, side="left")
-        order_pos = np.sort(s[ref_pos])
-        pos_and_ref = ref_pos.sum() - np.searchsorted(order_pos, ts, side="left")
-        correct = 2 * pos_and_ref - pos + (s.size - ref_pos.sum())
-        return pos.astype(np.int64), correct.astype(np.int64), s.size
-
-    pos0, correct0, n0 = per_group(m0)
-    pos1, correct1, n1 = per_group(m1)
-    gap = np.abs(pos0[:, None] * n1 - pos1[None, :] * n0)       # scaled by n0*n1
-    acc = correct0[:, None] + correct1[None, :]
-    i0g, i1g = np.meshgrid(np.arange(grid), np.arange(grid), indexing="ij")
-    best = np.lexsort((i1g.ravel(), i0g.ravel(), -acc.ravel(), gap.ravel()))[0]
-    t0, t1 = ts[best // grid], ts[best % grid]
+    masks = _group_masks(groups, scores.n)
+    parts = [_cuts(scores.scores[m], reference.labels[m] == 1) for m in masks]
+    n0, n1 = (p[0].size for p in parts)
+    big = int(n1 > n0)
+    nb, ns = (n0, n1) if big == 0 else (n1, n0)
+    kb = np.repeat(np.flatnonzero(parts[big][1]), 2)
+    ks = kb * ns // nb
+    ks[1::2] += 1                                   # floor and floor + 1
+    ks_valid = np.append(parts[1 - big][1], False)  # ns + 1 is no cut
+    ok = ks_valid[ks] & (2 * np.abs(kb * ns - ks * nb) <= nb)
+    k0, k1 = (kb[ok], ks[ok]) if big == 0 else (ks[ok], kb[ok])
+    agree = parts[0][2][k0] + parts[1][2][k1]
+    gap = np.abs(k0 * n1 - k1 * n0)
+    best = np.lexsort((k0, k0 + k1, gap, -agree))[0]
+    t0, t1 = (float(desc[k - 1]) if k else float(np.nextafter(desc[0], np.inf))
+              for (desc, _, _), k in zip(parts, (k0[best], k1[best])))
     thresh = np.where(groups.group_of == 0, t0, t1)
     pred = LabelVector(np.where(scores.scores >= thresh, 1, -1))
-    return (float(t0), float(t1)), pred
+    return (t0, t1), pred
 
 
 def center_scan(x: FeatureMatrix, correct, groups: GroupAssignment, *,

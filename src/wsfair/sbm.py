@@ -95,7 +95,6 @@ def run_sbm(features: FeatureMatrix, groups: GroupAssignment, weak: WeakLabelMat
     groups and row order pass through untouched, and columns whose direction
     is "none" are bit-identical to the input.
     """
-    validate_dataset(features, groups, weak, require_two_groups=True)
     sp = split_by_group(features, groups, weak)
     est0, est1 = group_accuracies(sp.w0, sp.w1, strict=False)
     a0, a1 = est0.per_lf, est1.per_lf

@@ -48,17 +48,16 @@ _SUBSAMPLE_STREAM = 90
 # Symmetric PSD matrix roots via eigendecomposition.
 # ---------------------------------------------------------------------------
 
+def _sym_product(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """q diag(d) q^T, symmetrized."""
+    root = q @ (d[:, None] * q.T)
+    return (root + root.T) / 2.0
+
+
 def matrix_sqrt_psd(mat: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     """Symmetric PSD square root; eigenvalues are floored before the root."""
     w, q = np.linalg.eigh(np.asarray(mat, dtype=np.float64))
-    root = q @ (np.sqrt(np.maximum(w, floor))[:, None] * q.T)
-    return (root + root.T) / 2.0
-
-
-def matrix_inv_sqrt_psd(mat: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    w, q = np.linalg.eigh(np.asarray(mat, dtype=np.float64))
-    root = q @ ((1.0 / np.sqrt(np.maximum(w, floor)))[:, None] * q.T)
-    return (root + root.T) / 2.0
+    return _sym_product(q, np.sqrt(np.maximum(w, floor)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +133,13 @@ def estimate_moments(x: FeatureMatrix) -> GaussianMoments:
 
 def fit_linear_ot(src: GaussianMoments, dst: GaussianMoments) -> TransportMap:
     """Closed-form affine Monge map between two Gaussian moment pairs."""
-    for name, mom in (("source", src), ("destination", dst)):
-        w = np.linalg.eigvalsh(mom.cov)
+    w_src, q_src = np.linalg.eigh(src.cov)
+    for name, w in (("source", w_src), ("destination", np.linalg.eigvalsh(dst.cov))):
         if w.min() <= 0.0 or w.max() / w.min() > MAX_CONDITION:
             raise SingularCovariance(f"{name} covariance condition number exceeds {MAX_CONDITION:g}")
-    s_half = matrix_sqrt_psd(src.cov)
-    s_inv_half = matrix_inv_sqrt_psd(src.cov)
+    root = np.sqrt(np.maximum(w_src, EIG_FLOOR))
+    s_half = _sym_product(q_src, root)
+    s_inv_half = _sym_product(q_src, 1.0 / root)
     mid = matrix_sqrt_psd(s_half @ dst.cov @ s_half)
     a = s_inv_half @ mid @ s_inv_half
     a = (a + a.T) / 2.0

@@ -101,6 +101,24 @@ def test_postprocess_lowers_dp_gap(tmp_path):
     assert post <= report["end_model"]["dp_gap"] + 1e-12
 
 
+def test_postprocess_keeps_f1_on_lfcount(tmp_path):
+    # lfcount end-model scores sit near 0.5 in both groups; the rates must be
+    # matched without collapsing to (almost) one predicted class
+    data = tmp_path / "data"
+    assert _run("synth", "--experiment", "lfcount", "--n", "2000", "--m", "12",
+                "--seed", "0", "--outdir", str(data)) == 0
+    rd = tmp_path / "pp"
+    assert _run("run", "--features", str(data / "features.csv"),
+                "--weak", str(data / "weak.csv"), "--labels", str(data / "labels.csv"),
+                "--method", "baseline", "--postprocess", "dp-threshold",
+                "--outdir", str(rd)) == 0
+    report = json.loads((rd / "report.json").read_text())
+    post = report["end_model_postprocessed"]
+    assert abs(post["f1"] - report["end_model"]["f1"]) <= 0.05
+    assert post["dp_gap"] <= 1.0 / (2 * min(post["n0"], post["n1"]))
+    assert "grid" not in report["config"]
+
+
 def test_run_byte_identical_across_thread_settings(tmp_path):
     outdir = _synth_gauss_pair(tmp_path, n=600, seed=4)
     blobs = []
@@ -237,6 +255,7 @@ def _run_args(outdir, rd, *extra):
     ("--method", "sbm-sinkhorn", "--eta", "0"),
     ("--method", "sbm-sinkhorn", "--eta", "nan"),
     ("--method", "sbm-sinkhorn", "--eta", "inf"),
+    ("--grid", "101"),
 ])
 def test_run_bad_value_is_usage_error(tmp_path, extra):
     outdir = _synth_gauss_pair(tmp_path, n=200, seed=8)

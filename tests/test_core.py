@@ -35,12 +35,12 @@ def test_zero_vote_rejected():
         WeakLabelMatrix([[1, 0, -1]])
 
 
-def test_empty_group_under_strict_flag():
+def test_empty_group_passes_validation_but_fails_the_split():
     feats, _, weak = _dataset()
     groups = GroupAssignment([0, 0, 0, 0])
-    validate_dataset(feats, groups, weak)  # fine when not strict
+    validate_dataset(feats, groups, weak)
     with pytest.raises(EmptyGroup):
-        validate_dataset(feats, groups, weak, require_two_groups=True)
+        split_by_group(feats, groups, weak)
 
 
 def test_row_count_mismatch():

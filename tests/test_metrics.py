@@ -123,34 +123,91 @@ def test_fairness_report_without_truth_or_second_group():
 # dp_threshold
 # ---------------------------------------------------------------------------
 
-def _naive_dp_threshold(scores, groups, reference, grid):
-    """Independent brute-force implementation used as an oracle."""
-    ts = np.linspace(0.0, 1.0, grid)
+def _naive_dp_threshold(scores, groups, reference):
+    """Brute force over every pair of per-group thresholds, used as an oracle.
+
+    A group's candidate thresholds are its distinct scores plus the next float
+    above the highest (no positives), so each candidate is a cut between
+    distinct scores. A pair is feasible when 2|k0 n1 - k1 n0| <= max(n0, n1);
+    the most agreement with the reference wins, then the smaller gap, fewer
+    positives and fewer group-0 positives.
+    """
     s, g, ref = scores.scores, groups.group_of, reference.labels
+    n0, n1 = int((g == 0).sum()), int((g == 1).sum())
+    cands = [np.append(np.unique(s[g == k]), np.nextafter(s[g == k].max(), np.inf))
+             for k in (0, 1)]
     best = None
-    for i0, t0 in enumerate(ts):
-        for i1, t1 in enumerate(ts):
-            thr = np.where(g == 0, t0, t1)
-            pred = np.where(s >= thr, 1, -1)
-            r0 = (pred[g == 0] == 1).mean()
-            r1 = (pred[g == 1] == 1).mean()
-            gap = abs(r1 - r0)
-            acc = (pred == ref).mean()
-            key = (round(gap, 12), -round(acc, 12), i0, i1)
+    for t0 in cands[0]:
+        for t1 in cands[1]:
+            pred = np.where(s >= np.where(g == 0, t0, t1), 1, -1)
+            k0 = int((pred[g == 0] == 1).sum())
+            k1 = int((pred[g == 1] == 1).sum())
+            gap = abs(k0 * n1 - k1 * n0)
+            if 2 * gap > max(n0, n1):
+                continue
+            key = (-int((pred == ref).sum()), gap, k0 + k1, k0)
             if best is None or key < best[0]:
-                best = (key, (t0, t1), pred)
+                best = (key, (float(t0), float(t1)), pred)
     return best[1], best[2]
 
 
-def test_dp_threshold_matches_naive_oracle():
-    rng = np.random.default_rng(2)
-    scores = ScoreVector(rng.random(160))
-    groups = _groups(rng.integers(0, 2, 160))
-    ref = LabelVector(rng.choice([-1, 1], 160))
-    (t0, t1), pred = dp_threshold(scores, groups, ref, grid=21)
-    (o0, o1), opred = _naive_dp_threshold(scores, groups, ref, grid=21)
+def _gap_bound(groups):
+    n0, n1 = (int((groups.group_of == k).sum()) for k in (0, 1))
+    return 1.0 / (2 * min(n0, n1))
+
+
+def _assert_matches_oracle(s, g, ref):
+    scores, groups, ref = ScoreVector(s), _groups(g), LabelVector(ref)
+    (t0, t1), pred = dp_threshold(scores, groups, ref)
+    (o0, o1), opred = _naive_dp_threshold(scores, groups, ref)
     assert (t0, t1) == (o0, o1)
     assert np.array_equal(pred.labels, opred)
+    assert dp_gap(pred, groups) <= _gap_bound(groups)
+
+
+def _random_case(rng, n, frac1=0.5):
+    g = (rng.random(n) < frac1).astype(int)
+    g[:2] = [0, 1]
+    return g, rng.choice([-1, 1], n)
+
+
+def test_dp_threshold_matches_naive_oracle():
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        g, ref = _random_case(rng, n)
+        _assert_matches_oracle(rng.random(n), g, ref)
+
+
+def test_dp_threshold_matches_naive_oracle_on_heavy_ties():
+    for seed in range(10):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 60))
+        g, ref = _random_case(rng, n)
+        values = rng.random(int(rng.integers(3, 6)))
+        _assert_matches_oracle(rng.choice(values, n), g, ref)
+
+
+def test_dp_threshold_matches_naive_oracle_on_unequal_groups():
+    for seed in range(10):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(10, 60))
+        g, ref = _random_case(rng, n, frac1=rng.choice([0.1, 0.25, 0.75, 0.9]))
+        s = rng.random(n) if seed % 2 else rng.choice(rng.random(4), n)
+        _assert_matches_oracle(s, g, ref)
+
+
+def test_dp_threshold_row_permutation():
+    rng = np.random.default_rng(6)
+    n = 300
+    g, ref = _random_case(rng, n, frac1=0.3)
+    s = rng.choice(rng.random(40), n)
+    thr, pred = dp_threshold(ScoreVector(s), _groups(g), LabelVector(ref))
+    perm = rng.permutation(n)
+    pthr, ppred = dp_threshold(ScoreVector(s[perm]), _groups(g[perm]),
+                               LabelVector(ref[perm]))
+    assert pthr == thr
+    assert np.array_equal(ppred.labels, pred.labels[perm])
 
 
 def test_dp_threshold_identical_distributions():
@@ -173,10 +230,9 @@ def test_dp_threshold_shifted_uniform():
     scores = ScoreVector(np.concatenate([s0, s1]))
     groups = _groups(np.repeat([0, 1], 3000))
     ref = LabelVector(np.where(scores.scores >= 0.5, 1, -1))
-    for grid in (101, 1001):
-        (t0, t1), pred = dp_threshold(scores, groups, ref, grid=grid)
-        assert t1 - t0 == pytest.approx(0.2, abs=0.05)
-        assert dp_gap(pred, groups) <= 1.0 / grid
+    (t0, t1), pred = dp_threshold(scores, groups, ref)
+    assert t1 - t0 == pytest.approx(0.2, abs=0.05)
+    assert dp_gap(pred, groups) <= _gap_bound(groups)
 
 
 def test_dp_threshold_degenerate_equal_scores():
@@ -184,8 +240,16 @@ def test_dp_threshold_degenerate_equal_scores():
     groups = _groups(np.repeat([0, 1], 20))
     ref = LabelVector(np.ones(40, dtype=int))
     (t0, t1), pred = dp_threshold(scores, groups, ref)
-    assert (t0, t1) == (0.0, 0.0)
-    assert dp_gap(pred, groups) == 0.0
+    assert (t0, t1) == (0.5, 0.5)
+    assert np.all(pred.labels == 1)
+
+
+def test_dp_threshold_no_positives_threshold_is_above_every_score():
+    scores = ScoreVector([1.0, 0.9, 1.0, 0.2])
+    groups = _groups([0, 0, 1, 1])
+    (t0, t1), pred = dp_threshold(scores, groups, LabelVector([-1, -1, -1, -1]))
+    assert t0 > 1.0 and t1 > 1.0 and np.isfinite([t0, t1]).all()
+    assert np.all(pred.labels == -1)
 
 
 def test_dp_threshold_never_increases_gap():
@@ -198,8 +262,7 @@ def test_dp_threshold_never_increases_gap():
         groups = _groups(g)
         ref = LabelVector(rng.choice([-1, 1], n))
         _, pred = dp_threshold(scores, groups, ref)
-        default = LabelVector(np.where(scores.scores >= 0.5, 1, -1))
-        assert dp_gap(pred, groups) <= dp_gap(default, groups) + 1e-12
+        assert dp_gap(pred, groups) <= _gap_bound(groups)
 
 
 # ---------------------------------------------------------------------------
