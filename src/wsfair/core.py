@@ -352,22 +352,23 @@ def load_label_csv(path, ids: tuple) -> LabelVector:
     return LabelVector(_aligned(path, rec, "y", ids))
 
 
-def _csv_text(header: list, rows) -> str:
-    return "\n".join([",".join(header), *map(",".join, rows), ""])
+def _csv_text(header: list, lines) -> str:
+    return "\n".join([",".join(header), *lines, ""])
 
 
 def feature_csv_text(features: FeatureMatrix, groups: GroupAssignment) -> str:
-    # format(x, ".17g") is format_real's text for a Python float
+    # "%.17g" is format_real's text for a Python float
+    line = "%d,%d" + ",%.17g" * features.d
     return _csv_text(["id", "group"] + [f"f{j + 1}" for j in range(features.d)],
-                     ([str(i), str(g)] + [format(x, ".17g") for x in row]
-                      for i, (g, row) in enumerate(zip(groups.group_of.tolist(),
-                                                       features.values.tolist()))))
+                     (line % (i, g, *row) for i, (g, row) in enumerate(zip(
+                         groups.group_of.tolist(), features.values.tolist()))))
 
 
 def weak_csv_text(weak: WeakLabelMatrix) -> str:
+    line = "%d" + ",%d" * len(weak.lf_names)
     return _csv_text(["id", *weak.lf_names],
-                     ([str(i), *map(str, row)] for i, row in enumerate(weak.votes.tolist())))
+                     (line % (i, *row) for i, row in enumerate(weak.votes.tolist())))
 
 
 def label_csv_text(labels: LabelVector) -> str:
-    return _csv_text(["id", "y"], ((str(i), str(y)) for i, y in enumerate(labels.labels.tolist())))
+    return _csv_text(["id", "y"], ("%d,%d" % iy for iy in enumerate(labels.labels.tolist())))

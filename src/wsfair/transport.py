@@ -16,10 +16,11 @@ destination cloud, found exactly with a k-d tree (scipy, imported on first
 use). The Sinkhorn fit is one Anderson-accelerated, absorption-stabilised
 scaling loop, valid at any distance between the clouds. Its one dense fit-size
 array is the kernel, built in place over the cost, which is why fits above a
-point cap are subsampled; applying the map streams cache-sized row blocks
-through one buffer, so no n_src x n_dst array is ever held. Every
-distance is taken on clouds centered on the destination mean, so results do
-not depend on where the data sits in feature space.
+point cap are subsampled. The fit walks the kernel in cache-sized row blocks,
+two passes to build it and one per scaling sweep; applying the map streams
+blocks of the same size through one buffer, so no n_src x n_dst array is ever
+held. Every distance is taken on clouds centered on the destination mean, so
+results do not depend on where the data sits in feature space.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ MAX_CONDITION = 1e12
 SINKHORN_TOL = 1e-10          # internal; stricter than the 1e-9 contract
 SINKHORN_MAX_ITERS = 10_000
 SINKHORN_MAX_POINTS = 5_000   # per-side fit cap; the fit cost is quadratic in memory
-SINKHORN_BLOCK_ROWS = 32      # source rows per block when applying a Sinkhorn map
+SINKHORN_BLOCK_CELLS = 160_000  # kernel cells per row block of a Sinkhorn fit or apply
 SINKHORN_ABSORB = 100.0       # |log scaling| that is folded into the potentials
 ANDERSON_DEPTH = 6            # residual differences mixed into each Sinkhorn step
 
@@ -172,14 +173,23 @@ def pairwise_cost(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.nd
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _block_rows(n_cols: int) -> int:
+    """Rows of one SINKHORN_BLOCK_CELLS-cell block of an n_cols-wide array."""
+    return max(1, SINKHORN_BLOCK_CELLS // n_cols)
+
+
 def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float, tol: float,
                          max_iters: int):
     """Return (gn, converged, sweeps): gn is the destination log-potential g / eta.
 
     The kernel K = exp(fn_i + gn_j - C_ij), C = cost/eta, is the one n_src x
     n_dst array; fn starts at the row minima of C and gn at their c-transform,
-    so every kernel row and column holds a 1. The iterate is the destination
-    log-scaling x, and each sweep (two matvecs) evaluates the fixed-point map
+    so every kernel row and column holds a 1. Every pass over K walks it in
+    cache-sized row blocks and does all of its work on a block while the block
+    is in cache: the build is two passes (cost, C, fn and fn - C with a running
+    column maximum; then + gn and exp), a rebuild with known potentials is one.
+    The iterate is the destination log-scaling x, and each sweep is one pass,
+    u_b = a / (K_b e^x) then K^T u += u_b K_b, which evaluates the fixed-point map
     G(x) = log b - log K^T (a / K e^x) and the column-marginal L1 error of the
     plan whose rows are exact softmaxes over gn + x - C, which is the map
     returned. Steps are Anderson-mixed (Walker & Ni 2011) on mean-free residuals,
@@ -190,22 +200,36 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float, tol: floa
     """
     n_src, n_dst = len(src), len(dst)
     a, b = 1.0 / n_src, 1.0 / n_dst    # uniform marginals
-    k = np.empty((n_src, n_dst))
+    step, k, u = _block_rows(n_dst), np.empty((n_src, n_dst)), np.empty(n_src)
+    # (rows, kernel block, u block): made once, so the sweep loop allocates
+    # nothing, which also keeps it fast under tracemalloc
+    blocks = [(s, k[s], u[s]) for s in (slice(lo, lo + step) for lo in range(0, n_src, step))]
+
+    def cost_block(s, kb):
+        # called through the module, so a wrapper on pairwise_cost sees every block
+        return np.divide(pairwise_cost(src[s], dst, out=kb), eta, out=kb)
+
     with np.errstate(all="ignore"):
-        np.divide(pairwise_cost(src, dst, out=k), eta, out=k)
-        if not np.isfinite(k.max()):
-            raise DataError("cost matrix must be finite")
-        fn = k.min(axis=1)
-        np.subtract(fn[:, None], k, out=k)
-        gn = -k.max(axis=0)
-        np.exp(np.add(k, gn, out=k), out=k)
+        fn, top, row = np.empty(n_src), np.full(n_dst, -np.inf), np.empty(n_dst)
+        for s, kb, _ in blocks:
+            fb = np.min(cost_block(s, kb), axis=1, out=fn[s])
+            np.subtract(fb[:, None], kb, out=kb)
+            if not np.isfinite(kb.min()):      # fn - C holds every entry of C
+                raise DataError("cost matrix must be finite")
+            np.maximum(top, np.max(kb, axis=0, out=row), out=top)
+        gn = -top
+        for _, kb, _ in blocks:
+            np.exp(np.add(kb, gn, out=kb), out=kb)
         x = x_acc = np.zeros(n_dst)
+        ktu = np.empty(n_dst)
         err, sweeps, hist, plain = np.inf, 0, [], None   # hist: (x, G(x)) accepted
         while sweeps < max_iters:
             sweeps += 1
             ev = np.exp(x)
-            u = a / (k @ ev)
-            ktu = k.T @ u
+            ktu.fill(0.0)
+            for _, kb, ub in blocks:
+                np.divide(a, np.matmul(kb, ev, out=ub), out=ub)
+                ktu += np.matmul(ub, kb, out=row)
             trial = np.abs(ev * ktu - b).sum()
             if plain is not None and not trial < err:
                 x, plain, hist = plain, None, []
@@ -218,8 +242,9 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float, tol: floa
                 raise NumericalUnderflow("sinkhorn potentials are not finite")
             if np.abs(x).max() > SINKHORN_ABSORB:
                 fn, gn, g, x_acc, hist = fn + np.log(u), gn + x, g - x, np.zeros(n_dst), []
-                np.divide(pairwise_cost(src, dst, out=k), eta, out=k)
-                np.exp(np.add(np.subtract(fn[:, None], k, out=k), gn, out=k), out=k)
+                for s, kb, _ in blocks:
+                    np.subtract(fn[s, None], cost_block(s, kb), out=kb)
+                    np.exp(np.add(kb, gn, out=kb), out=kb)
             hist = hist[-ANDERSON_DEPTH:] + [(x_acc, g)]
             x, plain = g, None
             if len(hist) > 1:
@@ -347,10 +372,10 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     """Image of each row of x_src under the map, in input row order.
 
     A Sinkhorn row x maps to the softmax(gn - |x - y|^2/eta)-weighted average
-    of the destination reference points y, computed SINKHORN_BLOCK_ROWS rows at
-    a time in one reused buffer. The |x|^2 term is constant along a row and
-    cancels in the softmax, so each block is one matmul against the centered
-    reference.
+    of the destination reference points y, computed in row blocks of
+    SINKHORN_BLOCK_CELLS kernel cells through one reused buffer. The |x|^2 term
+    is constant along a row and cancels in the softmax, so each block is one
+    matmul against the centered reference.
     """
     if tmap.kind == "identity":
         return x_src
@@ -362,9 +387,10 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     mean = ref.mean(axis=0)
     ref = ref - mean
     bias = tmap.gn - np.einsum("ij,ij->i", ref, ref) / tmap.eta
-    buf, out = np.empty((SINKHORN_BLOCK_ROWS, len(ref))), np.empty((x_src.n, x_src.d))
-    for lo in range(0, x_src.n, SINKHORN_BLOCK_ROWS):
-        rows = (x_src.values[lo:lo + SINKHORN_BLOCK_ROWS] - mean) * (2.0 / tmap.eta)
+    step = _block_rows(len(ref))
+    buf, out = np.empty((step, len(ref))), np.empty((x_src.n, x_src.d))
+    for lo in range(0, x_src.n, step):
+        rows = (x_src.values[lo:lo + step] - mean) * (2.0 / tmap.eta)
         w = np.matmul(rows, ref.T, out=buf[:len(rows)])
         w += bias
         np.exp(np.subtract(w, w.max(axis=1, keepdims=True), out=w), out=w)

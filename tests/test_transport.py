@@ -8,11 +8,12 @@ import pytest
 from conftest import brute_force_nn, plain_sinkhorn, sinkhorn_plan
 from wsfair.core import (DataError, EmptyDestination, FeatureMatrix, NumericalUnderflow,
                          SingularCovariance, TooFewRows)
+from wsfair import transport
 from wsfair.synth import GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset
 from wsfair.transport import (GaussianMoments, TransportMap, apply_linear,
                               apply_map, estimate_moments, fit_linear_ot, fit_map,
                               fit_sinkhorn, knn_borrow, matrix_sqrt_psd, nn_indices,
-                              pairwise_cost, SINKHORN_BLOCK_ROWS, SINKHORN_MAX_ITERS,
+                              pairwise_cost, SINKHORN_BLOCK_CELLS, SINKHORN_MAX_ITERS,
                               SINKHORN_TOL, _sinkhorn_potentials)
 
 
@@ -240,9 +241,23 @@ def _cost_over_eta(src, dst, eta):
     return ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=-1) / eta
 
 
-def test_sinkhorn_matches_the_plain_scaling_oracle():
+def _cost_rows(monkeypatch):
+    """List that records the source rows of every transport.pairwise_cost call."""
+    rows, cost = [], transport.pairwise_cost
+
+    def counting(a, b, out=None):
+        rows.append(len(a))
+        return cost(a, b, out=out)
+
+    monkeypatch.setattr(transport, "pairwise_cost", counting)
+    return rows
+
+
+def test_sinkhorn_matches_the_plain_scaling_oracle(monkeypatch):
     # Random shapes, the 1 x 1 and equal-cost cases, and far clouds at a small
-    # eta, which only converge through absorption. Potentials are defined up
+    # eta, which only converge through absorption. The last two cases span
+    # several row blocks of the kernel and end in a ragged one; the far pair
+    # at eta 0.2 rebuilds its kernel block by block. Potentials are defined up
     # to an additive constant.
     rng = np.random.default_rng(19)
     cases = []
@@ -253,12 +268,31 @@ def test_sinkhorn_matches_the_plain_scaling_oracle():
     cases += [(np.zeros((1, 1)), np.full((1, 1), 5.0), 1.0),
               (np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]]), 1.0),
               (np.array([[0.0], [1.0]]), np.array([[0.0], [50.0], [100.0]]), 0.1)]
+    for m, shift, eta in ((1000, 0.5, 1.0), (3000, 5.0, 0.2)):
+        n = 3 * (SINKHORN_BLOCK_CELLS // m) + 7
+        cases.append((rng.standard_normal((n, 2)), rng.standard_normal((m, 2)) + shift, eta))
+    rows = _cost_rows(monkeypatch)
     for src, dst, eta in cases:
+        rows.clear()
         gn, converged, _ = _sinkhorn_potentials(src, dst, eta, SINKHORN_TOL, SINKHORN_MAX_ITERS)
         want, want_converged, _ = plain_sinkhorn(_cost_over_eta(src, dst, eta), SINKHORN_TOL)
         assert converged and want_converged
         diff = gn - want
         assert np.abs(diff - diff.mean()).max() < 1e-8, (src.shape, dst.shape, eta)
+    assert max(rows) < len(src) < sum(rows) and sum(rows) % len(src) == 0
+
+
+def test_sinkhorn_fit_passes_each_source_row_through_pairwise_cost_once(monkeypatch):
+    # The benchmark's span tracer times the kernel build by wrapping
+    # transport.pairwise_cost, so the fit must call it through the module: a
+    # fit without absorption builds each row block once.
+    rows = _cost_rows(monkeypatch)
+    rng = np.random.default_rng(24)
+    n = 3 * (SINKHORN_BLOCK_CELLS // 1000) + 7
+    src = FeatureMatrix(rng.standard_normal((n, 2)))
+    dst = FeatureMatrix(rng.standard_normal((1000, 2)) + 0.5)
+    assert fit_sinkhorn(src, dst).converged
+    assert sum(rows) == n and len(rows) == 4
 
 
 def test_mixed_sinkhorn_needs_at_most_half_the_plain_sweeps():
@@ -273,11 +307,18 @@ def test_mixed_sinkhorn_needs_at_most_half_the_plain_sweeps():
 
 
 def test_sinkhorn_sweep_cap_returns_a_finite_unconverged_potential():
+    # The second case sorts the sources along a line that spans several row
+    # blocks, so a c-transform taken over one block alone would overflow the
+    # kernel in the others.
     rng = np.random.default_rng(21)
-    src, dst = rng.standard_normal((50, 2)), rng.standard_normal((40, 2)) + 1.0
-    gn, converged, sweeps = _sinkhorn_potentials(src, dst, 1.0, SINKHORN_TOL, 2)
-    assert not converged and sweeps == 2
-    assert gn.shape == (40,) and np.isfinite(gn).all()
+    m = 1000
+    cases = [(rng.standard_normal((50, 2)), rng.standard_normal((40, 2)) + 1.0),
+             (np.sort(rng.uniform(0.0, 40.0, (3 * (SINKHORN_BLOCK_CELLS // m) + 7, 1)), axis=0),
+              rng.uniform(0.0, 40.0, (m, 1)))]
+    for src, dst in cases:
+        gn, converged, sweeps = _sinkhorn_potentials(src, dst, 1.0, SINKHORN_TOL, 2)
+        assert not converged and sweeps == 2
+        assert gn.shape == (len(dst),) and np.isfinite(gn).all()
 
 
 @pytest.mark.parametrize("eta, error", [(1e-300, NumericalUnderflow), (1e-320, DataError)])
@@ -345,9 +386,9 @@ def test_barycentric_image_is_the_plan_applied_to_the_reference():
         assert np.allclose(out.values, want, rtol=0.0, atol=1e-12)
     # Far from the origin, with a ragged last block: dropping |x|^2 from the
     # logits must keep the image independent of where the data sits.
-    offset = 1e6
-    src = FeatureMatrix(rng.standard_normal((3 * SINKHORN_BLOCK_ROWS + 7, 3)) + offset)
-    dst = FeatureMatrix(rng.standard_normal((300, 3)) + 0.5 + offset)
+    offset, m = 1e6, 4000
+    src = FeatureMatrix(rng.standard_normal((3 * (SINKHORN_BLOCK_CELLS // m) + 7, 3)) + offset)
+    dst = FeatureMatrix(rng.standard_normal((m, 3)) + 0.5 + offset)
     tmap = fit_sinkhorn(src, dst)
     out = apply_map(tmap, src).values - offset
     want = sinkhorn_plan(tmap, src) @ tmap.dst_reference - offset
