@@ -92,20 +92,26 @@ def _parse_seed_range(text: str):
     return list(range(lo, hi + 1))
 
 
-def _parse_grid(text: str):
+def _parse_list(text: str, flag: str, convert=str):
+    """Comma-separated entries; an empty or repeated entry is a usage error."""
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        vals = [convert(x.strip()) for x in text.split(",")]
     except ValueError:
-        raise BadArgs(f"--grid expects comma-separated integers, got {text!r}")
+        raise BadArgs(f"{flag} expects comma-separated integers, got {text!r}")
+    if "" in vals or len(set(vals)) != len(vals):
+        raise BadArgs(f"{flag} has an empty or repeated entry: {text!r}")
+    return vals
 
 
-def _sbm_config(args, method: str, seed: int) -> sbm.SbmConfig:
+def _sbm_config(args, method: str, seed: int):
+    """The method's SbmConfig, None for the baseline; bad SBM flags fail for all."""
     try:
-        return sbm.SbmConfig(epsilon=args.epsilon, ot_kind=_OT_OF_METHOD[method],
-                             eta=args.eta, knn_k=args.knn_k, seed=seed,
-                             sinkhorn_max_points=args.sinkhorn_max_points)
+        cfg = sbm.SbmConfig(epsilon=args.epsilon, ot_kind=_OT_OF_METHOD[method],
+                            eta=args.eta, knn_k=args.knn_k, seed=seed,
+                            sinkhorn_max_points=args.sinkhorn_max_points)
     except ValueError as exc:
         raise BadArgs(str(exc)) from None
+    return None if method == "baseline" else cfg
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +172,15 @@ def cmd_run(args, out: _Outputs) -> int:
     if args.direct_lf_eval and not 0 <= args.lf_index < weak.m:
         raise BadArgs(f"--lf-index must index one of {weak.m} LFs")
 
-    def report_of(pred: LabelVector) -> dict:
-        return mx.fairness_report(pred, truth, groups).to_json()
+    result = sbm.run_pipeline(feats, groups, weak, cfg, class_prior=args.class_prior,
+                              train_cfg=train_cfg, hard_labels=args.hard_labels,
+                              postprocess=args.postprocess == "dp-threshold")
 
-    result = sbm.run_pipeline(feats, groups, weak, cfg,
-                              with_sbm=args.method != "baseline",
-                              class_prior=args.class_prior)
+    def report_of(pred: LabelVector):
+        return None if pred is None else mx.fairness_report(pred, truth, groups).to_json()
 
-    train_targets = result.labels if args.hard_labels else result.scores
-    model = em.train_logreg(feats, train_targets, train_cfg)
-    end_scores = em.predict_logreg(model, feats)
-    end_labels = lm.predict_labels(end_scores)
-
-    thresholds, post_report = None, None
-    if args.postprocess == "dp-threshold":
-        thresholds, post_pred = mx.dp_threshold(end_scores, groups, result.labels)
-        post_report = report_of(post_pred)
-
-    direct_report = None
-    if args.direct_lf_eval:
-        col = LabelVector(result.weak_used.votes[:, args.lf_index])
-        direct_report = report_of(col)
-
+    direct = (LabelVector(result.weak_used.votes[:, args.lf_index])
+              if args.direct_lf_eval else None)
     report = {
         "spec_version": SPEC_VERSION,
         "config": {"method": args.method, "epsilon": args.epsilon, "eta": args.eta,
@@ -200,11 +193,11 @@ def cmd_run(args, out: _Outputs) -> int:
                    "endmodel": {"l2": args.l2, "max_iters": args.max_iters,
                                 "tol": args.tol}},
         "label_model": report_of(result.labels),
-        "end_model": report_of(end_labels),
-        "end_model_fit": model.training_meta,
-        "end_model_postprocessed": post_report,
-        "direct_lf": direct_report,
-        "thresholds": list(thresholds) if thresholds else None,
+        "end_model": report_of(result.end_labels),
+        "end_model_fit": result.end_model.training_meta,
+        "end_model_postprocessed": report_of(result.post_labels),
+        "direct_lf": report_of(direct),
+        "thresholds": list(result.thresholds) if result.thresholds else None,
         "sbm_audit": result.audit.to_json() if result.audit else None,
     }
     outdir = Path(args.outdir)
@@ -221,41 +214,25 @@ def cmd_run(args, out: _Outputs) -> int:
 _SWEEP_METRICS = ("accuracy", "f1", "dp_gap", "eo_gap")
 
 
-def _direct_lf_metrics(weak_used: WeakLabelMatrix, truth: LabelVector,
-                       groups: GroupAssignment, lf_index) -> dict:
-    """Metrics of LF columns evaluated directly; None index averages all LFs."""
-    cols = range(weak_used.m) if lf_index is None else [lf_index]
-    reports = [mx.fairness_report(LabelVector(weak_used.votes[:, j]), truth, groups)
-               for j in cols]
-    out = {}
-    for key in _SWEEP_METRICS:
-        vals = [getattr(r, key) for r in reports]
-        vals = [v for v in vals if v is not None]
-        out[key] = float(np.mean(vals)) if vals else None
-    return out
-
-
 def _sweep_cell(experiment: str, x: int, seed: int, method: str, args) -> dict:
-    """One (grid value, seed, method) evaluation."""
+    """One (grid value, seed, method) evaluation: the pseudolabels' metrics, or
+    under direct-lf the mean over the evaluated LF columns of the votes used."""
     if experiment == "shift":
         (_, acc), = synth.shift_accuracy_sweep(args.theta, [x], args.n, seed)
         return {"accuracy": acc, "f1": None, "dp_gap": None, "eo_gap": None}
     if experiment == "samples":
         feats, groups, truth, weak, _ = synth.gen_gaussian_pair_dataset(x, seed)
-        lf_index = 0
+        lfs = [0]
     else:
         feats, groups, truth, weak, _ = synth.gen_lfcount_dataset(args.n, x, seed)
-        lf_index = None
-    cfg = _sbm_config(args, method, seed)
-    if args.eval == "direct-lf":
-        used = weak
-        if method != "baseline":
-            used, _ = sbm.run_sbm(feats, groups, weak, cfg)
-        return _direct_lf_metrics(used, truth, groups, lf_index)
-    result = sbm.run_pipeline(feats, groups, weak, cfg,
-                              with_sbm=method != "baseline")
-    rep = mx.fairness_report(result.labels, truth, groups)
-    return {k: getattr(rep, k) for k in _SWEEP_METRICS}
+        lfs = range(weak.m)
+    result = sbm.run_pipeline(feats, groups, weak, _sbm_config(args, method, seed))
+    preds = ([result.labels] if args.eval == "label-model" else
+             [LabelVector(result.weak_used.votes[:, j]) for j in lfs])
+    reports = [mx.fairness_report(pred, truth, groups) for pred in preds]
+    vals = {k: [getattr(r, k) for r in reports if getattr(r, k) is not None]
+            for k in _SWEEP_METRICS}
+    return {k: float(np.mean(v)) if v else None for k, v in vals.items()}
 
 
 def cmd_sweep(args, out: _Outputs) -> int:
@@ -263,13 +240,12 @@ def cmd_sweep(args, out: _Outputs) -> int:
     if args.n < 1:
         raise BadArgs("--n must be positive")
     seeds = _parse_seed_range(args.seeds)
-    grid = _parse_grid(args.grid)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    grid = _parse_list(args.grid, "--grid", int)
+    methods = _parse_list(args.methods, "--methods")
     if args.experiment == "shift":
         methods = ["lf"]
-    for m in methods:
-        if args.experiment != "shift" and m not in METHODS:
-            raise BadArgs(f"unknown method {m!r}")
+    elif not set(methods) <= set(METHODS):
+        raise BadArgs(f"unknown method in {args.methods!r}")
 
     def cell(task):                    # a numerical failure stays in its cell
         try:

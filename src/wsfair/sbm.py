@@ -1,4 +1,4 @@
-"""Source bias mitigation: detect per-group LF accuracy gaps and rewrite votes.
+"""Source bias mitigation, and the pipeline from LF votes to end-model labels.
 
 For every labeling function the accuracy is estimated separately in each
 group. When one group's estimate beats the other's by at least the threshold
@@ -7,7 +7,8 @@ group's and that LF's votes are borrowed from nearest neighbors there. The
 fitted map depends only on the features, so it is fitted once per direction
 and shared by every LF rewritten in that direction (results are identical to
 per-LF fits). A per-LF estimation or transport failure downgrades just that
-LF to direction "none"; the pipeline continues.
+LF to direction "none"; the pipeline continues. `run_pipeline` feeds the
+(rewritten) votes to the label model and its pseudolabels to the end model.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 from .core import (EmptyGroup, FeatureMatrix, GroupAssignment, LabelVector,
                    NumericalError, ScoreVector, WeakLabelMatrix, split_by_group,
                    validate_dataset)
+from . import endmodel as em
 from . import labelmodel as lm
+from . import metrics as mx
 from .transport import SINKHORN_MAX_POINTS, apply_map, fit_map, knn_borrow
 
 DIRECTION_NONE = "none"
@@ -126,11 +129,10 @@ def run_sbm(features: FeatureMatrix, groups: GroupAssignment, weak: WeakLabelMat
             tmap = fit_map(x_src, x_dst, cfg.ot_kind, eta=cfg.eta, seed=cfg.seed,
                            max_points=cfg.sinkhorn_max_points)
             mapped = apply_map(tmap, x_src)
-            dst_vals, dst_votes = x_dst.values, w_dst.votes
-            if tmap.kind == "sinkhorn-barycentric" and tmap.dst_indices.size != x_dst.n:
-                dst_vals = dst_vals[tmap.dst_indices]
-                dst_votes = dst_votes[tmap.dst_indices]
-            borrowed = knn_borrow(mapped, dst_vals, dst_votes[:, lfs], cfg.knn_k)
+            dst_vals, dst_votes = x_dst.values, w_dst.votes[:, lfs]
+            if tmap.kind == "sinkhorn-barycentric":      # the map's (maybe sampled) rows
+                dst_vals, dst_votes = tmap.dst_reference, dst_votes[tmap.dst_indices]
+            borrowed = knn_borrow(mapped, dst_vals, dst_votes, cfg.knn_k)
         except NumericalError as exc:
             for j in lfs:
                 directions[j] = DIRECTION_NONE
@@ -152,23 +154,37 @@ def run_sbm(features: FeatureMatrix, groups: GroupAssignment, weak: WeakLabelMat
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """Pseudolabels, then (given a TrainConfig) the end model's output."""
     scores: ScoreVector
     labels: LabelVector
     audit: SbmAudit = None
     weak_used: WeakLabelMatrix = None
+    end_model: em.LogisticModel = None
+    end_labels: LabelVector = None
+    thresholds: tuple = None          # (t0, t1) and post_labels under postprocess
+    post_labels: LabelVector = None
 
 
 def run_pipeline(features: FeatureMatrix, groups: GroupAssignment,
-                 weak: WeakLabelMatrix, cfg: SbmConfig, with_sbm: bool = True, *,
-                 class_prior: float = 0.5) -> PipelineResult:
-    """Optionally run SBM, then fit the label model and produce pseudolabels."""
+                 weak: WeakLabelMatrix, cfg: SbmConfig = None, *,
+                 class_prior: float = 0.5, train_cfg: em.TrainConfig = None,
+                 hard_labels: bool = False, postprocess: bool = False) -> PipelineResult:
+    """SBM (none for cfg=None, the baseline), label model, and with `train_cfg`
+    the end model on soft (or `hard_labels`) pseudolabels; `postprocess` adds
+    DP thresholds on its scores chosen to agree with the pseudolabels."""
     validate_dataset(features, groups, weak)
-    audit = None
-    used = weak
-    if with_sbm:
+    used, audit = weak, None
+    if cfg is not None:
         used, audit = run_sbm(features, groups, weak, cfg)
     est = lm.resolve_signs(lm.triplet_estimate(used), used)
     params = lm.fit_label_model(est, class_prior)
     scores = lm.predict_proba(params, used)
-    return PipelineResult(scores=scores, labels=lm.predict_labels(scores),
-                          audit=audit, weak_used=used)
+    labels = lm.predict_labels(scores)
+    if train_cfg is None:
+        return PipelineResult(scores, labels, audit, used)
+    model = em.train_logreg(features, labels if hard_labels else scores, train_cfg)
+    end_scores = em.predict_logreg(model, features)
+    thresholds, post_labels = (mx.dp_threshold(end_scores, groups, labels)
+                               if postprocess else (None, None))
+    return PipelineResult(scores, labels, audit, used, model,
+                          lm.predict_labels(end_scores), thresholds, post_labels)

@@ -15,7 +15,7 @@ from wsfair.core import FeatureMatrix, LabelVector
 from wsfair.endmodel import loss_and_grad
 from wsfair.labelmodel import triplet_estimate, triplet_magnitudes_from_moments
 from wsfair.core import WeakLabelMatrix
-from wsfair.metrics import accuracy_f1, dp_gap, eo_gap
+from wsfair.metrics import fairness_report
 from wsfair.sbm import SbmConfig, run_sbm
 from wsfair.synth import (GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset,
                           gen_lfcount_dataset, lf_accuracy_at,
@@ -34,9 +34,7 @@ def _report(num, ok, detail):
 
 
 def _direct_lf_metrics(weak, truth, groups, col=0):
-    pred = LabelVector(weak.votes[:, col])
-    acc, _ = accuracy_f1(pred, truth)
-    return acc, dp_gap(pred, groups), eo_gap(pred, truth, groups)
+    return fairness_report(LabelVector(weak.votes[:, col]), truth, groups)
 
 
 def test_criterion_1_gauss_pair_reproduction():
@@ -46,13 +44,13 @@ def test_criterion_1_gauss_pair_reproduction():
         feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(10_000, seed)
         cfg = SbmConfig(epsilon=0.05, ot_kind="linear", seed=seed)
         corrected, _ = run_sbm(feats, groups, weak, cfg)
-        acc_b, dp_b, _ = _direct_lf_metrics(weak, truth, groups)
-        acc_s, dp_s, eo_s = _direct_lf_metrics(corrected, truth, groups)
-        base_dp.append(dp_b)
-        base_acc.append(acc_b)
-        sbm_dp.append(dp_s)
-        sbm_eo.append(eo_s)
-        sbm_acc.append(acc_s)
+        base = _direct_lf_metrics(weak, truth, groups)
+        fixed = _direct_lf_metrics(corrected, truth, groups)
+        base_dp.append(base.dp_gap)
+        base_acc.append(base.accuracy)
+        sbm_dp.append(fixed.dp_gap)
+        sbm_eo.append(fixed.eo_gap)
+        sbm_acc.append(fixed.accuracy)
     elapsed = time.monotonic() - t0
     med = lambda v: float(np.median(v))
     ok = (med(sbm_dp) <= 0.05 and med(sbm_eo) <= 0.05 and med(base_dp) >= 0.3
@@ -69,7 +67,7 @@ def test_criterion_2_sample_count_trend():
         feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(100, seed)
         corrected, _ = run_sbm(feats, groups, weak,
                                SbmConfig(epsilon=0.05, ot_kind="linear", seed=seed))
-        vals.append(dp_gap(LabelVector(corrected.votes[:, 0]), groups))
+        vals.append(_direct_lf_metrics(corrected, truth, groups).dp_gap)
     vals = np.array(vals)
     mean, sd, median = vals.mean(), vals.std(), float(np.median(vals))
     ok = mean - 1.96 * sd <= 0.05 and median <= 0.05
@@ -90,7 +88,7 @@ def test_criterion_3_lf_count_experiment():
                                    SbmConfig(epsilon=0.05, ot_kind="linear",
                                              seed=seed))
             lf_mean = lambda w: float(np.mean(
-                [dp_gap(LabelVector(w.votes[:, j]), groups) for j in range(m)]))
+                [_direct_lf_metrics(w, truth, groups, j).dp_gap for j in range(m)]))
             base_vals.append(lf_mean(weak))
             sbm_vals.append(lf_mean(corrected))
         base_med.append(float(np.median(base_vals)))

@@ -3,7 +3,12 @@ import os
 
 import pytest
 
+from wsfair import endmodel, metrics
 from wsfair.cli import main
+from wsfair.core import LabelVector, load_feature_csv, load_label_csv, load_weak_csv
+from wsfair.endmodel import TrainConfig
+from wsfair.metrics import fairness_report
+from wsfair.sbm import SbmConfig, run_pipeline
 
 
 def _run(*argv):
@@ -270,13 +275,18 @@ def test_run_bad_value_is_usage_error(tmp_path, extra):
     ("--epsilon", "-1"),
     ("--n", "0"),
     ("--eta", "-1"),
+    ("--grid", ","),
+    ("--grid", "100,"),
+    ("--grid", "100,100"),
+    ("--methods", ","),
+    ("--methods", "baseline,sbm-linear,baseline"),
 ])
 def test_sweep_bad_value_is_usage_error(tmp_path, extra):
-    out = tmp_path / "x.csv"
     code = _run("sweep", "--experiment", "samples", "--grid", "100",
-                "--seeds", "0..0", "--out", str(out), *extra)
+                "--seeds", "0..0", "--out", str(tmp_path / "x.csv"),
+                "--per-seed-out", str(tmp_path / "p.csv"), *extra)
     assert code == 1
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_failed_cell_is_an_error_row(tmp_path, capsys):
@@ -357,3 +367,63 @@ def test_run_duplicate_vote_or_label_id_exits_2(tmp_path, capsys, name):
     assert _run(*_run_args(outdir, rd)) == 2
     assert f"{name}: row ids must be unique" in capsys.readouterr().out
     assert not rd.exists()
+
+
+@pytest.mark.parametrize("method", ["baseline", "sbm-linear"])
+def test_run_report_formats_one_pipeline_call(tmp_path, method):
+    # `wsfair run` only loads, calls run_pipeline and formats its result
+    outdir = _synth_gauss_pair(tmp_path, n=600, seed=4)
+    rd = tmp_path / "out"
+    assert _run(*_run_args(outdir, rd, "--method", method, "--seed", "4",
+                           "--hard-labels", "--postprocess", "dp-threshold",
+                           "--direct-lf-eval", "--lf-index", "1")) == 0
+    report = json.loads((rd / "report.json").read_text())
+    feats, groups, ids = load_feature_csv(outdir / "features.csv")
+    weak = load_weak_csv(outdir / "weak.csv", ids)
+    truth = load_label_csv(outdir / "labels.csv", ids)
+    cfg = None if method == "baseline" else SbmConfig(ot_kind="linear", seed=4)
+    res = run_pipeline(feats, groups, weak, cfg, train_cfg=TrainConfig(),
+                       hard_labels=True, postprocess=True)
+    for key, pred in (("label_model", res.labels), ("end_model", res.end_labels),
+                      ("end_model_postprocessed", res.post_labels),
+                      ("direct_lf", LabelVector(res.weak_used.votes[:, 1]))):
+        assert report[key] == fairness_report(pred, truth, groups).to_json()
+    assert report["thresholds"] == list(res.thresholds)
+    assert report["end_model_fit"] == res.end_model.training_meta
+    assert report["sbm_audit"] == (res.audit.to_json() if cfg else None)
+
+
+@pytest.mark.parametrize("method", ["baseline", "sbm-linear"])
+def test_sweep_cell_equals_run_label_model(tmp_path, method):
+    n, seed = 300, 2
+    per_seed = tmp_path / "p.csv"
+    assert _run("sweep", "--experiment", "samples", "--grid", str(n),
+                "--seeds", f"{seed}..{seed}", "--methods", method,
+                "--out", str(tmp_path / "s.csv"), "--per-seed-out", str(per_seed)) == 0
+    rd = tmp_path / "out"
+    assert _run(*_run_args(_synth_gauss_pair(tmp_path, n=n, seed=seed), rd,
+                           "--method", method, "--seed", str(seed))) == 0
+    label_model = json.loads((rd / "report.json").read_text())["label_model"]
+    rows = [line.split(",") for line in per_seed.read_text().splitlines()[1:]]
+    assert {metric: float(v) for _, _, _, metric, v in rows} == {
+        k: label_model[k] for k in ("accuracy", "f1", "dp_gap", "eo_gap")}
+
+
+@pytest.mark.parametrize("method", ["baseline", "sbm-linear"])
+def test_run_calls_end_model_stages_through_their_modules(tmp_path, monkeypatch,
+                                                          method):
+    # the benchmark's span wrappers replace these module attributes; each
+    # stage must go through them once, with train_logreg's config third
+    calls = {}
+    for module, name in ((endmodel, "train_logreg"), (endmodel, "predict_logreg"),
+                         (metrics, "dp_threshold")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.setdefault(_name, []).append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    outdir = _synth_gauss_pair(tmp_path, n=300, seed=3)
+    assert _run(*_run_args(outdir, tmp_path / "out", "--method", method,
+                           "--postprocess", "dp-threshold")) == 0
+    assert {k: len(v) for k, v in calls.items()} == {
+        "train_logreg": 1, "predict_logreg": 1, "dp_threshold": 1}
+    assert isinstance(calls["train_logreg"][0][2], TrainConfig)

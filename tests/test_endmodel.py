@@ -115,9 +115,9 @@ def test_fit_stops_on_the_gradient_test_for_lfcount_pseudolabels():
     # the lfcount-baseline setting: one group is translated by 10-50 units on
     # both axes, so the two standardized columns are nearly collinear
     feats, groups, _, weak, _ = gen_lfcount_dataset(2000, 12, seed=0)
-    res = run_pipeline(feats, groups, weak, SbmConfig(), with_sbm=False)
     cfg = TrainConfig(max_iters=3000)
-    model = train_logreg(feats, res.scores, cfg)
+    res = run_pipeline(feats, groups, weak, None, train_cfg=cfg)
+    model = res.end_model
     xs = (feats.values - model.standardize_mean) / model.standardize_std
     _, gw, gb = loss_and_grad(model.weights, model.bias, xs,
                               res.scores.scores, cfg.l2)
@@ -149,10 +149,9 @@ def test_end_model_on_sbm_pseudolabels_beats_direct_baseline():
     for seed in range(5):
         feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(4000, seed)
         cfg = SbmConfig(epsilon=0.05, ot_kind="linear", seed=seed)
-        res = run_pipeline(feats, groups, weak, cfg, with_sbm=True)
-        model = train_logreg(feats, res.scores, TrainConfig(max_iters=2000))
-        end_pred = predict_labels(predict_logreg(model, feats))
-        end_acc, _ = accuracy_f1(end_pred, truth)
+        res = run_pipeline(feats, groups, weak, cfg,
+                           train_cfg=TrainConfig(max_iters=2000))
+        end_acc, _ = accuracy_f1(res.end_labels, truth)
         base_acc, _ = accuracy_f1(LabelVector(weak.votes[:, 0]), truth)
         diffs.append(end_acc - base_acc)
     assert np.median(diffs) > 0.0

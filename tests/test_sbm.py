@@ -190,13 +190,11 @@ def test_audit_json_schema():
 
 def test_pipeline_bypass_matches_baseline():
     feats, groups, truth, weak, _ = _gauss_pair(1200, seed=6)
-    cfg = SbmConfig(epsilon=0.05, ot_kind="linear", seed=0)
-    res_off = run_pipeline(feats, groups, weak, cfg, with_sbm=False)
+    res_off = run_pipeline(feats, groups, weak, None)
     assert res_off.audit is None
     assert np.array_equal(res_off.weak_used.votes, weak.votes)
     res_noop = run_pipeline(feats, groups, weak,
-                            SbmConfig(epsilon=5.0, ot_kind="linear", seed=0),
-                            with_sbm=True)
+                            SbmConfig(epsilon=5.0, ot_kind="linear", seed=0))
     assert np.array_equal(res_noop.scores.scores, res_off.scores.scores)
     assert np.array_equal(res_noop.labels.labels, res_off.labels.labels)
 
@@ -206,8 +204,8 @@ def test_pipeline_sbm_beats_baseline_on_gauss_pair():
     for seed in range(3):
         feats, groups, truth, weak, _ = _gauss_pair(10_000, seed=seed)
         cfg = SbmConfig(epsilon=0.05, ot_kind="linear", seed=seed)
-        base = run_pipeline(feats, groups, weak, cfg, with_sbm=False)
-        corrected = run_pipeline(feats, groups, weak, cfg, with_sbm=True)
+        base = run_pipeline(feats, groups, weak, None)
+        corrected = run_pipeline(feats, groups, weak, cfg)
         acc_b, _ = accuracy_f1(base.labels, truth)
         acc_s, _ = accuracy_f1(corrected.labels, truth)
         assert acc_s > acc_b
