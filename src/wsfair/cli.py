@@ -80,13 +80,26 @@ class _Outputs:
                 pass
 
 
+def _seed(text: str) -> int:
+    """`--seed` value: an integer >= 0, as numpy's SeedSequence requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_seed_range(text: str):
-    """`k..k+r` inclusive, e.g. `0..9`."""
+    """`k..k+r` inclusive with k >= 0, e.g. `0..9`."""
     try:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError:
         raise BadArgs(f"--seeds expects k..k+r, got {text!r}")
+    if lo < 0:
+        raise BadArgs(f"--seeds must start at a seed >= 0, got {text!r}")
     if hi < lo:
         raise BadArgs("--seeds range is empty")
     return list(range(lo, hi + 1))
@@ -349,7 +362,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--theta", type=float, default=2.0)
     p.add_argument("--shift", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--outdir", required=True)
 
     p = sub.add_parser("run", help="run the pipeline on CSV inputs")
@@ -359,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--outdir", required=True)
     p.add_argument("--method", choices=METHODS, default="baseline")
     _add_sbm_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--postprocess", choices=("none", "dp-threshold"), default="none")
     p.add_argument("--class-prior", dest="class_prior", type=float, default=0.5)
     p.add_argument("--hard-labels", dest="hard_labels", action="store_true")
@@ -387,7 +400,7 @@ def build_parser() -> _Parser:
     p.add_argument("--weak", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--lf", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate", help="export triplet accuracy estimates")

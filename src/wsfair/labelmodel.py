@@ -7,18 +7,20 @@ factor as E[lambda_i * lambda_j] = a_i * a_j, so for any triple (i, j, k)
     |a_i| = sqrt(E[l_i l_j] * E[l_i l_k] / E[l_j l_k]).
 
 With more than three sources each LF gets one such estimate per pair of
-partners; we average over all usable triples (fixed enumeration order, so the
-reduction is bit-reproducible). Signs are resolved against the majority vote.
+partners; we average over all usable triples. All LFs are estimated at once
+from one m x (m-1)(m-2)/2 gather whose row i lists LF i's partner pairs (j, k)
+in one fixed order, unusable pairs zeroed in place; that order is what keeps
+the reduction bit-reproducible. Signs are resolved against the majority vote.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (DegenerateMoments, ScoreVector, LabelVector, TooFewLFs,
-                   WeakLabelMatrix, sigmoid)
+                   WeakLabelMatrix, format_real, sigmoid)
 
 # Clamp on the correlation scale: estimates live in [DELTA, 1 - DELTA] so the
 # implied log-odds weights stay finite.
@@ -43,7 +45,6 @@ class AccuracyEstimate:
     moment_flags: np.ndarray
     degenerate_flags: np.ndarray
     tie_flags: np.ndarray = None
-    signed: bool = False
 
     @property
     def m(self) -> int:
@@ -76,26 +77,21 @@ def triplet_magnitudes_from_moments(moments: np.ndarray, *, strict: bool = True)
     m = moments.shape[0]
     if m < 3:
         raise TooFewLFs(f"triplet estimation needs m >= 3 labeling functions, got {m}")
-    absm = np.abs(moments)
-    sgn = np.sign(moments)
-    mags = np.zeros(m)
-    neg_flags = np.zeros(m, dtype=bool)
-    degenerate = np.zeros(m, dtype=bool)
-    for i in range(m):
-        others = np.concatenate([np.arange(i), np.arange(i + 1, m)])
-        jj, kk = np.triu_indices(others.size, k=1)
-        j, k = others[jj], others[kk]
-        usable = absm[j, k] >= DENOM_FLOOR
-        if not usable.any():
-            if strict:
-                raise DegenerateMoments(
-                    f"all triples for LF {i} have |E[l_j l_k]| below {DENOM_FLOOR}")
-            degenerate[i] = True
-            mags[i] = DELTA
-            continue
-        j, k = j[usable], k[usable]
-        mags[i] = np.mean(np.sqrt(absm[i, j] * absm[i, k] / absm[j, k]))
-        neg_flags[i] = bool((sgn[i, j] * sgn[i, k] * sgn[j, k] < 0).any())
+    # Row i lists LF i's partner pairs (j, k), j < k, both != i, in triu order.
+    jj, kk = np.triu_indices(m - 1, k=1)
+    i = np.arange(m)[:, None]
+    j, k = jj + (jj >= i), kk + (kk >= i)
+    absm, sgn = np.abs(moments), np.sign(moments)
+    usable = absm[j, k] >= DENOM_FLOOR
+    count = usable.sum(axis=1)
+    degenerate = count == 0
+    if strict and degenerate.any():
+        raise DegenerateMoments(f"all triples for LF {np.flatnonzero(degenerate)[0]} "
+                                f"have |E[l_j l_k]| below {DENOM_FLOOR}")
+    ratio = absm[i, j] * absm[i, k] / np.where(usable, absm[j, k], 1.0)
+    mags = np.where(usable, np.sqrt(ratio), 0.0).sum(axis=1) / np.maximum(count, 1)
+    mags[degenerate] = DELTA
+    neg_flags = (usable & (sgn[i, j] * sgn[i, k] * sgn[j, k] < 0)).any(axis=1)
     return mags, neg_flags, degenerate
 
 
@@ -108,8 +104,7 @@ def triplet_estimate(weak: WeakLabelMatrix, *, strict: bool = True) -> AccuracyE
     return AccuracyEstimate(per_lf=np.clip(mags, DELTA, 1.0 - DELTA),
                             clamp_flags=clamped,
                             moment_flags=neg_flags,
-                            degenerate_flags=degenerate,
-                            signed=False)
+                            degenerate_flags=degenerate)
 
 
 def majority_vote(weak: WeakLabelMatrix) -> LabelVector:
@@ -133,12 +128,7 @@ def resolve_signs(magnitudes: AccuracyEstimate, weak: WeakLabelMatrix) -> Accura
     signed = signs * magnitudes.per_lf
     if signed.mean() < 0.0:
         signed = -signed
-    return AccuracyEstimate(per_lf=signed,
-                            clamp_flags=magnitudes.clamp_flags,
-                            moment_flags=magnitudes.moment_flags,
-                            degenerate_flags=magnitudes.degenerate_flags,
-                            tie_flags=ties,
-                            signed=True)
+    return replace(magnitudes, per_lf=signed, tie_flags=ties)
 
 
 def fit_label_model(acc: AccuracyEstimate, class_prior: float = 0.5) -> LabelModelParams:
@@ -171,6 +161,6 @@ def accuracies_to_csv(estimates: dict, lf_names: tuple) -> str:
     lines = ["lf,group,a_hat,clamped"]
     for group, est in estimates.items():
         for j, name in enumerate(lf_names):
-            lines.append(f"{name},{group},{format(est.per_lf[j], '.17g')},"
+            lines.append(f"{name},{group},{format_real(est.per_lf[j])},"
                          f"{int(bool(est.clamp_flags[j]))}")
     return "\n".join(lines) + "\n"

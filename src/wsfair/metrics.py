@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (EmptyGroup, FeatureMatrix, GroupAssignment, LabelVector,
-                   LengthMismatch, ScoreVector, TooFewRows, rng_stream)
+                   LengthMismatch, ScoreVector, TooFewRows, format_real, rng_stream)
 
 _CENTER_SCAN_STREAM = 91
 CENTER_SCAN_NEIGHBORHOOD_FRAC = 0.10
@@ -46,7 +46,7 @@ class CenterScan:
         lines = ["group,radius,cum_accuracy"]
         for g in sorted(self.curve):
             for radius, acc in self.curve[g]:
-                lines.append(f"{g},{format(radius, '.17g')},{format(acc, '.17g')}")
+                lines.append(f"{g},{format_real(radius)},{format_real(acc)}")
         return "\n".join(lines) + "\n"
 
 

@@ -76,9 +76,6 @@ class SbmAudit:
                  "rows_rewritten": d.rows_rewritten, "map_id": d.map_id,
                  "error": d.error} for d in self.per_lf]
 
-    def rewritten_lfs(self) -> set:
-        return {d.lf for d in self.per_lf if d.direction != DIRECTION_NONE}
-
 
 def group_accuracies(weak0: WeakLabelMatrix, weak1: WeakLabelMatrix, *,
                      strict: bool = True):
@@ -103,28 +100,19 @@ def run_sbm(features: FeatureMatrix, groups: GroupAssignment, weak: WeakLabelMat
     a0, a1 = est0.per_lf, est1.per_lf
     bad = est0.degenerate_flags | est1.degenerate_flags
 
-    directions = []
-    errors = [None] * weak.m
-    for j in range(weak.m):
-        if bad[j]:
-            directions.append(DIRECTION_NONE)
-            errors[j] = "degenerate moments"
-        elif a1[j] >= a0[j] + cfg.epsilon:
-            directions.append(DIRECTION_0_TO_1)
-        elif a0[j] >= a1[j] + cfg.epsilon:
-            directions.append(DIRECTION_1_TO_0)
-        else:
-            directions.append(DIRECTION_NONE)
+    directions = np.select([bad, a1 >= a0 + cfg.epsilon, a0 >= a1 + cfg.epsilon],
+                           [DIRECTION_NONE, DIRECTION_0_TO_1, DIRECTION_1_TO_0],
+                           DIRECTION_NONE).astype(object)
+    errors = np.where(bad, "degenerate moments", None)
+    map_ids = np.full(weak.m, None, dtype=object)
 
     new_votes = np.array(weak.votes, copy=True)
-    map_ids = [None] * weak.m
     for direction, x_src, x_dst, w_dst, src_rows in (
             (DIRECTION_0_TO_1, sp.x0, sp.x1, sp.w1, sp.idx0),
             (DIRECTION_1_TO_0, sp.x1, sp.x0, sp.w0, sp.idx1)):
-        lfs = [j for j in range(weak.m) if directions[j] == direction]
-        if not lfs:
+        lfs = np.flatnonzero(directions == direction)
+        if not lfs.size:
             continue
-        map_id = f"map_{direction.replace('->', 'to')}_{cfg.ot_kind}"
         try:
             tmap = fit_map(x_src, x_dst, cfg.ot_kind, eta=cfg.eta, seed=cfg.seed,
                            max_points=cfg.sinkhorn_max_points)
@@ -134,22 +122,16 @@ def run_sbm(features: FeatureMatrix, groups: GroupAssignment, weak: WeakLabelMat
                 dst_vals, dst_votes = tmap.dst_reference, dst_votes[tmap.dst_indices]
             borrowed = knn_borrow(mapped, dst_vals, dst_votes, cfg.knn_k)
         except NumericalError as exc:
-            for j in lfs:
-                directions[j] = DIRECTION_NONE
-                errors[j] = str(exc)
+            directions[lfs], errors[lfs] = DIRECTION_NONE, str(exc)
             continue
-        for pos, j in enumerate(lfs):
-            new_votes[src_rows, j] = borrowed[:, pos]
-            map_ids[j] = map_id
+        new_votes[src_rows[:, None], lfs] = borrowed
+        map_ids[lfs] = f"map_{direction.replace('->', 'to')}_{cfg.ot_kind}"
 
-    decisions = []
-    for j in range(weak.m):
-        changed = int((new_votes[:, j] != weak.votes[:, j]).sum())
-        decisions.append(SbmLfDecision(lf=weak.lf_names[j], a0=float(a0[j]),
-                                       a1=float(a1[j]), direction=directions[j],
-                                       rows_rewritten=changed, map_id=map_ids[j],
-                                       error=errors[j]))
-    return WeakLabelMatrix(new_votes, weak.lf_names), SbmAudit(tuple(decisions))
+    changed = (new_votes != weak.votes).sum(axis=0)
+    decisions = tuple(SbmLfDecision(*row) for row in zip(
+        weak.lf_names, a0.tolist(), a1.tolist(), directions, changed.tolist(),
+        map_ids, errors))
+    return WeakLabelMatrix(new_votes, weak.lf_names), SbmAudit(decisions)
 
 
 @dataclass(frozen=True)

@@ -87,12 +87,8 @@ class GroupTransform:
         if self.kind not in ("identity", "affine"):
             raise DataError(f"unknown transform kind {self.kind!r}")
         if self.kind == "affine":
-            a = np.asarray(self.A, dtype=np.float64)
-            b = np.asarray(self.b, dtype=np.float64)
-            if np.array_equal(a, np.eye(a.shape[0])) and not b.any():
-                object.__setattr__(self, "kind", "identity")
-            object.__setattr__(self, "A", a)
-            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "A", np.asarray(self.A, dtype=np.float64))
+            object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
@@ -132,8 +128,6 @@ def lf_accuracy_at(spec: LabelingFunctionSpec, x) -> np.ndarray:
 
 def sample_lf_votes(spec: LabelingFunctionSpec, x, truth: LabelVector, rng) -> np.ndarray:
     """Vote column: equals truth with probability p(x_i), else flipped."""
-    if isinstance(rng, (int, np.integer)):
-        rng = rng_stream(int(rng), _STREAM_LF_VOTES, 0)
     pts = np.asarray(x.values if isinstance(x, FeatureMatrix) else x, dtype=np.float64)
     p = lf_accuracy_at(spec, pts)
     agree = rng.random(pts.shape[0]) < p
@@ -223,20 +217,20 @@ def gen_lfcount_dataset(n: int = 10_000, m: int = 3, seed: int = 0):
     return feats, groups, truth, weak, meta
 
 
-def shift_accuracy_sweep(theta: float, shifts, n: int, seed: int, *, dims: int = 2):
+def shift_accuracy_sweep(theta: float, shifts, n: int, seed: int):
     """Empirical LF accuracy as the whole cloud is translated away.
 
-    One latent N(0, I) cloud is shared across shifts; for each shift k it is
-    translated by k * (1, ..., 1) and a stochastic LF centered at the origin
+    One latent N(0, I) plane cloud is shared across shifts; for each shift k
+    it is translated by k * (1, 1) and a stochastic LF centered at the origin
     votes on the translated points. Accuracy approaches 1/2 as k grows.
     """
-    latent = rng_stream(seed, _STREAM_FEATURES, 0).standard_normal((n, dims))
+    latent = rng_stream(seed, _STREAM_FEATURES, 0).standard_normal((n, 2))
     truth = LabelVector(np.where(latent[:, 0] >= 0.0, 1, -1))
     spec = LabelingFunctionSpec(decision="stochastic", theta=float(theta),
-                                center=np.zeros(dims))
+                                center=np.zeros(2))
     out = []
     for idx, shift in enumerate(shifts):
-        moved = latent + float(shift) * np.ones(dims)
+        moved = latent + float(shift)
         votes = sample_lf_votes(spec, moved, truth,
                                 rng_stream(seed, _STREAM_SHIFT_VOTES, idx))
         out.append((float(shift), float((votes == truth.labels).mean())))
@@ -244,7 +238,7 @@ def shift_accuracy_sweep(theta: float, shifts, n: int, seed: int, *, dims: int =
 
 
 def gen_shift_dataset(n: int, seed: int, *, theta: float = 2.0,
-                         shift: float = 0.0, m: int = 3, dims: int = 2):
+                      shift: float = 0.0, m: int = 3):
     """File-oriented variant of the shift construction (single group).
 
     m independent copies of the origin-centered stochastic LF vote on the
@@ -253,13 +247,13 @@ def gen_shift_dataset(n: int, seed: int, *, theta: float = 2.0,
     """
     if m < 3:
         raise TooFewLFs("need at least 3 labeling functions")
-    latent = rng_stream(seed, _STREAM_FEATURES, 0).standard_normal((n, dims))
+    latent = rng_stream(seed, _STREAM_FEATURES, 0).standard_normal((n, 2))
     truth = LabelVector(np.where(latent[:, 0] >= 0.0, 1, -1))
-    moved = latent + float(shift) * np.ones(dims)
+    moved = latent + float(shift)
     feats = FeatureMatrix(moved)
     groups = GroupAssignment(np.zeros(n, dtype=np.int8))
     spec = LabelingFunctionSpec(decision="stochastic", theta=float(theta),
-                                center=np.zeros(dims))
+                                center=np.zeros(2))
     cols = [sample_lf_votes(spec, feats, truth, rng_stream(seed, _STREAM_LF_VOTES, j))
             for j in range(m)]
     weak = WeakLabelMatrix(np.column_stack(cols))

@@ -55,10 +55,10 @@ def _sym_product(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def matrix_sqrt_psd(mat: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Symmetric PSD square root; eigenvalues are floored before the root."""
+def matrix_sqrt_psd(mat: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root; eigenvalues are floored at EIG_FLOOR first."""
     w, q = np.linalg.eigh(np.asarray(mat, dtype=np.float64))
-    return _sym_product(q, np.sqrt(np.maximum(w, floor)))
+    return _sym_product(q, np.sqrt(np.maximum(w, EIG_FLOOR)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 
+from wsfair.core import DegenerateMoments
+from wsfair.labelmodel import DELTA, DENOM_FLOOR
+
 
 def sample_ci_votes(accuracies, n, seed, class_prior=0.5):
     """Conditionally independent +-1 votes with known correlation accuracies.
@@ -76,3 +79,31 @@ def plain_sinkhorn(cost_over_eta, tol, max_iters=10_000, absorb=100.0):
             fn, gn = fn + np.log(u), gn + np.log(v)
             k, v = np.exp(fn[:, None] + gn - c), np.ones(c.shape[1])
     return gn + np.log(v), bool(err < tol), sweep
+
+
+def loop_triplet_magnitudes(moments, strict=True):
+    """(magnitudes, moment_flags, degenerate_flags) one LF at a time: the mean
+    over LF i's usable partner pairs (j, k), j < k, of
+    sqrt(|M_ij| |M_ik| / |M_jk|), with the pairs in triu order."""
+    moments = np.asarray(moments, dtype=float)
+    m = moments.shape[0]
+    absm, sgn = np.abs(moments), np.sign(moments)
+    mags = np.zeros(m)
+    neg_flags = np.zeros(m, dtype=bool)
+    degenerate = np.zeros(m, dtype=bool)
+    for i in range(m):
+        others = np.concatenate([np.arange(i), np.arange(i + 1, m)])
+        jj, kk = np.triu_indices(others.size, k=1)
+        j, k = others[jj], others[kk]
+        usable = absm[j, k] >= DENOM_FLOOR
+        if not usable.any():
+            if strict:
+                raise DegenerateMoments(
+                    f"all triples for LF {i} have |E[l_j l_k]| below {DENOM_FLOOR}")
+            degenerate[i] = True
+            mags[i] = DELTA
+            continue
+        j, k = j[usable], k[usable]
+        mags[i] = np.mean(np.sqrt(absm[i, j] * absm[i, k] / absm[j, k]))
+        neg_flags[i] = bool((sgn[i, j] * sgn[i, k] * sgn[j, k] < 0).any())
+    return mags, neg_flags, degenerate

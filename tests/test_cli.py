@@ -219,6 +219,26 @@ def test_center_scan_cli(tmp_path):
     assert len(lines) > 10
 
 
+def test_synth_negative_seed_is_usage_error(tmp_path, capsys):
+    code = _run("synth", "--experiment", "gaussian-pair", "--n", "50",
+                "--seed", "-1", "--outdir", str(tmp_path / "x"))
+    assert code == 1
+    assert capsys.readouterr().out.startswith("usage error:")
+    assert not (tmp_path / "x").exists()
+
+
+def test_center_scan_negative_seed_is_usage_error(tmp_path, capsys):
+    outdir = _synth_gauss_pair(tmp_path, n=100, seed=6)
+    out = tmp_path / "scan.csv"
+    code = _run("center-scan", "--features", str(outdir / "features.csv"),
+                "--weak", str(outdir / "weak.csv"),
+                "--labels", str(outdir / "labels.csv"),
+                "--seed", "-1", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().out.startswith("usage error:")
+    assert not out.exists()
+
+
 def test_failed_command_removes_partial_outputs(tmp_path):
     good = tmp_path / "ok.csv"
     bad = tmp_path / "missing_dir_is_a_file"
@@ -261,6 +281,8 @@ def _run_args(outdir, rd, *extra):
     ("--method", "sbm-sinkhorn", "--eta", "nan"),
     ("--method", "sbm-sinkhorn", "--eta", "inf"),
     ("--grid", "101"),
+    ("--seed", "-1"),
+    ("--method", "sbm-sinkhorn", "--sinkhorn-max-points", "100", "--seed", "-1"),
 ])
 def test_run_bad_value_is_usage_error(tmp_path, extra):
     outdir = _synth_gauss_pair(tmp_path, n=200, seed=8)
@@ -280,6 +302,7 @@ def test_run_bad_value_is_usage_error(tmp_path, extra):
     ("--grid", "100,100"),
     ("--methods", ","),
     ("--methods", "baseline,sbm-linear,baseline"),
+    ("--seeds=-1..0",),
 ])
 def test_sweep_bad_value_is_usage_error(tmp_path, extra):
     code = _run("sweep", "--experiment", "samples", "--grid", "100",

@@ -1,11 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import sample_ci_votes
+from conftest import loop_triplet_magnitudes, sample_ci_votes
 from wsfair.core import DegenerateMoments, TooFewLFs, WeakLabelMatrix
-from wsfair.labelmodel import (DELTA, AccuracyEstimate, fit_label_model,
+from wsfair.labelmodel import (DELTA, DENOM_FLOOR, AccuracyEstimate, fit_label_model,
                                majority_vote, pairwise_moments, predict_labels,
                                predict_proba, resolve_signs, triplet_estimate,
                                triplet_magnitudes_from_moments)
@@ -89,6 +90,57 @@ def test_degenerate_moments_flagged_when_not_strict():
     assert np.isfinite(est.per_lf).all()
 
 
+def _oracle_cases(m, rng):
+    """Moment matrices with random signs: as drawn, with sub-floor pairs on a
+    star around one LF, on one pair, scattered, and around one LF made fully
+    degenerate (every pair among the other LFs below the floor)."""
+    a = rng.uniform(0.05, 0.95, m)
+    noise = np.triu(rng.uniform(0.8, 1.2, (m, m)), 1)
+    signs = np.triu(rng.choice([-1.0, 1.0], (m, m)), 1)
+    base = np.outer(a, a) * (noise + noise.T) * (signs + signs.T)
+    np.fill_diagonal(base, 1.0)
+
+    def below(pairs):
+        mom = base.copy()
+        for j, k in pairs:
+            mom[j, k] = mom[k, j] = rng.uniform(-0.9, 0.9) * DENOM_FLOOR
+        mom[pairs[0][0], pairs[0][1]] = mom[pairs[0][1], pairs[0][0]] = 0.0
+        return mom
+
+    hub, other = rng.choice(m, 2, replace=False)
+    star = [(hub, x) for x in range(m) if x != hub and rng.random() < 0.5] or [(hub, other)]
+    pairs = list(combinations(range(m), 2))
+    scatter = [pairs[p] for p in rng.choice(len(pairs), max(1, len(pairs) // 10),
+                                            replace=False)]
+    return [base, below(star), below([(hub, other)]), below(scatter),
+            below(list(combinations(np.delete(np.arange(m), hub), 2)))]
+
+
+@pytest.mark.parametrize("m", [3, 4, 12, 24, 64])
+def test_triplet_magnitudes_match_the_per_lf_loop(m):
+    rng = np.random.default_rng(m)
+    seen = np.zeros(4, dtype=int)         # full rows, other rows, degenerate, flagged
+    for moments in _oracle_cases(m, rng) + _oracle_cases(m, rng):
+        want = loop_triplet_magnitudes(moments, strict=False)
+        got = triplet_magnitudes_from_moments(moments, strict=False)
+        full = np.array([all(abs(moments[j, k]) >= DENOM_FLOOR
+                             for j, k in combinations(np.delete(np.arange(m), i), 2))
+                         for i in range(m)])
+        assert got[0][full].tobytes() == want[0][full].tobytes()
+        np.testing.assert_allclose(got[0][~full], want[0][~full], rtol=1e-14, atol=0)
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        if want[2].any():
+            with pytest.raises(DegenerateMoments) as oracle:
+                loop_triplet_magnitudes(moments)
+            with pytest.raises(DegenerateMoments) as ours:
+                triplet_magnitudes_from_moments(moments)
+            assert str(ours.value) == str(oracle.value)
+        else:
+            assert triplet_magnitudes_from_moments(moments)[0].tobytes() == got[0].tobytes()
+        seen += full.sum(), (~full).sum(), want[2].sum(), want[1].sum()
+    assert (seen > 0).all()
+
+
 def test_sampling_consistency_errors_shrink_with_n():
     a = np.array([0.8, 0.6, 0.4])
     med = []
@@ -109,7 +161,7 @@ def test_sampling_consistency_errors_shrink_with_n():
 def test_signs_all_agreeing():
     votes, _ = sample_ci_votes([0.999, 0.999, 0.999], 50, seed=0)
     est = resolve_signs(triplet_estimate(WeakLabelMatrix(votes)), WeakLabelMatrix(votes))
-    assert est.signed and (est.per_lf > 0).all()
+    assert (est.per_lf > 0).all()
 
 
 def test_sign_of_flipped_lf():
@@ -176,7 +228,7 @@ def _estimate(values):
     values = np.asarray(values, dtype=float)
     return AccuracyEstimate(per_lf=values, clamp_flags=np.zeros(values.size, bool),
                             moment_flags=np.zeros(values.size, bool),
-                            degenerate_flags=np.zeros(values.size, bool), signed=True)
+                            degenerate_flags=np.zeros(values.size, bool))
 
 
 def test_weights_closed_form():

@@ -126,7 +126,7 @@ def test_threshold_monotonicity():
     for eps in (0.0, 0.02, 0.05, 0.1, 0.3, 1.0):
         _, audit = run_sbm(feats, groups, weak,
                            SbmConfig(epsilon=eps, ot_kind="linear", seed=0))
-        rewritten = audit.rewritten_lfs()
+        rewritten = {d.lf for d in audit.per_lf if d.direction != DIRECTION_NONE}
         if previous is not None:
             assert rewritten.issubset(previous)
         previous = rewritten
