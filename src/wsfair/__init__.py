@@ -13,7 +13,6 @@ from .transport import (GaussianMoments, TransportMap, apply_linear, apply_map,
 from .sbm import SbmAudit, SbmConfig, group_accuracies, run_pipeline, run_sbm
 from .metrics import (CenterScan, FairnessReport, accuracy_f1, center_scan,
                       dp_gap, dp_threshold, eo_gap, fairness_report)
-from .synth import (GroupTransform, LabelingFunctionSpec, gen_gaussian_pair_dataset,
-                    gen_lfcount_dataset, lf_accuracy_at, sample_lf_votes,
-                    shift_accuracy_sweep)
+from .synth import (LabelingFunctionSpec, gen_gaussian_pair_dataset, gen_lfcount_dataset,
+                    lf_accuracy_at, sample_lf_votes, shift_accuracy_sweep)
 from .endmodel import LogisticModel, TrainConfig, predict_logreg, train_logreg

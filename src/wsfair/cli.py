@@ -137,6 +137,8 @@ def cmd_synth(args, out: _Outputs) -> int:
         raise BadArgs("--m must be at least 3 for triplet estimation")
     if args.n < 1:
         raise BadArgs("--n must be positive")
+    if args.experiment == "lfcount" and args.n < 2:
+        raise BadArgs("--n must be at least 2 for --experiment lfcount")
     if args.experiment == "gaussian-pair":
         feats, groups, truth, weak, meta = synth.gen_gaussian_pair_dataset(args.n, args.seed)
     elif args.experiment == "lfcount":
@@ -148,7 +150,7 @@ def cmd_synth(args, out: _Outputs) -> int:
     out.write(outdir / "features.csv", feature_csv_text(feats, groups))
     out.write(outdir / "weak.csv", weak_csv_text(weak))
     out.write(outdir / "labels.csv", label_csv_text(truth))
-    out.write(outdir / "specs.json", json.dumps(meta.to_json(), indent=2) + "\n")
+    out.write(outdir / "specs.json", json.dumps(meta, indent=2) + "\n")
     return 0
 
 
@@ -239,9 +241,12 @@ def _sweep_cell(experiment: str, x: int, seed: int, method: str, args) -> dict:
     else:
         feats, groups, truth, weak, _ = synth.gen_lfcount_dataset(args.n, x, seed)
         lfs = range(weak.m)
-    result = sbm.run_pipeline(feats, groups, weak, _sbm_config(args, method, seed))
-    preds = ([result.labels] if args.eval == "label-model" else
-             [LabelVector(result.weak_used.votes[:, j]) for j in lfs])
+    cfg = _sbm_config(args, method, seed)
+    if args.eval == "label-model":
+        preds = [sbm.run_pipeline(feats, groups, weak, cfg).labels]
+    else:                              # the LF columns never reach the label model
+        used = weak if cfg is None else sbm.run_sbm(feats, groups, weak, cfg)[0]
+        preds = [LabelVector(used.votes[:, j]) for j in lfs]
     reports = [mx.fairness_report(pred, truth, groups) for pred in preds]
     vals = {k: [getattr(r, k) for r in reports if getattr(r, k) is not None]
             for k in _SWEEP_METRICS}
@@ -254,6 +259,12 @@ def cmd_sweep(args, out: _Outputs) -> int:
         raise BadArgs("--n must be positive")
     seeds = _parse_seed_range(args.seeds)
     grid = _parse_list(args.grid, "--grid", int)
+    if args.experiment == "samples" and min(grid) < 1:
+        raise BadArgs("--grid sizes must be positive for --experiment samples")
+    if args.experiment == "lfs" and min(grid) < 3:
+        raise BadArgs("--grid LF counts must be at least 3 for triplet estimation")
+    if args.experiment == "lfs" and args.n < 2:
+        raise BadArgs("--n must be at least 2 for --experiment lfs")
     methods = _parse_list(args.methods, "--methods")
     if args.experiment == "shift":
         methods = ["lf"]

@@ -88,7 +88,7 @@ def sigmoid(z):
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return out if out.ndim else float(out)
+    return out
 
 
 def rng_stream(seed: int, *stream: int) -> np.random.Generator:

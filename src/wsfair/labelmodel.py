@@ -46,10 +46,6 @@ class AccuracyEstimate:
     degenerate_flags: np.ndarray
     tie_flags: np.ndarray = None
 
-    @property
-    def m(self) -> int:
-        return self.per_lf.shape[0]
-
 
 @dataclass(frozen=True)
 class LabelModelParams:

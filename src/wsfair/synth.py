@@ -13,6 +13,9 @@ perfectly fair by construction.
 All sampling is drawn from named Philox streams keyed on (seed, stream, index)
 so generated quantities are bit-reproducible and adding labeling functions
 never perturbs earlier draws.
+
+Each `gen_*_dataset` returns (features, groups, truth, weak, meta); `meta` is
+the plain dict that `wsfair synth` writes as `specs.json`.
 """
 
 from __future__ import annotations
@@ -40,86 +43,24 @@ PAD_FLIP_PROB = 0.05
 
 @dataclass(frozen=True)
 class LabelingFunctionSpec:
-    """Descriptor of one synthetic labeling function.
+    """One stochastic labeling function: its vote equals the true label with
+    probability p(x) above, for scale theta > 0 and center c."""
 
-    decision "stochastic": vote equals the true label with probability
-    p(x) above. decision "halfspace": deterministic +1 iff x[coord] >=
-    threshold, optionally corrupted by seeded flips with rate flip_prob.
-    """
-
-    decision: str
-    theta: float = 0.0
-    center: np.ndarray = None
-    coord: int = 0
-    threshold: float = 0.0
-    flip_prob: float = 0.0
+    theta: float
+    center: np.ndarray
 
     def __post_init__(self):
-        if self.decision not in ("stochastic", "halfspace"):
-            raise DataError(f"unknown decision rule {self.decision!r}")
-        if self.decision == "stochastic":
-            if self.theta <= 0.0:
-                raise DataError("stochastic LFs need theta > 0")
-            object.__setattr__(self, "center",
-                               np.asarray(self.center, dtype=np.float64))
+        if not (np.isfinite(self.theta) and self.theta > 0.0):
+            raise DataError("stochastic LFs need a finite theta > 0")
+        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
 
     def to_json(self) -> dict:
-        out = {"decision": self.decision}
-        if self.decision == "stochastic":
-            out["theta"] = float(self.theta)
-            out["center"] = self.center.tolist()
-        else:
-            out["coord"] = int(self.coord)
-            out["threshold"] = float(self.threshold)
-            out["flip_prob"] = float(self.flip_prob)
-        return out
-
-
-@dataclass(frozen=True)
-class GroupTransform:
-    """Feature-space transformation applied to one group."""
-
-    kind: str
-    A: np.ndarray = None
-    b: np.ndarray = None
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "affine"):
-            raise DataError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "affine":
-            object.__setattr__(self, "A", np.asarray(self.A, dtype=np.float64))
-            object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return x
-        return x @ self.A.T + self.b
-
-    def to_json(self) -> dict:
-        if self.kind == "identity":
-            return {"kind": "identity"}
-        return {"kind": "affine", "A": self.A.tolist(), "b": self.b.tolist()}
-
-
-@dataclass(frozen=True)
-class SynthMeta:
-    """Everything needed to replay a generated dataset."""
-
-    experiment: str
-    seed: int
-    lf_specs: tuple
-    transform: GroupTransform
-
-    def to_json(self) -> dict:
-        return {"experiment": self.experiment, "seed": self.seed,
-                "lfs": [s.to_json() for s in self.lf_specs],
-                "transform": self.transform.to_json()}
+        return {"decision": "stochastic", "theta": float(self.theta),
+                "center": self.center.tolist()}
 
 
 def lf_accuracy_at(spec: LabelingFunctionSpec, x) -> np.ndarray:
     """P(vote = truth) at the given point(s); in (0.5, 1) for theta > 0."""
-    if spec.decision != "stochastic":
-        raise DataError("accuracy profile only applies to stochastic LFs")
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dist = np.linalg.norm(pts - spec.center, axis=1)
     p = sigmoid(2.0 * spec.theta / (1.0 + dist))
@@ -127,15 +68,10 @@ def lf_accuracy_at(spec: LabelingFunctionSpec, x) -> np.ndarray:
 
 
 def sample_lf_votes(spec: LabelingFunctionSpec, x, truth: LabelVector, rng) -> np.ndarray:
-    """Vote column: equals truth with probability p(x_i), else flipped."""
-    pts = np.asarray(x.values if isinstance(x, FeatureMatrix) else x, dtype=np.float64)
-    p = lf_accuracy_at(spec, pts)
-    agree = rng.random(pts.shape[0]) < p
+    """Vote column over the rows of array x: truth with probability p(x_i), else flipped."""
+    p = lf_accuracy_at(spec, x)
+    agree = rng.random(p.shape[0]) < p
     return np.where(agree, truth.labels, -truth.labels).astype(np.int8)
-
-
-def _halfspace_votes(spec: LabelingFunctionSpec, x: np.ndarray) -> np.ndarray:
-    return np.where(x[:, spec.coord] >= spec.threshold, 1, -1).astype(np.int8)
 
 
 def gen_gaussian_pair_dataset(n: int, seed: int):
@@ -150,29 +86,33 @@ def gen_gaussian_pair_dataset(n: int, seed: int):
     label, which keeps the pairwise moments factorable and per-group triplet
     estimation identifiable. Evaluate the planted LF directly (column 0) to
     reproduce the single-LF setting.
+
+    In `meta`, the pad descriptors' coord/threshold name the latent first
+    coordinate, where truth is set: for group 1 they are no rule on the
+    observed features, unlike the planted LF's.
     """
     if n < 1:
         raise DataError("n must be >= 1")
     x0 = rng_stream(seed, _STREAM_FEATURES, 0).standard_normal((n, 2))
     x1_latent = rng_stream(seed, _STREAM_FEATURES, 1).standard_normal((n, 2))
-    transform = GroupTransform(kind="affine", A=GROUP1_MIX, b=GROUP1_OFFSET)
-    x1 = transform.apply(x1_latent)
+    x1 = x1_latent @ GROUP1_MIX.T + GROUP1_OFFSET
 
     feats = FeatureMatrix(np.vstack([x0, x1]))
     groups = GroupAssignment(np.repeat([0, 1], n))
     truth = LabelVector(np.where(np.concatenate([x0[:, 0], x1_latent[:, 0]]) >= 0.5, 1, -1))
 
-    planted = LabelingFunctionSpec(decision="halfspace", coord=0, threshold=0.0)
-    cols = [_halfspace_votes(planted, feats.values)]
-    pad_specs = []
+    cols = [np.where(feats.values[:, 0] >= 0, 1, -1).astype(np.int8)]
     for i in range(2):
         flips = rng_stream(seed, _STREAM_PAD_FLIPS, i).random(2 * n) < PAD_FLIP_PROB
         cols.append(np.where(flips, -truth.labels, truth.labels).astype(np.int8))
-        pad_specs.append(LabelingFunctionSpec(decision="halfspace", coord=0,
-                                              threshold=0.5, flip_prob=PAD_FLIP_PROB))
     weak = WeakLabelMatrix(np.column_stack(cols))
-    meta = SynthMeta(experiment="gaussian-pair", seed=seed,
-                     lf_specs=(planted, *pad_specs), transform=transform)
+    pad = {"decision": "halfspace", "coord": 0, "threshold": 0.5,
+           "flip_prob": PAD_FLIP_PROB}
+    meta = {"experiment": "gaussian-pair", "seed": seed,
+            "lfs": [{"decision": "halfspace", "coord": 0, "threshold": 0.0,
+                     "flip_prob": 0.0}, pad, pad],
+            "transform": {"kind": "affine", "A": GROUP1_MIX.tolist(),
+                          "b": GROUP1_OFFSET.tolist()}}
     return feats, groups, truth, weak, meta
 
 
@@ -196,24 +136,23 @@ def gen_lfcount_dataset(n: int = 10_000, m: int = 3, seed: int = 0):
     grp = np.zeros(n, dtype=np.int8)
     grp[half] = 1
     b = rng_stream(seed, _STREAM_TRANSFORM, 0).uniform(10.0, 50.0, size=2)
-    transform = GroupTransform(kind="affine", A=np.eye(2), b=b)
     observed = np.array(latent, copy=True)
-    observed[grp == 1] = transform.apply(observed[grp == 1])
+    observed[grp == 1] += b
     feats = FeatureMatrix(observed)
     groups = GroupAssignment(grp)
 
     specs, cols = [], []
     for j in range(m):
         prng = rng_stream(seed, _STREAM_LF_PARAMS, j)
-        spec = LabelingFunctionSpec(decision="stochastic",
-                                    theta=float(prng.uniform(0.1, 3.0)),
+        spec = LabelingFunctionSpec(theta=float(prng.uniform(0.1, 3.0)),
                                     center=prng.uniform(-5.0, 5.0, size=2))
-        specs.append(spec)
-        cols.append(sample_lf_votes(spec, feats, truth,
+        specs.append(spec.to_json())
+        cols.append(sample_lf_votes(spec, feats.values, truth,
                                     rng_stream(seed, _STREAM_LF_VOTES, j)))
     weak = WeakLabelMatrix(np.column_stack(cols))
-    meta = SynthMeta(experiment="lfcount", seed=seed, lf_specs=tuple(specs),
-                     transform=transform)
+    meta = {"experiment": "lfcount", "seed": seed, "lfs": specs,
+            "transform": {"kind": "affine", "A": [[1.0, 0.0], [0.0, 1.0]],
+                          "b": b.tolist()}}
     return feats, groups, truth, weak, meta
 
 
@@ -226,8 +165,7 @@ def shift_accuracy_sweep(theta: float, shifts, n: int, seed: int):
     """
     latent = rng_stream(seed, _STREAM_FEATURES, 0).standard_normal((n, 2))
     truth = LabelVector(np.where(latent[:, 0] >= 0.0, 1, -1))
-    spec = LabelingFunctionSpec(decision="stochastic", theta=float(theta),
-                                center=np.zeros(2))
+    spec = LabelingFunctionSpec(theta=float(theta), center=np.zeros(2))
     out = []
     for idx, shift in enumerate(shifts):
         moved = latent + float(shift)
@@ -252,11 +190,11 @@ def gen_shift_dataset(n: int, seed: int, *, theta: float = 2.0,
     moved = latent + float(shift)
     feats = FeatureMatrix(moved)
     groups = GroupAssignment(np.zeros(n, dtype=np.int8))
-    spec = LabelingFunctionSpec(decision="stochastic", theta=float(theta),
-                                center=np.zeros(2))
-    cols = [sample_lf_votes(spec, feats, truth, rng_stream(seed, _STREAM_LF_VOTES, j))
+    spec = LabelingFunctionSpec(theta=float(theta), center=np.zeros(2))
+    cols = [sample_lf_votes(spec, feats.values, truth,
+                            rng_stream(seed, _STREAM_LF_VOTES, j))
             for j in range(m)]
     weak = WeakLabelMatrix(np.column_stack(cols))
-    meta = SynthMeta(experiment="shift", seed=seed, lf_specs=(spec,) * m,
-                     transform=GroupTransform(kind="identity"))
+    meta = {"experiment": "shift", "seed": seed, "lfs": [spec.to_json()] * m,
+            "transform": {"kind": "identity"}}
     return feats, groups, truth, weak, meta

@@ -178,8 +178,8 @@ def _block_rows(n_cols: int) -> int:
     return max(1, SINKHORN_BLOCK_CELLS // n_cols)
 
 
-def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float, tol: float,
-                         max_iters: int):
+def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
+                         tol: float = SINKHORN_TOL, max_iters: int = SINKHORN_MAX_ITERS):
     """Return (gn, converged, sweeps): gn is the destination log-potential g / eta.
 
     The kernel K = exp(fn_i + gn_j - C_ij), C = cost/eta, is the one n_src x
@@ -257,7 +257,6 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float, tol: floa
 
 
 def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *,
-                 tol: float = SINKHORN_TOL, max_iters: int = SINKHORN_MAX_ITERS,
                  max_points: int = SINKHORN_MAX_POINTS, seed: int = 0) -> TransportMap:
     """Entropic transport between the two clouds with uniform marginals.
 
@@ -281,7 +280,7 @@ def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *
             x_dst.n, size=max_points, replace=False))
         dst_vals = dst_vals[dst_idx]
 
-    gn, converged, _ = _sinkhorn_potentials(fit_src, dst_vals, eta, tol, max_iters)
+    gn, converged, _ = _sinkhorn_potentials(fit_src, dst_vals, eta)
     return TransportMap(kind="sinkhorn-barycentric", dst_reference=dst_vals,
                         dst_indices=dst_idx, gn=gn, eta=eta, converged=converged)
 

@@ -130,8 +130,7 @@ def test_criterion_4_shift_decay():
 def test_criterion_5_lipschitz_bound():
     violations = 0
     for theta in (0.5, 1.0, 3.0):
-        spec = LabelingFunctionSpec(decision="stochastic", theta=theta,
-                                    center=np.array([0.25, -0.5]))
+        spec = LabelingFunctionSpec(theta=theta, center=np.array([0.25, -0.5]))
         rng = np.random.default_rng(int(theta * 10))
         scale = rng.uniform(0.01, 5.0, (10_000, 1))
         x1 = rng.standard_normal((10_000, 2)) * 3.0

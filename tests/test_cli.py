@@ -3,12 +3,13 @@ import os
 
 import pytest
 
-from wsfair import endmodel, metrics
+from wsfair import endmodel, metrics, synth
 from wsfair.cli import main
-from wsfair.core import LabelVector, load_feature_csv, load_label_csv, load_weak_csv
+from wsfair.core import (LabelVector, NumericalError, load_feature_csv, load_label_csv,
+                         load_weak_csv)
 from wsfair.endmodel import TrainConfig
 from wsfair.metrics import fairness_report
-from wsfair.sbm import SbmConfig, run_pipeline
+from wsfair.sbm import SbmConfig, run_pipeline, run_sbm
 
 
 def _run(*argv):
@@ -36,6 +37,44 @@ def test_synth_lfcount_m_too_small_is_usage_error(tmp_path):
                 "--outdir", str(tmp_path / "x"))
     assert code == 1
     assert not (tmp_path / "x").exists()
+
+
+def test_synth_lfcount_n_too_small_is_usage_error(tmp_path, capsys):
+    code = _run("synth", "--experiment", "lfcount", "--n", "1",
+                "--outdir", str(tmp_path / "x"))
+    assert code == 1
+    assert capsys.readouterr().out.startswith("usage error:")
+    assert not (tmp_path / "x").exists()
+
+
+_PAD = {"decision": "halfspace", "coord": 0, "threshold": 0.5, "flip_prob": 0.05}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--experiment", "gaussian-pair", "--n", "50", "--seed", "4"),
+     {"experiment": "gaussian-pair", "seed": 4,
+      "lfs": [{"decision": "halfspace", "coord": 0, "threshold": 0.0, "flip_prob": 0.0},
+              _PAD, _PAD],
+      "transform": {"kind": "affine", "A": [[2.0, 1.0], [1.0, 2.0]], "b": [-4.0, 5.0]}}),
+    (("--experiment", "shift", "--n", "50", "--m", "4", "--theta", "1.5",
+      "--shift", "3", "--seed", "2"),
+     {"experiment": "shift", "seed": 2,
+      "lfs": [{"decision": "stochastic", "theta": 1.5, "center": [0.0, 0.0]}] * 4,
+      "transform": {"kind": "identity"}}),
+])
+def test_synth_specs_json_is_the_fixed_descriptor(tmp_path, argv, expected):
+    assert _run("synth", *argv, "--outdir", str(tmp_path)) == 0
+    assert (tmp_path / "specs.json").read_text() == json.dumps(expected, indent=2) + "\n"
+
+
+def test_synth_specs_json_is_the_lfcount_generator_meta(tmp_path):
+    assert _run("synth", "--experiment", "lfcount", "--n", "60", "--m", "5",
+                "--seed", "6", "--outdir", str(tmp_path)) == 0
+    specs = json.loads((tmp_path / "specs.json").read_text())
+    assert specs == synth.gen_lfcount_dataset(60, 5, 6)[4]
+    assert [lf["decision"] for lf in specs["lfs"]] == ["stochastic"] * 5
+    b = specs["transform"]["b"]
+    assert len(b) == 2 and all(10.0 <= v <= 50.0 for v in b)
 
 
 def test_synth_byte_identical_reruns(tmp_path):
@@ -303,12 +342,16 @@ def test_run_bad_value_is_usage_error(tmp_path, extra):
     ("--methods", ","),
     ("--methods", "baseline,sbm-linear,baseline"),
     ("--seeds=-1..0",),
+    ("--grid", "0"),
+    ("--experiment", "lfs", "--grid", "2"),
+    ("--experiment", "lfs", "--grid", "3", "--n", "1"),
 ])
-def test_sweep_bad_value_is_usage_error(tmp_path, extra):
+def test_sweep_bad_value_is_usage_error(tmp_path, capsys, extra):
     code = _run("sweep", "--experiment", "samples", "--grid", "100",
                 "--seeds", "0..0", "--out", str(tmp_path / "x.csv"),
                 "--per-seed-out", str(tmp_path / "p.csv"), *extra)
     assert code == 1
+    assert capsys.readouterr().out.startswith("usage error:")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -340,6 +383,24 @@ def test_sweep_failed_cell_is_an_error_row(tmp_path, capsys):
     assert _run(*args, "--seeds", "0..0", "--out", str(out),
                 "--per-seed-out", str(tmp_path / "none_p.csv")) == 3
     assert not out.exists() and not (tmp_path / "none_p.csv").exists()
+
+
+def test_direct_lf_sweep_cell_skips_the_label_model(tmp_path):
+    # samples x=100, seed 3, sbm-none: the rewritten votes are fine, but the
+    # label model on them raises; a direct-lf cell never fits it
+    feats, groups, truth, weak, _ = synth.gen_gaussian_pair_dataset(100, 3)
+    cfg = SbmConfig(ot_kind="none", seed=3)
+    with pytest.raises(NumericalError):
+        run_pipeline(feats, groups, weak, cfg)
+    per_seed = tmp_path / "p.csv"
+    assert _run("sweep", "--experiment", "samples", "--grid", "100", "--seeds", "3..3",
+                "--methods", "sbm-none", "--eval", "direct-lf",
+                "--out", str(tmp_path / "s.csv"), "--per-seed-out", str(per_seed)) == 0
+    used, _ = run_sbm(feats, groups, weak, cfg)
+    want = fairness_report(LabelVector(used.votes[:, 0]), truth, groups)
+    rows = [line.split(",") for line in per_seed.read_text().splitlines()[1:]]
+    assert {metric: float(v) for _, _, _, metric, v in rows} == {
+        k: getattr(want, k) for k in ("accuracy", "f1", "dp_gap", "eo_gap")}
 
 
 @pytest.mark.parametrize("name", ["features.csv", "weak.csv", "labels.csv"])

@@ -287,8 +287,7 @@ def test_center_scan_recovers_planted_center():
         n = 20_000
         x = rng.standard_normal((n, 2))
         true_center = np.array([1.0, -0.5])
-        spec = LabelingFunctionSpec(decision="stochastic", theta=2.0,
-                                    center=true_center)
+        spec = LabelingFunctionSpec(theta=2.0, center=true_center)
         correct = rng.random(n) < lf_accuracy_at(spec, x)
         groups = _groups(rng.integers(0, 2, n))
         scan = center_scan(FeatureMatrix(x), correct, groups, seed=seed)
@@ -305,7 +304,7 @@ def test_center_scan_ignores_where_the_data_sits():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((500, 2))
     correct = rng.random(500) < lf_accuracy_at(
-        LabelingFunctionSpec(decision="stochastic", theta=2.0, center=np.zeros(2)), x)
+        LabelingFunctionSpec(theta=2.0, center=np.zeros(2)), x)
     groups = _groups(rng.integers(0, 2, 500))
     base = center_scan(FeatureMatrix(x), correct, groups)
     far = center_scan(FeatureMatrix(x + 1e6), correct, groups)
@@ -323,8 +322,7 @@ def test_center_scan_translated_group_starts_farther():
     x = rng.standard_normal((n, 2))
     grp = rng.integers(0, 2, n)
     x[grp == 1] += 8.0
-    spec = LabelingFunctionSpec(decision="stochastic", theta=2.5,
-                                center=np.zeros(2))
+    spec = LabelingFunctionSpec(theta=2.5, center=np.zeros(2))
     correct = rng.random(n) < lf_accuracy_at(spec, x)
     scan = center_scan(FeatureMatrix(x), correct, _groups(grp), seed=0)
     first_radius = {g: pts[0][0] for g, pts in scan.curve.items()}

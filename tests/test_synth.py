@@ -12,8 +12,7 @@ from wsfair.synth import (GROUP1_OFFSET, GROUP1_MIX, LabelingFunctionSpec,
 
 
 def _spec(theta, center=(0.0, 0.0)):
-    return LabelingFunctionSpec(decision="stochastic", theta=theta,
-                                center=np.asarray(center, dtype=float))
+    return LabelingFunctionSpec(theta=theta, center=np.asarray(center, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +171,7 @@ def test_lfcount_reproducible_and_validated():
 
 def test_lfcount_group_means():
     feats, groups, truth, weak, meta = gen_lfcount_dataset(8000, 3, 1)
-    b = meta.transform.b
+    b = np.array(meta["transform"]["b"])
     assert (10.0 <= b).all() and (b <= 50.0).all()
     m0 = feats.values[groups.indices(0)].mean(axis=0)
     m1 = feats.values[groups.indices(1)].mean(axis=0)
@@ -235,12 +234,11 @@ def test_shift_dataset_generator():
     feats, groups, truth, weak, meta = gen_shift_dataset(300, 0, shift=5.0)
     assert weak.m == 3
     assert (groups.group_of == 0).all()
-    assert meta.transform.kind == "identity"
+    assert meta["transform"] == {"kind": "identity"}
     assert np.abs(feats.values.mean(axis=0) - 5.0).max() < 0.3
 
 
 def test_spec_validation():
-    with pytest.raises(DataError):
-        LabelingFunctionSpec(decision="stochastic", theta=0.0, center=np.zeros(2))
-    with pytest.raises(DataError):
-        LabelingFunctionSpec(decision="mystery")
+    for theta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DataError):
+            LabelingFunctionSpec(theta=theta, center=np.zeros(2))
