@@ -4,13 +4,16 @@ Exit codes: 0 success, 1 usage, 2 data, 3 numerical. A command either writes
 all of its outputs or none (partial files are removed on failure); a sweep
 keeps a cell's numerical failure as an error row. All randomness flows from
 --seed; identical arguments produce byte-identical files. WSFAIR_THREADS caps
-sweep parallelism (absent means single-threaded) and never changes results.
+the sweep cells run at once (absent means one at a time); it does not cap the
+Sinkhorn kernel passes and the neighbor scan, which use every usable core.
+Neither setting changes results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -89,6 +92,17 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
     return seed
+
+
+def _theta(text: str) -> float:
+    """`--theta` value: the LF model's finite, positive accuracy scale."""
+    try:
+        theta = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return theta
 
 
 def _parse_seed_range(text: str):
@@ -371,7 +385,7 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--theta", type=float, default=2.0)
+    p.add_argument("--theta", type=_theta, default=2.0)
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--outdir", required=True)
@@ -403,7 +417,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eval", choices=("label-model", "direct-lf"),
                    default="label-model")
     p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--theta", type=float, default=2.0)
+    p.add_argument("--theta", type=_theta, default=2.0)
     _add_sbm_args(p)
 
     p = sub.add_parser("center-scan", help="locate an LF's high-accuracy region")

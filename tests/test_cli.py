@@ -266,6 +266,15 @@ def test_synth_negative_seed_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("theta", ["0", "-1", "nan", "inf"])
+def test_synth_bad_theta_is_usage_error(tmp_path, capsys, theta):
+    code = _run("synth", "--experiment", "shift", "--n", "50", f"--theta={theta}",
+                "--outdir", str(tmp_path / "x"))
+    assert code == 1
+    assert capsys.readouterr().out.startswith("usage error:")
+    assert not (tmp_path / "x").exists()
+
+
 def test_center_scan_negative_seed_is_usage_error(tmp_path, capsys):
     outdir = _synth_gauss_pair(tmp_path, n=100, seed=6)
     out = tmp_path / "scan.csv"
@@ -345,6 +354,10 @@ def test_run_bad_value_is_usage_error(tmp_path, extra):
     ("--grid", "0"),
     ("--experiment", "lfs", "--grid", "2"),
     ("--experiment", "lfs", "--grid", "3", "--n", "1"),
+    ("--experiment", "shift", "--grid", "0,1", "--theta", "0"),
+    ("--experiment", "shift", "--grid", "0,1", "--theta=-1"),
+    ("--experiment", "shift", "--grid", "0,1", "--theta", "nan"),
+    ("--experiment", "shift", "--grid", "0,1", "--theta", "inf"),
 ])
 def test_sweep_bad_value_is_usage_error(tmp_path, capsys, extra):
     code = _run("sweep", "--experiment", "samples", "--grid", "100",

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 import tracemalloc
 import warnings
 
@@ -450,6 +452,53 @@ def test_barycentric_mean_matches_destination_mean():
     assert np.linalg.norm(projected.values.mean(axis=0) - x0.values.mean(axis=0)) < 0.1
 
 
+def test_per_core_passes_on_eight_workers_match_one_worker_bit_for_bit(monkeypatch):
+    # Eight workers on fewer cores, switching threads every microsecond,
+    # interleave the runs of every pass. Each pass walks 9 blocks, so one
+    # worker takes them all and eight take one or two each. A skipped or
+    # doubled run changes a result or the rows the fits pass through
+    # pairwise_cost; the far fit at eta 0.2 also rebuilds its kernel.
+    rng = np.random.default_rng(25)
+    m = 1000
+    src = rng.standard_normal((8 * (SINKHORN_BLOCK_CELLS // m) + 7, 2))
+    near, far = rng.standard_normal((m, 2)) + 0.5, rng.standard_normal((m, 2)) + 5.0
+    tmap = fit_sinkhorn(FeatureMatrix(src), FeatureMatrix(near))
+    passes = {"fit": lambda: _sinkhorn_potentials(src, near, 1.0),
+              "absorbing fit": lambda: _sinkhorn_potentials(src, far, 0.2),
+              "apply": lambda: (apply_map(tmap, FeatureMatrix(src)).values,),
+              "scan": lambda: (nn_indices(src, near, 3),)}
+    rows, sizes, quiet = _cost_rows(monkeypatch), [], transport._quiet
+
+    def sizing(fn, run, *args):
+        sizes.append(len(run))
+        return quiet(fn, run, *args)
+
+    monkeypatch.setattr(transport, "_quiet", sizing)
+    results = []
+    for workers, interval in ((1, sys.getswitchinterval()), (8, 1e-6)):
+        monkeypatch.setattr(transport, "_cores", lambda: workers)
+        sizes.clear()
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(interval)
+        try:
+            start, got = time.perf_counter(), {}
+            for name, run in passes.items():
+                rows.clear()
+                got[name] = (run(), sum(rows))
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.setswitchinterval(saved)
+        assert elapsed < 30.0, f"{workers} workers took {elapsed:.1f} s"
+        assert set(sizes) == ({9} if workers == 1 else {1, 2})
+        results.append(got)
+    one, eight = results
+    assert one["fit"][1] == len(src) < one["absorbing fit"][1]
+    for name in passes:
+        (want, want_rows), (out, out_rows) = one[name], eight[name]
+        assert out_rows == want_rows, name
+        assert all(np.array_equal(a, b) for a, b in zip(out, want)), name
+
+
 # ---------------------------------------------------------------------------
 # kNN borrowing, and fit -> apply -> borrow chains
 # ---------------------------------------------------------------------------
@@ -475,9 +524,33 @@ def test_knn_tie_breaks_to_lowest_index():
     assert idx[0].tolist() == [0, 1]
 
 
+@pytest.fixture
+def check_both_paths(monkeypatch):
+    """check(src, dst, k): nn_indices equals the oracle through the blocked
+    scan, with the destination at the scan's row cap, and through the k-d
+    tree, one row above it."""
+    scans, scan = [], transport._scan_nn
+
+    def counting(*args):
+        scans.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(transport, "_scan_nn", counting)
+
+    def check(src, dst, k):
+        want = brute_force_nn(src, dst, k)
+        for cap, scanned in ((len(dst), 1), (len(dst) - 1, 0)):
+            scans.clear()
+            monkeypatch.setattr(transport, "SINKHORN_MAX_POINTS", cap)
+            got = nn_indices(src, dst, k)
+            assert len(scans) == scanned
+            assert np.array_equal(got, want), (cap, src.shape, dst.shape, k)
+    return check
+
+
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_nn_indices_match_brute_force_oracle(k, d):
+def test_nn_indices_match_brute_force_oracle(check_both_paths, k, d):
     rng = np.random.default_rng(100 + 10 * k + d)
     # Small-integer lattice points: many destination duplicates and many
     # equidistant neighbors. 64 rows keep the centering exact; with 50 rows
@@ -485,8 +558,7 @@ def test_nn_indices_match_brute_force_oracle(k, d):
     for n_dst, offset in ((64, 0.0), (50, 0.0), (50, 1e4)):
         lat_dst = rng.integers(-2, 3, size=(n_dst, d)) + offset
         lat_src = rng.integers(-2, 3, size=(40, d)) + offset
-        idx = nn_indices(lat_src, lat_dst, k)
-        assert np.array_equal(idx, brute_force_nn(lat_src, lat_dst, k))
+        check_both_paths(lat_src, lat_dst, k)
     # Continuous cloud with duplicated destination rows and sources placed on
     # destination rows and on midpoints between two of them.
     dst = rng.standard_normal((300, d))
@@ -494,7 +566,11 @@ def test_nn_indices_match_brute_force_oracle(k, d):
     pairs = rng.choice(dst.shape[0], size=(40, 2))
     src = np.vstack([rng.standard_normal((200, d)), dst[:40],
                      (dst[pairs[:, 0]] + dst[pairs[:, 1]]) / 2.0])
-    assert np.array_equal(nn_indices(src, dst, k), brute_force_nn(src, dst, k))
+    check_both_paths(src, dst, k)
+    # Groups 40 units apart, and every destination row asked for.
+    check_both_paths(src + 40.0, dst, k)
+    lat_dst = rng.integers(-2, 3, size=(12, d))
+    check_both_paths(rng.integers(-2, 3, size=(40, d)), lat_dst, len(lat_dst))
 
 
 def test_nn_indices_uses_every_destination_row_when_k_is_n_dst():
