@@ -1,8 +1,10 @@
 """Batch entry point: dataset synthesis, pipeline runs, sweeps, diagnostics.
 
-Exit codes: 0 success, 1 usage, 2 data, 3 numerical. A command either writes
-all of its outputs or none (partial files are removed on failure); a sweep
-keeps a cell's numerical failure as an error row. All randomness flows from
+Exit codes: 0 success, 1 usage, 2 data (a DataError: the input cannot be
+used), 3 numerical (a NumericalError that nothing contained). A command either
+writes all of its outputs or none (partial files are removed on failure). A
+NumericalError stays in the LFs of the map it hit (`sbm_audit[].error`); a
+sweep keeps any other in its cell, as an error row. All randomness flows from
 --seed; identical arguments produce byte-identical files. WSFAIR_THREADS caps
 the sweep cells run at once (absent means one at a time); it does not cap the
 Sinkhorn kernel passes and the neighbor scan, which use every usable core.

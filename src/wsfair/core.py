@@ -3,6 +3,11 @@
 All containers are immutable after construction (arrays are copied and marked
 read-only), so they can be shared freely across workers. Votes and labels are
 encoded in {-1, +1}; abstention is rejected at validation time.
+
+Two error classes decide where a failure stops. A DataError means the input
+cannot be used: the command ends with exit code 2. A NumericalError means a
+computation on usable input failed: `run_sbm` contains it to the LFs of the
+map it hit, a sweep to its cell, and anything else ends with exit code 3.
 """
 
 from __future__ import annotations
@@ -17,47 +22,16 @@ RNG_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# Errors. Data errors map to CLI exit code 2, numerical errors to 3.
+# Errors: DataError has no subclasses; a sweep writes the NumericalError
+# subclass names into its error rows.
 # ---------------------------------------------------------------------------
 
 class DataError(ValueError):
-    """Malformed or inconsistent input data."""
-
-
-class DimensionMismatch(DataError):
-    pass
-
-
-class InvalidVote(DataError):
-    pass
-
-
-class EmptyGroup(DataError):
-    pass
-
-
-class NonFiniteFeature(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class TooFewRows(DataError):
-    pass
-
-
-class TooFewLFs(DataError):
-    pass
-
-
-class EmptyDestination(DataError):
-    pass
+    """Malformed or inconsistent input: the command cannot use it (exit 2)."""
 
 
 class NumericalError(RuntimeError):
-    """A computation failed for numerical reasons."""
+    """A computation on usable input failed (contained, or exit 3)."""
 
 
 class DegenerateMoments(NumericalError):
@@ -69,7 +43,7 @@ class SingularCovariance(NumericalError):
 
 
 class NumericalUnderflow(NumericalError):
-    pass
+    """A value left the float64 range, by underflow or overflow."""
 
 
 class NonFiniteLoss(NumericalError):
@@ -123,12 +97,12 @@ class FeatureMatrix:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
-            raise DimensionMismatch(f"features must be 2-d, got shape {vals.shape}")
+            raise DataError(f"features must be 2-d, got shape {vals.shape}")
         n, d = vals.shape
         if n < 1 or d < 1:
-            raise DimensionMismatch(f"need n >= 1 and d >= 1, got {vals.shape}")
+            raise DataError(f"need n >= 1 and d >= 1, got {vals.shape}")
         if not np.all(np.isfinite(vals)):
-            raise NonFiniteFeature("features contain NaN or infinity")
+            raise DataError("features contain NaN or infinity")
         object.__setattr__(self, "values", _frozen(vals))
 
     @property
@@ -152,7 +126,7 @@ class GroupAssignment:
     def __post_init__(self):
         g = np.asarray(self.group_of)
         if g.ndim != 1:
-            raise DimensionMismatch("group assignment must be 1-d")
+            raise DataError("group assignment must be 1-d")
         if not np.isin(g, (0, 1)).all():
             raise DataError("group ids must be 0 or 1")
         object.__setattr__(self, "group_of", _frozen(g.astype(np.int8)))
@@ -175,16 +149,16 @@ class WeakLabelMatrix:
     def __post_init__(self):
         v = np.asarray(self.votes)
         if v.ndim != 2:
-            raise DimensionMismatch(f"votes must be 2-d, got shape {v.shape}")
+            raise DataError(f"votes must be 2-d, got shape {v.shape}")
         if not np.isin(v, (-1, 1)).all():
-            raise InvalidVote("votes must be -1 or +1 (abstention is not modeled)")
+            raise DataError("votes must be -1 or +1 (abstention is not modeled)")
         names = self.lf_names
         if names is None:
             names = tuple(f"lf_{j + 1}" for j in range(v.shape[1]))
         else:
             names = tuple(str(x) for x in names)
             if len(names) != v.shape[1]:
-                raise DimensionMismatch(f"{len(names)} names for {v.shape[1]} LFs")
+                raise DataError(f"{len(names)} names for {v.shape[1]} LFs")
         object.__setattr__(self, "votes", _frozen(v.astype(np.int8)))
         object.__setattr__(self, "lf_names", names)
 
@@ -209,9 +183,9 @@ class LabelVector:
     def __post_init__(self):
         y = np.asarray(self.labels)
         if y.ndim != 1:
-            raise DimensionMismatch("labels must be 1-d")
+            raise DataError("labels must be 1-d")
         if not np.isin(y, (-1, 1)).all():
-            raise InvalidVote("labels must be -1 or +1")
+            raise DataError("labels must be -1 or +1")
         object.__setattr__(self, "labels", _frozen(y.astype(np.int8)))
 
     @property
@@ -228,7 +202,7 @@ class ScoreVector:
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
         if s.ndim != 1:
-            raise DimensionMismatch("scores must be 1-d")
+            raise DataError("scores must be 1-d")
         if not np.all(np.isfinite(s)) or s.min(initial=0.0) < 0.0 or s.max(initial=0.0) > 1.0:
             raise DataError("scores must lie in [0, 1]")
         object.__setattr__(self, "scores", _frozen(s))
@@ -245,7 +219,7 @@ def validate_dataset(features: FeatureMatrix, groups: GroupAssignment,
     Idempotent and side-effect free.
     """
     if not (features.n == groups.n == weak.n):
-        raise DimensionMismatch(
+        raise DataError(
             f"row counts differ: features {features.n}, groups {groups.n}, weak {weak.n}")
 
 
@@ -267,7 +241,7 @@ def split_by_group(features: FeatureMatrix, groups: GroupAssignment,
     validate_dataset(features, groups, weak)
     idx0, idx1 = groups.indices(0), groups.indices(1)
     if idx0.size == 0 or idx1.size == 0:
-        raise EmptyGroup("both groups must be non-empty to split")
+        raise DataError("both groups must be non-empty to split")
     return GroupSplit(features.take(idx0), weak.take(idx0),
                       features.take(idx1), weak.take(idx1),
                       _frozen(idx0), _frozen(idx1))

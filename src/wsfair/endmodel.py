@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DataError, DimensionMismatch, FeatureMatrix, LabelVector,
-                   NonFiniteLoss, ScoreVector, TooFewRows, sigmoid)
+from .core import (DataError, FeatureMatrix, LabelVector, NonFiniteLoss, ScoreVector,
+                   sigmoid)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _as_targets(targets, n: int) -> np.ndarray:
         if t.min(initial=0.0) < 0.0 or t.max(initial=0.0) > 1.0:
             raise DataError("targets must lie in [0, 1]")
     if t.shape != (n,):
-        raise DimensionMismatch("targets length does not match features")
+        raise DataError("targets length does not match features")
     return t
 
 
@@ -82,7 +82,7 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
     """
     cfg = config or TrainConfig()
     if x.n < 2:
-        raise TooFewRows("training needs at least 2 rows")
+        raise DataError("training needs at least 2 rows")
     t = _as_targets(targets, x.n)
 
     mean = x.values.mean(axis=0)
@@ -124,6 +124,6 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
 def predict_logreg(model: LogisticModel, x: FeatureMatrix) -> ScoreVector:
     """sigmoid(x.w + b) on standardized rows."""
     if x.d != model.weights.shape[0]:
-        raise DimensionMismatch(f"model is {model.weights.shape[0]}-d, features are {x.d}-d")
+        raise DataError(f"model is {model.weights.shape[0]}-d, features are {x.d}-d")
     xs = (x.values - model.standardize_mean) / model.standardize_std
     return ScoreVector(sigmoid(xs @ model.weights + model.bias))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DegenerateMoments, ScoreVector, LabelVector, TooFewLFs,
+from .core import (DataError, DegenerateMoments, ScoreVector, LabelVector,
                    WeakLabelMatrix, format_real, sigmoid)
 
 # Clamp on the correlation scale: estimates live in [DELTA, 1 - DELTA] so the
@@ -72,7 +72,7 @@ def triplet_magnitudes_from_moments(moments: np.ndarray, *, strict: bool = True)
     moments = np.asarray(moments, dtype=np.float64)
     m = moments.shape[0]
     if m < 3:
-        raise TooFewLFs(f"triplet estimation needs m >= 3 labeling functions, got {m}")
+        raise DataError(f"triplet estimation needs m >= 3 labeling functions, got {m}")
     # Row i lists LF i's partner pairs (j, k), j < k, both != i, in triu order.
     jj, kk = np.triu_indices(m - 1, k=1)
     i = np.arange(m)[:, None]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EmptyGroup, FeatureMatrix, GroupAssignment, LabelVector,
-                   LengthMismatch, ScoreVector, TooFewRows, format_real, rng_stream)
+from .core import (DataError, FeatureMatrix, GroupAssignment, LabelVector, ScoreVector,
+                   format_real, rng_stream)
 
 _CENTER_SCAN_STREAM = 91
 CENTER_SCAN_NEIGHBORHOOD_FRAC = 0.10
@@ -52,11 +52,11 @@ class CenterScan:
 
 def _group_masks(groups: GroupAssignment, n: int):
     if groups.n != n:
-        raise LengthMismatch("group assignment length does not match predictions")
+        raise DataError("group assignment length does not match predictions")
     m0 = groups.group_of == 0
     m1 = groups.group_of == 1
     if not m0.any() or not m1.any():
-        raise EmptyGroup("both groups must be non-empty")
+        raise DataError("both groups must be non-empty")
     return m0, m1
 
 
@@ -70,7 +70,7 @@ def dp_gap(pred: LabelVector, groups: GroupAssignment) -> float:
 def eo_gap(pred: LabelVector, truth: LabelVector, groups: GroupAssignment):
     """|TPR_1 - TPR_0|, or None when some group has no true positives."""
     if pred.n != truth.n:
-        raise LengthMismatch("prediction and truth lengths differ")
+        raise DataError("prediction and truth lengths differ")
     m0, m1 = _group_masks(groups, pred.n)
     pos = pred.labels == 1
     true_pos = truth.labels == 1
@@ -86,7 +86,7 @@ def eo_gap(pred: LabelVector, truth: LabelVector, groups: GroupAssignment):
 def accuracy_f1(pred: LabelVector, truth: LabelVector):
     """(accuracy, F1) with +1 as the positive class."""
     if pred.n != truth.n:
-        raise LengthMismatch("prediction and truth lengths differ")
+        raise DataError("prediction and truth lengths differ")
     p, t = pred.labels, truth.labels
     acc = float((p == t).mean())
     tp = int(((p == 1) & (t == 1)).sum())
@@ -100,7 +100,7 @@ def accuracy_f1(pred: LabelVector, truth: LabelVector):
 def fairness_report(pred: LabelVector, truth, groups: GroupAssignment) -> FairnessReport:
     """Report of `pred`; `truth` may be None and `groups` may hold one group."""
     if groups.n != pred.n:
-        raise LengthMismatch("group assignment length does not match predictions")
+        raise DataError("group assignment length does not match predictions")
     n0 = int((groups.group_of == 0).sum())
     n1 = int((groups.group_of == 1).sum())
     acc = f1 = gap = eo = None
@@ -137,7 +137,7 @@ def dp_threshold(scores: ScoreVector, groups: GroupAssignment, reference: LabelV
     the next float above its highest score when it predicts none.
     """
     if reference.n != scores.n:
-        raise LengthMismatch("reference length does not match scores")
+        raise DataError("reference length does not match scores")
     masks = _group_masks(groups, scores.n)
     parts = [_cuts(scores.scores[m], reference.labels[m] == 1) for m in masks]
     n0, n1 = (p[0].size for p in parts)
@@ -173,9 +173,9 @@ def center_scan(x: FeatureMatrix, correct, groups: GroupAssignment, *,
     correct = np.asarray(correct, dtype=bool)
     n = x.n
     if n < 50:
-        raise TooFewRows("center scan needs at least 50 rows")
+        raise DataError("center scan needs at least 50 rows")
     if correct.shape != (n,):
-        raise LengthMismatch("correctness vector length does not match features")
+        raise DataError("correctness vector length does not match features")
     _group_masks(groups, n)
 
     if n <= CENTER_SCAN_MAX_CANDIDATES:

@@ -6,8 +6,10 @@ epsilon, the disadvantaged group's feature cloud is mapped onto the favored
 group's and that LF's votes are borrowed from nearest neighbors there. The
 fitted map depends only on the features, so it is fitted once per direction
 and shared by every LF rewritten in that direction (results are identical to
-per-LF fits). A per-LF estimation or transport failure downgrades just that
-LF to direction "none"; the pipeline continues. `run_pipeline` feeds the
+per-LF fits). A NumericalError while fitting, applying or borrowing through
+a direction's map sets just that direction's LFs to "none" and records its
+message as their `error`, as degenerate moments do for one LF; the pipeline
+continues. A DataError, unusable input, propagates. `run_pipeline` feeds the
 (rewritten) votes to the label model and its pseudolabels to the end model.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EmptyGroup, FeatureMatrix, GroupAssignment, LabelVector,
+from .core import (DataError, FeatureMatrix, GroupAssignment, LabelVector,
                    NumericalError, ScoreVector, WeakLabelMatrix, split_by_group,
                    validate_dataset)
 from . import endmodel as em
@@ -81,7 +83,7 @@ def group_accuracies(weak0: WeakLabelMatrix, weak1: WeakLabelMatrix, *,
                      strict: bool = True):
     """Signed triplet estimates computed independently per group."""
     if weak0.n == 0 or weak1.n == 0:
-        raise EmptyGroup("both groups must be non-empty")
+        raise DataError("both groups must be non-empty")
     est0 = lm.resolve_signs(lm.triplet_estimate(weak0, strict=strict), weak0)
     est1 = lm.resolve_signs(lm.triplet_estimate(weak1, strict=strict), weak1)
     return est0, est1

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DataError, FeatureMatrix, GroupAssignment, LabelVector,
-                   TooFewLFs, WeakLabelMatrix, rng_stream, sigmoid)
+                   WeakLabelMatrix, rng_stream, sigmoid)
 
 # Stream ids (never renumber; see core.RNG_VERSION).
 _STREAM_FEATURES = 1
@@ -126,7 +126,7 @@ def gen_lfcount_dataset(n: int = 10_000, m: int = 3, seed: int = 0):
     coordinates, so every LF degrades on the translated group.
     """
     if m < 3:
-        raise TooFewLFs("need at least 3 labeling functions")
+        raise DataError("need at least 3 labeling functions")
     if n < 2:
         raise DataError("n must be >= 2")
     latent = rng_stream(seed, _STREAM_FEATURES, 0).standard_normal((n, 2))
@@ -184,7 +184,7 @@ def gen_shift_dataset(n: int, seed: int, *, theta: float = 2.0,
     weak) dataset for the CLI.
     """
     if m < 3:
-        raise TooFewLFs("need at least 3 labeling functions")
+        raise DataError("need at least 3 labeling functions")
     latent = rng_stream(seed, _STREAM_FEATURES, 0).standard_normal((n, 2))
     truth = LabelVector(np.where(latent[:, 0] >= 0.0, 1, -1))
     moved = latent + float(shift)

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DataError, DimensionMismatch, EmptyDestination, FeatureMatrix,
-                   NumericalUnderflow, SingularCovariance, TooFewRows, rng_stream)
+from .core import (DataError, FeatureMatrix, NumericalUnderflow, SingularCovariance,
+                   rng_stream)
 
 COV_RIDGE = 1e-6
 EIG_FLOOR = 1e-12
@@ -84,11 +84,12 @@ class GaussianMoments:
         mean = np.asarray(self.mean, dtype=np.float64)
         cov = np.asarray(self.cov, dtype=np.float64)
         if cov.shape != (mean.size, mean.size):
-            raise DimensionMismatch("covariance shape does not match the mean")
-        if np.abs(cov - cov.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(cov).max(initial=0.0)):
+            raise DataError("covariance shape does not match the mean")
+        scale = max(1.0, np.abs(cov).max(initial=0.0))   # both checks are relative
+        if np.abs(cov - cov.T).max(initial=0.0) > 1e-12 * scale:
             raise DataError("covariance must be symmetric")
         cov = (cov + cov.T) / 2.0
-        if np.linalg.eigvalsh(cov).min() < -1e-9:
+        if np.linalg.eigvalsh(cov).min() < -1e-9 * scale:
             raise DataError("covariance must be positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -133,10 +134,12 @@ class TransportMap:
 def estimate_moments(x: FeatureMatrix) -> GaussianMoments:
     """Sample mean and covariance (denominator n), ridge-stabilized."""
     if x.n < 2:
-        raise TooFewRows("moment estimation needs at least 2 rows")
+        raise SingularCovariance("moment estimation needs at least 2 rows")
     mean = x.values.mean(axis=0)
     centered = x.values - mean
     cov = (centered.T @ centered) / x.n + COV_RIDGE * np.eye(x.d)
+    if not np.isfinite(cov).all():
+        raise SingularCovariance("covariance is not finite")
     return GaussianMoments(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
@@ -152,7 +155,10 @@ def fit_linear_ot(src: GaussianMoments, dst: GaussianMoments) -> TransportMap:
     mid = matrix_sqrt_psd(s_half @ dst.cov @ s_half)
     a = s_inv_half @ mid @ s_inv_half
     a = (a + a.T) / 2.0
-    return TransportMap(kind="linear", A=a, b=dst.mean - a @ src.mean)
+    b = dst.mean - a @ src.mean
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise SingularCovariance("linear map coefficients are not finite")
+    return TransportMap(kind="linear", A=a, b=b)
 
 
 def apply_linear(tmap: TransportMap, x: FeatureMatrix) -> FeatureMatrix:
@@ -160,7 +166,7 @@ def apply_linear(tmap: TransportMap, x: FeatureMatrix) -> FeatureMatrix:
     if tmap.kind != "linear":
         raise DataError("apply_linear needs a linear map")
     if tmap.A.shape[1] != x.d:
-        raise DimensionMismatch(f"map is {tmap.A.shape[1]}-d, features are {x.d}-d")
+        raise DataError(f"map is {tmap.A.shape[1]}-d, features are {x.d}-d")
     return FeatureMatrix(x.values @ tmap.A.T + tmap.b)
 
 
@@ -251,7 +257,7 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
             fb = np.min(cost_block(s, kb), axis=1, out=fn[s])
             np.subtract(fb[:, None], kb, out=kb)
             if not np.isfinite(kb.min()):      # fn - C holds every entry of C
-                raise DataError("cost matrix must be finite")
+                raise NumericalUnderflow("cost matrix is not finite")
             np.maximum(top, np.max(kb, axis=0, out=row), out=top)
         return top
 
@@ -315,7 +321,7 @@ def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *
     if not (np.isfinite(eta) and eta > 0.0):
         raise DataError("eta must be finite and positive")
     if x_src.d != x_dst.d:
-        raise DimensionMismatch("source and destination dimensions differ")
+        raise DataError("source and destination dimensions differ")
     fit_src = x_src.values
     dst_vals, dst_idx = x_dst.values, np.arange(x_dst.n)
     if x_src.n > max_points:
@@ -393,14 +399,18 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
     """
     src, dst = _as_values(x_src), _as_values(x_dst)
     if dst.shape[0] == 0:
-        raise EmptyDestination("destination set is empty")
+        raise DataError("destination set is empty")
     if src.shape[1] != dst.shape[1]:
-        raise DimensionMismatch("source and destination dimensions differ")
+        raise DataError("source and destination dimensions differ")
     if k < 1 or k > dst.shape[0]:
         raise DataError(f"k must lie in [1, {dst.shape[0]}], got {k}")
     n_src, n_dst = src.shape[0], dst.shape[0]
     mean = dst.mean(axis=0)
     src, dst = src - mean, dst - mean
+    # every squared distance, expanded or not, is at most (max|q| + max|r|)^2
+    reach = sum(np.sqrt(np.einsum("ij,ij->i", v, v).max(initial=0.0)) for v in (src, dst))
+    if not np.isfinite(reach * reach):
+        raise NumericalUnderflow("squared neighbor distances overflow")
     if n_dst <= SINKHORN_MAX_POINTS:
         return _scan_nn(src, dst, k)
     from scipy.spatial import cKDTree   # deferred: importing scipy costs ~0.4 s
@@ -469,7 +479,7 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
         return apply_linear(tmap, x_src)
     ref = tmap.dst_reference
     if ref.shape[1] != x_src.d:
-        raise DimensionMismatch(f"map is {ref.shape[1]}-d, features are {x_src.d}-d")
+        raise DataError(f"map is {ref.shape[1]}-d, features are {x_src.d}-d")
     mean = ref.mean(axis=0)
     ref = ref - mean
     bias = tmap.gn - np.einsum("ij,ij->i", ref, ref) / tmap.eta

@@ -1,12 +1,19 @@
+import functools
 import json
 import os
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wsfair import endmodel, metrics, synth
-from wsfair.cli import main
-from wsfair.core import (LabelVector, NumericalError, load_feature_csv, load_label_csv,
-                         load_weak_csv)
+from wsfair.cli import METHODS, main
+from wsfair.core import (FeatureMatrix, GroupAssignment, LabelVector, NumericalError,
+                         WeakLabelMatrix, feature_csv_text, label_csv_text,
+                         load_feature_csv, load_label_csv, load_weak_csv, weak_csv_text)
 from wsfair.endmodel import TrainConfig
 from wsfair.metrics import fairness_report
 from wsfair.sbm import SbmConfig, run_pipeline, run_sbm
@@ -524,3 +531,69 @@ def test_run_calls_end_model_stages_through_their_modules(tmp_path, monkeypatch,
     assert {k: len(v) for k, v in calls.items()} == {
         "train_logreg": 1, "predict_logreg": 1, "dp_threshold": 1}
     assert isinstance(calls["train_logreg"][0][2], TrainConfig)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_300():
+    return synth.gen_gaussian_pair_dataset(300, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(s=st.integers(-300, 300), scaled=st.sampled_from(["group 1", "both"]),
+       cut=st.none() | st.tuples(st.sampled_from([0, 1]), st.integers(1, 3)))
+@example(s=100, scaled="both", cut=None)       # the linear map overflows
+@example(s=154, scaled="group 1", cut=None)    # squared neighbor distances overflow
+@example(s=300, scaled="both", cut=None)       # the covariances and the cost overflow
+@example(s=-300, scaled="both", cut=None)
+@example(s=0, scaled="group 1", cut=(1, 1))    # one row has no covariance
+def test_run_contains_every_numerical_failure_of_a_map(s, scaled, cut):
+    """Features scaled by 10^s with |s| <= 300, and a group cut to 1-3 rows,
+    are usable input: every method exits 0 and writes its outputs, and an LF
+    whose map failed keeps its votes and records why."""
+    feats, groups, truth, weak, _ = _pair_300()
+    g = groups.group_of
+    x = feats.values * np.where((g == 1) | (scaled == "both"), 10.0 ** s, 1.0)[:, None]
+    keep = np.arange(len(g))
+    if cut is not None:
+        small, rows = cut
+        keep = np.concatenate([np.flatnonzero(g != small), np.flatnonzero(g == small)[:rows]])
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp)
+        (data / "features.csv").write_text(
+            feature_csv_text(FeatureMatrix(x[keep]), GroupAssignment(g[keep])))
+        (data / "weak.csv").write_text(weak_csv_text(WeakLabelMatrix(weak.votes[keep])))
+        (data / "labels.csv").write_text(label_csv_text(LabelVector(truth.labels[keep])))
+        for method in METHODS:
+            out = data / method
+            assert main(_run_args(data, out, "--method", method)) == 0, method
+            report = json.loads((out / "report.json").read_text())
+            acc = {tuple(r.split(",")[:2]): r.split(",")[2:]
+                   for r in (out / "per_lf.csv").read_text().split("\n")[1:-1]}
+            for lf in report["sbm_audit"] or []:
+                picked = lf["a1"] >= lf["a0"] + 0.05 or lf["a0"] >= lf["a1"] + 0.05
+                if lf["error"] is not None:
+                    assert (lf["direction"], lf["map_id"], lf["rows_rewritten"]) == (
+                        "none", None, 0), (method, lf)
+                    assert all(pre == post for (name, _), (pre, post) in acc.items()
+                               if name == lf["lf"])
+                else:
+                    assert not picked or lf["map_id"] is not None, (method, lf)
+
+
+def test_sweep_contains_a_one_row_groups_moment_failure(tmp_path):
+    # at one row per group, sbm-linear cannot estimate a covariance: run_sbm
+    # keeps the votes, so the cell scores as baseline; seed 1's label model
+    # fails in both methods and only those cells become error rows
+    per_seed = tmp_path / "p.csv"
+    assert _run("sweep", "--experiment", "samples", "--grid", "1,200", "--seeds", "0..1",
+                "--methods", "baseline,sbm-linear", "--out", str(tmp_path / "s.csv"),
+                "--per-seed-out", str(per_seed)) == 0
+    rows = [r.split(",") for r in per_seed.read_text().split("\n")[1:-1]]
+    assert [r for r in rows if r[3] == "error"] == [
+        ["1", "1", method, "error", "DegenerateMoments"] for method in ("baseline", "sbm-linear")]
+    assert {tuple(r[:3]) for r in rows} == {
+        (x, seed, method) for x in ("1", "200") for seed in ("0", "1")
+        for method in ("baseline", "sbm-linear")}
+    one_row = [r for r in rows if r[:2] == ["1", "0"]]
+    assert ([r[3:] for r in one_row if r[2] == "baseline"]
+            == [r[3:] for r in one_row if r[2] == "sbm-linear"] != [])

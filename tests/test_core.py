@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsfair.core import (DataError, DimensionMismatch, EmptyGroup, FeatureMatrix,
-                         GroupAssignment, InvalidVote, LabelVector,
-                         NonFiniteFeature, ScoreVector, WeakLabelMatrix,
+from wsfair.core import (DataError, FeatureMatrix, GroupAssignment, LabelVector,
+                         NumericalError, ScoreVector, WeakLabelMatrix,
                          feature_csv_text, label_csv_text, load_feature_csv,
                          load_label_csv, load_weak_csv, split_by_group,
                          validate_dataset, weak_csv_text)
@@ -30,8 +29,17 @@ def test_validate_well_formed():
     assert validate_dataset(feats, groups, weak) is None
 
 
+def test_error_classes_are_one_data_error_and_the_sweeps_four_numerical_ones():
+    # a sweep writes the NumericalError subclass names into its error rows
+    assert DataError.__subclasses__() == []
+    four = NumericalError.__subclasses__()
+    assert sorted(c.__name__ for c in four) == [
+        "DegenerateMoments", "NonFiniteLoss", "NumericalUnderflow", "SingularCovariance"]
+    assert all(c.__subclasses__() == [] for c in four)
+
+
 def test_zero_vote_rejected():
-    with pytest.raises(InvalidVote):
+    with pytest.raises(DataError, match=r"votes must be -1 or \+1"):
         WeakLabelMatrix([[1, 0, -1]])
 
 
@@ -39,21 +47,21 @@ def test_empty_group_passes_validation_but_fails_the_split():
     feats, _, weak = _dataset()
     groups = GroupAssignment([0, 0, 0, 0])
     validate_dataset(feats, groups, weak)
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(DataError, match="both groups must be non-empty to split"):
         split_by_group(feats, groups, weak)
 
 
 def test_row_count_mismatch():
     feats, groups, _ = _dataset(n=4)
     weak = WeakLabelMatrix(np.ones((5, 3), dtype=int))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="row counts differ"):
         validate_dataset(feats, groups, weak)
 
 
 def test_non_finite_features_rejected():
-    with pytest.raises(NonFiniteFeature):
+    with pytest.raises(DataError, match="features contain NaN or infinity"):
         FeatureMatrix([[1.0, np.nan]])
-    with pytest.raises(NonFiniteFeature):
+    with pytest.raises(DataError, match="features contain NaN or infinity"):
         FeatureMatrix([[np.inf, 0.0]])
 
 
@@ -65,7 +73,7 @@ def test_score_vector_range():
 
 def test_label_vector_entries():
     LabelVector([1, -1, 1])
-    with pytest.raises(InvalidVote):
+    with pytest.raises(DataError, match=r"labels must be -1 or \+1"):
         LabelVector([1, 2])
 
 
@@ -98,7 +106,7 @@ def test_split_direct_partition():
 
 def test_split_empty_group_raises():
     feats, _, weak = _dataset()
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(DataError, match="both groups must be non-empty to split"):
         split_by_group(feats, GroupAssignment([0, 0, 0, 0]), weak)
 
 

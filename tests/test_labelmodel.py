@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import loop_triplet_magnitudes, sample_ci_votes
-from wsfair.core import DegenerateMoments, TooFewLFs, WeakLabelMatrix
+from wsfair.core import DataError, DegenerateMoments, WeakLabelMatrix
 from wsfair.labelmodel import (DELTA, DENOM_FLOOR, AccuracyEstimate, fit_label_model,
                                majority_vote, pairwise_moments, predict_labels,
                                predict_proba, resolve_signs, triplet_estimate,
@@ -65,7 +65,7 @@ def test_identical_lfs_clamp():
 
 def test_too_few_lfs():
     votes, _ = sample_ci_votes([0.8, 0.6], 100, seed=0)
-    with pytest.raises(TooFewLFs):
+    with pytest.raises(DataError, match="triplet estimation needs m >= 3 labeling functions"):
         triplet_estimate(WeakLabelMatrix(votes))
 
 

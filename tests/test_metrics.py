@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wsfair.core import (EmptyGroup, FeatureMatrix, GroupAssignment, LabelVector,
-                         LengthMismatch, ScoreVector, TooFewRows)
+from wsfair.core import (DataError, FeatureMatrix, GroupAssignment, LabelVector,
+                         ScoreVector)
 from wsfair.metrics import (CenterScan, accuracy_f1, center_scan,
                             dp_gap, dp_threshold, eo_gap, fairness_report)
 from wsfair.synth import LabelingFunctionSpec, lf_accuracy_at
@@ -46,7 +46,7 @@ def test_dp_gap_symmetry_and_permutation_invariance():
 
 
 def test_dp_gap_empty_group():
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(DataError, match="both groups must be non-empty"):
         dp_gap(LabelVector([1, 1]), _groups([0, 0]))
 
 
@@ -92,7 +92,7 @@ def test_accuracy_plus_error_is_one():
 
 
 def test_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="prediction and truth lengths differ"):
         accuracy_f1(LabelVector([1]), LabelVector([1, 1]))
 
 
@@ -115,7 +115,7 @@ def test_fairness_report_without_truth_or_second_group():
     assert one_group.accuracy == 0.5 and one_group.f1 == pytest.approx(2 / 3)
     assert one_group.dp_gap is None and one_group.eo_gap is None
     assert one_group.n_per_group == (0, 4)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="group assignment length does not match predictions"):
         fairness_report(pred, None, _groups([0, 1]))
 
 
@@ -344,7 +344,7 @@ def test_center_scan_radii_strictly_increasing():
 
 def test_center_scan_too_few_rows():
     x = FeatureMatrix(np.random.default_rng(0).standard_normal((20, 2)))
-    with pytest.raises(TooFewRows):
+    with pytest.raises(DataError, match="center scan needs at least 50 rows"):
         center_scan(x, np.ones(20, dtype=bool), _groups([0, 1] * 10))
 
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import sample_ci_votes
-from wsfair.core import (EmptyGroup, FeatureMatrix, GroupAssignment,
-                         TooFewLFs, WeakLabelMatrix)
+from wsfair import sbm
+from wsfair.core import (DataError, DegenerateMoments, FeatureMatrix, GroupAssignment,
+                         NonFiniteLoss, NumericalUnderflow, SingularCovariance,
+                         WeakLabelMatrix)
 from wsfair.metrics import accuracy_f1, dp_gap
 from wsfair.sbm import (DIRECTION_0_TO_1, DIRECTION_1_TO_0, DIRECTION_NONE,
                         SbmConfig, group_accuracies, run_pipeline, run_sbm)
-from wsfair.synth import gen_gaussian_pair_dataset
+from wsfair.synth import gen_gaussian_pair_dataset, gen_lfcount_dataset
 
 
 def _gauss_pair(n=2000, seed=0):
@@ -57,7 +59,7 @@ def test_group_accuracies_planted_gap():
 def test_group_accuracies_too_few_lfs():
     v0, _ = sample_ci_votes([0.8, 0.6], 100, seed=0)
     v1, _ = sample_ci_votes([0.8, 0.6], 100, seed=1)
-    with pytest.raises(TooFewLFs):
+    with pytest.raises(DataError, match="triplet estimation needs m >= 3 labeling functions"):
         group_accuracies(WeakLabelMatrix(v0), WeakLabelMatrix(v1))
 
 
@@ -172,9 +174,40 @@ def test_degenerate_lf_downgraded_to_none():
 def test_empty_group_raises():
     feats = FeatureMatrix(np.random.default_rng(0).standard_normal((10, 2)))
     weak = WeakLabelMatrix(np.random.default_rng(1).choice([-1, 1], size=(10, 3)))
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(DataError, match="both groups must be non-empty to split"):
         run_sbm(feats, GroupAssignment(np.zeros(10, dtype=int)), weak,
                 SbmConfig(ot_kind="none"))
+
+
+@pytest.mark.parametrize("error", [DataError, DegenerateMoments, SingularCovariance,
+                                   NumericalUnderflow, NonFiniteLoss])
+def test_a_map_failure_stops_where_its_class_says(monkeypatch, error):
+    # lfcount at 2,000 rows and 8 LFs rewrites LFs in both directions
+    feats, groups, _, weak, _ = gen_lfcount_dataset(2_000, 8, 0)
+    cfg = SbmConfig(ot_kind="linear")
+    base_votes, base = run_sbm(feats, groups, weak, cfg)
+    assert {d.direction for d in base.per_lf} >= {DIRECTION_0_TO_1, DIRECTION_1_TO_0}
+    x0, fit_map = feats.values[groups.indices(0)], sbm.fit_map
+
+    def failing_0_to_1(x_src, *args, **kwargs):
+        if np.array_equal(x_src.values, x0):
+            raise error("injected")
+        return fit_map(x_src, *args, **kwargs)
+
+    monkeypatch.setattr(sbm, "fit_map", failing_0_to_1)
+    if error is DataError:
+        with pytest.raises(DataError, match="injected"):
+            run_sbm(feats, groups, weak, cfg)
+        return
+    votes, audit = run_sbm(feats, groups, weak, cfg)
+    for j, (got, want) in enumerate(zip(audit.per_lf, base.per_lf)):
+        if want.direction == DIRECTION_0_TO_1:
+            assert (got.direction, got.rows_rewritten, got.map_id, got.error) == (
+                DIRECTION_NONE, 0, None, "injected")
+            assert np.array_equal(votes.votes[:, j], weak.votes[:, j])
+        else:
+            assert got == want
+            assert np.array_equal(votes.votes[:, j], base_votes.votes[:, j])
 
 
 def test_audit_json_schema():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import logistic, normal_cdf
-from wsfair.core import DataError, LabelVector, TooFewLFs, rng_stream
+from wsfair.core import DataError, LabelVector, rng_stream
 from wsfair.synth import (GROUP1_OFFSET, GROUP1_MIX, LabelingFunctionSpec,
                           gen_gaussian_pair_dataset, gen_lfcount_dataset,
                           gen_shift_dataset, lf_accuracy_at, sample_lf_votes,
@@ -165,7 +165,7 @@ def test_lfcount_reproducible_and_validated():
     a = gen_lfcount_dataset(400, 3, 0)
     b = gen_lfcount_dataset(400, 3, 0)
     assert np.array_equal(a[3].votes, b[3].votes)
-    with pytest.raises(TooFewLFs):
+    with pytest.raises(DataError, match="need at least 3 labeling functions"):
         gen_lfcount_dataset(400, 2, 0)
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_nn, plain_sinkhorn, sinkhorn_plan
-from wsfair.core import (DataError, EmptyDestination, FeatureMatrix, NumericalUnderflow,
-                         SingularCovariance, TooFewRows)
+from wsfair.core import (DataError, FeatureMatrix, NumericalError, NumericalUnderflow,
+                         SingularCovariance)
 from wsfair import transport
 from wsfair.synth import GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset
 from wsfair.transport import (GaussianMoments, TransportMap, apply_linear,
@@ -40,7 +40,7 @@ def test_moments_identical_points():
 
 
 def test_moments_too_few_rows():
-    with pytest.raises(TooFewRows):
+    with pytest.raises(SingularCovariance, match="moment estimation needs at least 2 rows"):
         estimate_moments(FeatureMatrix([[1.0]]))
 
 
@@ -323,7 +323,7 @@ def test_sinkhorn_sweep_cap_returns_a_finite_unconverged_potential():
         assert gn.shape == (len(dst),) and np.isfinite(gn).all()
 
 
-@pytest.mark.parametrize("eta, error", [(1e-300, NumericalUnderflow), (1e-320, DataError)])
+@pytest.mark.parametrize("eta, error", [(1e-300, NumericalUnderflow), (1e-320, NumericalError)])
 def test_sinkhorn_tiny_eta_raises_without_runtime_warnings(eta, error):
     # at 1e-300, cost/eta is finite but so large that the kernel's exponents
     # keep no precision; the subnormal 1e-320 overflows the cost itself
@@ -592,8 +592,42 @@ def test_knn_k_bounds_and_empty_destination():
     src = FeatureMatrix([[0.0]])
     with pytest.raises(DataError):
         knn_borrow(src, FeatureMatrix([[1.0]]), np.array([1]), k=2)
-    with pytest.raises(EmptyDestination):
+    with pytest.raises(DataError, match="destination set is empty"):
         knn_borrow(src, np.empty((0, 1)), np.array([]), k=1)
+
+
+@pytest.mark.parametrize("n_dst", [40, transport.SINKHORN_MAX_POINTS + 1])  # scan, k-d tree
+def test_nn_distance_overflow_is_a_numerical_error(n_dst):
+    rng = np.random.default_rng(9)
+    src, dst = rng.standard_normal((30, 2)), rng.standard_normal((n_dst, 2))
+    # at 1e153 every squared distance is finite and the search is exact
+    assert np.array_equal(nn_indices(src * 1e153, dst * 1e153, 2), nn_indices(src, dst, 2))
+    with pytest.raises(NumericalUnderflow, match="squared neighbor distances overflow"):
+        nn_indices(src * 1e155, dst, 1)
+    with pytest.raises(NumericalUnderflow, match="squared neighbor distances overflow"):
+        nn_indices(src, dst * 1e155, 1)
+
+
+def test_overflowing_moments_and_linear_maps_are_numerical_errors():
+    x = np.random.default_rng(10).standard_normal((50, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularCovariance, match="covariance is not finite"):
+            estimate_moments(FeatureMatrix(x * 1e160))
+        big = estimate_moments(FeatureMatrix(x * 1e100))     # finite, ~1e200
+        with pytest.raises(SingularCovariance, match="linear map coefficients are not finite"):
+            fit_linear_ot(big, big)
+
+
+def test_moment_checks_are_relative_to_the_covariance_scale():
+    # two rows at 1e18: a PSD covariance whose rounding puts an eigenvalue
+    # near -7e19, far below the absolute -1e-9 but not the relative bound
+    x = FeatureMatrix([[-2.23974757e18, 7.92044298e18], [-3.28167411e18, 6.10941175e18]])
+    mom = estimate_moments(x)
+    assert np.linalg.eigvalsh(mom.cov).min() < -1e-9
+    with pytest.raises(SingularCovariance, match="condition number"):
+        fit_linear_ot(mom, mom)
+    with pytest.raises(DataError, match="positive semidefinite"):
+        GaussianMoments(mom.mean, -mom.cov)
 
 
 def test_knn_multi_column_labels():
