@@ -14,5 +14,5 @@ from .sbm import SbmAudit, SbmConfig, group_accuracies, run_pipeline, run_sbm
 from .metrics import (CenterScan, FairnessReport, accuracy_f1, center_scan,
                       dp_gap, dp_threshold, eo_gap, fairness_report)
 from .synth import (LabelingFunctionSpec, gen_gaussian_pair_dataset, gen_lfcount_dataset,
-                    lf_accuracy_at, sample_lf_votes, shift_accuracy_sweep)
+                    lf_accuracy_at, sample_lf_votes)
 from .endmodel import LogisticModel, TrainConfig, predict_logreg, train_logreg

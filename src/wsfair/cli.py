@@ -5,10 +5,11 @@ used), 3 numerical (a NumericalError that nothing contained). A command either
 writes all of its outputs or none (partial files are removed on failure). A
 NumericalError stays in the LFs of the map it hit (`sbm_audit[].error`); a
 sweep keeps any other in its cell, as an error row. All randomness flows from
---seed; identical arguments produce byte-identical files. WSFAIR_THREADS caps
-the sweep cells run at once (absent means one at a time); it does not cap the
-Sinkhorn kernel passes and the neighbor scan, which use every usable core.
-Neither setting changes results.
+--seed; identical arguments produce byte-identical files. A sweep generates
+each (grid value, seed) dataset once and runs every method on it;
+WSFAIR_THREADS caps the datasets in flight (absent means one at a time). It
+does not cap the Sinkhorn kernel passes and the neighbor scan, which use every
+usable core. Neither setting changes results.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from . import labelmodel as lm
 from . import metrics as mx
 from . import sbm
 from . import synth
-from .transport import SINKHORN_MAX_POINTS
 
 SPEC_VERSION = "1"
 
@@ -96,14 +96,22 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _theta(text: str) -> float:
-    """`--theta` value: the LF model's finite, positive accuracy scale."""
+def _finite(text: str) -> float:
+    """`--shift` value: a finite real."""
     try:
-        theta = float(text)
+        val = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return val
+
+
+def _theta(text: str) -> float:
+    """`--theta` value: the LF model's finite, positive accuracy scale."""
+    theta = _finite(text)
+    if not theta > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return theta
 
 
@@ -245,28 +253,39 @@ def cmd_run(args, out: _Outputs) -> int:
 _SWEEP_METRICS = ("accuracy", "f1", "dp_gap", "eo_gap")
 
 
-def _sweep_cell(experiment: str, x: int, seed: int, method: str, args) -> dict:
-    """One (grid value, seed, method) evaluation: the pseudolabels' metrics, or
-    under direct-lf the mean over the evaluated LF columns of the votes used."""
+def _sweep_cell(experiment: str, x: int, seed: int, methods, args) -> dict:
+    """One (grid value, seed) dataset, generated once, and method -> its
+    metrics, or the NumericalError that stopped that method. The metrics are
+    the pseudolabels', or under direct-lf the mean over the evaluated LF
+    columns of the votes used; the shift experiment scores LF column 0."""
     if experiment == "shift":
-        (_, acc), = synth.shift_accuracy_sweep(args.theta, [x], args.n, seed)
-        return {"accuracy": acc, "f1": None, "dp_gap": None, "eo_gap": None}
+        _, _, truth, weak, _ = synth.gen_shift_dataset(args.n, seed, theta=args.theta,
+                                                       shift=x)
+        acc = float((weak.votes[:, 0] == truth.labels).mean())
+        return {"lf": {"accuracy": acc, "f1": None, "dp_gap": None, "eo_gap": None}}
     if experiment == "samples":
         feats, groups, truth, weak, _ = synth.gen_gaussian_pair_dataset(x, seed)
         lfs = [0]
     else:
         feats, groups, truth, weak, _ = synth.gen_lfcount_dataset(args.n, x, seed)
         lfs = range(weak.m)
-    cfg = _sbm_config(args, method, seed)
-    if args.eval == "label-model":
-        preds = [sbm.run_pipeline(feats, groups, weak, cfg).labels]
-    else:                              # the LF columns never reach the label model
-        used = weak if cfg is None else sbm.run_sbm(feats, groups, weak, cfg)[0]
-        preds = [LabelVector(used.votes[:, j]) for j in lfs]
-    reports = [mx.fairness_report(pred, truth, groups) for pred in preds]
-    vals = {k: [getattr(r, k) for r in reports if getattr(r, k) is not None]
-            for k in _SWEEP_METRICS}
-    return {k: float(np.mean(v)) if v else None for k, v in vals.items()}
+    results = {}
+    for method in methods:             # a numerical failure stays in its method
+        cfg = _sbm_config(args, method, seed)
+        try:
+            if args.eval == "label-model":
+                preds = [sbm.run_pipeline(feats, groups, weak, cfg).labels]
+            else:                      # the LF columns never reach the label model
+                used = weak if cfg is None else sbm.run_sbm(feats, groups, weak, cfg)[0]
+                preds = [LabelVector(used.votes[:, j]) for j in lfs]
+            reports = [mx.fairness_report(pred, truth, groups) for pred in preds]
+        except NumericalError as exc:
+            results[method] = exc
+            continue
+        vals = {k: [getattr(r, k) for r in reports if getattr(r, k) is not None]
+                for k in _SWEEP_METRICS}
+        results[method] = {k: float(np.mean(v)) if v else None for k, v in vals.items()}
+    return results
 
 
 def cmd_sweep(args, out: _Outputs) -> int:
@@ -287,26 +306,19 @@ def cmd_sweep(args, out: _Outputs) -> int:
     elif not set(methods) <= set(METHODS):
         raise BadArgs(f"unknown method in {args.methods!r}")
 
-    def cell(task):                    # a numerical failure stays in its cell
-        try:
-            return _sweep_cell(args.experiment, *task, args)
-        except NumericalError as exc:
-            return exc
-
-    tasks = [(x, seed, method) for x in grid for seed in seeds for method in methods]
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(cell, tasks))
-    else:
-        results = [cell(t) for t in tasks]
-    errors = {t: r for t, r in zip(tasks, results) if isinstance(r, NumericalError)}
-    if errors and len(errors) == len(tasks):
-        raise errors[tasks[0]]
+    tasks = [(x, seed) for x in grid for seed in seeds]
+    with ThreadPoolExecutor(max_workers=_threads()) as pool:
+        cells = pool.map(lambda task: _sweep_cell(args.experiment, *task, methods, args),
+                         tasks)
+        # read inside the pool, so a DataError cancels the cells not yet started
+        results = {(x, seed, method): res for (x, seed), cell in zip(tasks, cells)
+                   for method, res in cell.items()}
+    errors = {t: r for t, r in results.items() if isinstance(r, NumericalError)}
+    if len(errors) == len(results):
+        raise next(iter(errors.values()))
     for (x, seed, method), exc in errors.items():
         print(f"cell failed: x={x} seed={seed} method={method}: "
               f"{type(exc).__name__}: {exc}")
-    cells = {t: {} if t in errors else r for t, r in zip(tasks, results)}
 
     lines = ["x,method,metric,mean,sd,lo,hi"]
     per_seed_lines = ["x,seed,method,metric,value"]
@@ -315,19 +327,15 @@ def cmd_sweep(args, out: _Outputs) -> int:
             per_seed_lines += [f"{x},{seed},{method},error,"
                                f"{type(errors[(x, seed, method)]).__name__}"
                                for seed in seeds if (x, seed, method) in errors]
+            ok = {seed: results[(x, seed, method)] for seed in seeds
+                  if (x, seed, method) not in errors}
             for metric in _SWEEP_METRICS:
-                vals = []
-                for seed in seeds:
-                    v = cells[(x, seed, method)].get(metric)
-                    if v is None:
-                        continue
-                    vals.append(v)
-                    per_seed_lines.append(
-                        f"{x},{seed},{method},{metric},{format_real(v)}")
+                vals = {seed: r[metric] for seed, r in ok.items() if r[metric] is not None}
                 if not vals:
                     continue
-                mean = float(np.mean(vals))
-                sd = float(np.std(vals))
+                per_seed_lines += [f"{x},{seed},{method},{metric},{format_real(v)}"
+                                   for seed, v in vals.items()]
+                mean, sd = np.mean(list(vals.values())), np.std(list(vals.values()))
                 lines.append(f"{x},{method},{metric},{format_real(mean)},"
                              f"{format_real(sd)},{format_real(mean - 1.96 * sd)},"
                              f"{format_real(mean + 1.96 * sd)}")
@@ -370,11 +378,11 @@ def cmd_estimate(args, out: _Outputs) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_sbm_args(p):
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--knn-k", dest="knn_k", type=int, default=1)
+    p.add_argument("--epsilon", type=float, default=sbm.SbmConfig.epsilon)
+    p.add_argument("--eta", type=float, default=sbm.SbmConfig.eta)
+    p.add_argument("--knn-k", dest="knn_k", type=int, default=sbm.SbmConfig.knn_k)
     p.add_argument("--sinkhorn-max-points", dest="sinkhorn_max_points", type=int,
-                   default=SINKHORN_MAX_POINTS)
+                   default=sbm.SbmConfig.sinkhorn_max_points)
 
 
 def build_parser() -> _Parser:
@@ -388,7 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--theta", type=_theta, default=2.0)
-    p.add_argument("--shift", type=float, default=0.0)
+    p.add_argument("--shift", type=_finite, default=0.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--outdir", required=True)
 
@@ -405,9 +413,10 @@ def build_parser() -> _Parser:
     p.add_argument("--hard-labels", dest="hard_labels", action="store_true")
     p.add_argument("--direct-lf-eval", dest="direct_lf_eval", action="store_true")
     p.add_argument("--lf-index", dest="lf_index", type=int, default=0)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=5000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--l2", type=float, default=em.TrainConfig.l2)
+    p.add_argument("--max-iters", dest="max_iters", type=int,
+                   default=em.TrainConfig.max_iters)
+    p.add_argument("--tol", type=float, default=em.TrainConfig.tol)
 
     p = sub.add_parser("sweep", help="grid sweeps over seeds with CI bands")
     p.add_argument("--experiment", choices=("samples", "lfs", "shift"), required=True)

@@ -85,8 +85,10 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
         raise DataError("training needs at least 2 rows")
     t = _as_targets(targets, x.n)
 
-    mean = x.values.mean(axis=0)
-    std = x.values.std(axis=0)
+    # moments of x / 2^e, 2^e near each column's max |x|: exact, and no square overflows
+    scale = np.ldexp(1.0, np.frexp(np.abs(x.values).max(axis=0))[1])
+    mean = (x.values / scale).mean(axis=0) * scale
+    std = (x.values / scale).std(axis=0) * scale
     std = np.where(std == 0.0, 1.0, std)
     xs = (x.values - mean) / std
     xt = np.column_stack([xs, np.ones(x.n)])

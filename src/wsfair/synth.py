@@ -156,32 +156,14 @@ def gen_lfcount_dataset(n: int = 10_000, m: int = 3, seed: int = 0):
     return feats, groups, truth, weak, meta
 
 
-def shift_accuracy_sweep(theta: float, shifts, n: int, seed: int):
-    """Empirical LF accuracy as the whole cloud is translated away.
-
-    One latent N(0, I) plane cloud is shared across shifts; for each shift k
-    it is translated by k * (1, 1) and a stochastic LF centered at the origin
-    votes on the translated points. Accuracy approaches 1/2 as k grows.
-    """
-    latent = rng_stream(seed, _STREAM_FEATURES, 0).standard_normal((n, 2))
-    truth = LabelVector(np.where(latent[:, 0] >= 0.0, 1, -1))
-    spec = LabelingFunctionSpec(theta=float(theta), center=np.zeros(2))
-    out = []
-    for idx, shift in enumerate(shifts):
-        moved = latent + float(shift)
-        votes = sample_lf_votes(spec, moved, truth,
-                                rng_stream(seed, _STREAM_SHIFT_VOTES, idx))
-        out.append((float(shift), float((votes == truth.labels).mean())))
-    return out
-
-
 def gen_shift_dataset(n: int, seed: int, *, theta: float = 2.0,
                       shift: float = 0.0, m: int = 3):
-    """File-oriented variant of the shift construction (single group).
+    """The shift construction: one group, translated away from the LF center.
 
-    m independent copies of the origin-centered stochastic LF vote on the
-    shifted cloud, so the output is a complete (features, groups, truth,
-    weak) dataset for the CLI.
+    A latent N(0, I) plane cloud, with truth thresholding its first
+    coordinate at 0, is translated by shift * (1, 1); m independent copies of
+    the origin-centered stochastic LF vote on the translated points. Their
+    accuracy approaches 1/2 as the shift grows.
     """
     if m < 3:
         raise DataError("need at least 3 labeling functions")
@@ -192,7 +174,7 @@ def gen_shift_dataset(n: int, seed: int, *, theta: float = 2.0,
     groups = GroupAssignment(np.zeros(n, dtype=np.int8))
     spec = LabelingFunctionSpec(theta=float(theta), center=np.zeros(2))
     cols = [sample_lf_votes(spec, feats.values, truth,
-                            rng_stream(seed, _STREAM_LF_VOTES, j))
+                            rng_stream(seed, _STREAM_SHIFT_VOTES, j))
             for j in range(m)]
     weak = WeakLabelMatrix(np.column_stack(cols))
     meta = {"experiment": "shift", "seed": seed, "lfs": [spec.to_json()] * m,

@@ -137,7 +137,8 @@ def estimate_moments(x: FeatureMatrix) -> GaussianMoments:
         raise SingularCovariance("moment estimation needs at least 2 rows")
     mean = x.values.mean(axis=0)
     centered = x.values - mean
-    cov = (centered.T @ centered) / x.n + COV_RIDGE * np.eye(x.d)
+    with np.errstate(over="ignore", invalid="ignore"):    # checked just below
+        cov = (centered.T @ centered) / x.n + COV_RIDGE * np.eye(x.d)
     if not np.isfinite(cov).all():
         raise SingularCovariance("covariance is not finite")
     return GaussianMoments(mean=mean, cov=(cov + cov.T) / 2.0)
@@ -152,10 +153,11 @@ def fit_linear_ot(src: GaussianMoments, dst: GaussianMoments) -> TransportMap:
     root = np.sqrt(np.maximum(w_src, EIG_FLOOR))
     s_half = _sym_product(q_src, root)
     s_inv_half = _sym_product(q_src, 1.0 / root)
-    mid = matrix_sqrt_psd(s_half @ dst.cov @ s_half)
-    a = s_inv_half @ mid @ s_inv_half
-    a = (a + a.T) / 2.0
-    b = dst.mean - a @ src.mean
+    with np.errstate(over="ignore", invalid="ignore"):    # checked just below
+        mid = matrix_sqrt_psd(s_half @ dst.cov @ s_half)
+        a = s_inv_half @ mid @ s_inv_half
+        a = (a + a.T) / 2.0
+        b = dst.mean - a @ src.mean
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise SingularCovariance("linear map coefficients are not finite")
     return TransportMap(kind="linear", A=a, b=b)

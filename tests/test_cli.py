@@ -201,6 +201,35 @@ def test_sweep_shift_accuracy_converges_to_half(tmp_path):
     assert by_x["0"] > by_x["1000"]
 
 
+def test_synth_shift_lf_1_is_what_the_shift_sweep_scores(tmp_path):
+    n, shift, theta, seed = 2000, 10, 1.5, 3
+    data = tmp_path / "data"
+    assert _run("synth", "--experiment", "shift", "--n", str(n), "--shift", str(shift),
+                "--theta", str(theta), "--seed", str(seed), "--outdir", str(data)) == 0
+    _, _, ids = load_feature_csv(data / "features.csv")
+    weak = load_weak_csv(data / "weak.csv", ids)
+    truth = load_label_csv(data / "labels.csv", ids)
+    assert weak.lf_names[0] == "lf_1"
+    per_seed = tmp_path / "p.csv"
+    assert _run("sweep", "--experiment", "shift", "--grid", str(shift), "--n", str(n),
+                "--theta", str(theta), "--seeds", f"{seed}..{seed}",
+                "--out", str(tmp_path / "s.csv"), "--per-seed-out", str(per_seed)) == 0
+    row = per_seed.read_text().splitlines()[1].split(",")
+    assert row[:4] == [str(shift), str(seed), "lf", "accuracy"]
+    assert float(row[4]) == float((weak.votes[:, 0] == truth.labels).mean())
+
+
+def test_sweep_generates_each_dataset_once(tmp_path, monkeypatch):
+    calls = []
+    real = synth.gen_lfcount_dataset
+    monkeypatch.setattr(synth, "gen_lfcount_dataset",
+                        lambda *a: calls.append(a) or real(*a))
+    assert _run("sweep", "--experiment", "lfs", "--grid", "3,4", "--seeds", "0..1",
+                "--n", "400", "--eval", "direct-lf", "--methods", "baseline,sbm-linear",
+                "--out", str(tmp_path / "s.csv")) == 0
+    assert sorted(calls) == [(400, m, seed) for m in (3, 4) for seed in (0, 1)]
+
+
 def test_sweep_samples_direct_lf(tmp_path):
     out = tmp_path / "sweep.csv"
     code = _run("sweep", "--experiment", "samples", "--grid", "200,400",
@@ -276,6 +305,15 @@ def test_synth_negative_seed_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("theta", ["0", "-1", "nan", "inf"])
 def test_synth_bad_theta_is_usage_error(tmp_path, capsys, theta):
     code = _run("synth", "--experiment", "shift", "--n", "50", f"--theta={theta}",
+                "--outdir", str(tmp_path / "x"))
+    assert code == 1
+    assert capsys.readouterr().out.startswith("usage error:")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
+def test_synth_bad_shift_is_usage_error(tmp_path, capsys, shift):
+    code = _run("synth", "--experiment", "shift", "--n", "50", f"--shift={shift}",
                 "--outdir", str(tmp_path / "x"))
     assert code == 1
     assert capsys.readouterr().out.startswith("usage error:")

@@ -125,6 +125,22 @@ def test_fit_stops_on_the_gradient_test_for_lfcount_pseudolabels():
     assert model.training_meta["iterations"] < cfg.max_iters
 
 
+def test_predictions_invariant_to_a_huge_feature_scale():
+    # |x| near 1e200 squares past the float64 range; the standardization
+    # must not, or every standardized feature becomes 0
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((300, 2))
+    y = LabelVector(np.where(x[:, 0] + 0.3 * rng.standard_normal(300) > 0, 1, -1))
+    preds = []
+    for scale in (1.0, 1e200):
+        feats = FeatureMatrix(x * scale)
+        model = train_logreg(feats, y)
+        assert np.isfinite(model.standardize_std).all()
+        preds.append(predict_labels(predict_logreg(model, feats)).labels)
+    assert np.array_equal(preds[0], preds[1])
+    assert (preds[0] == y.labels).mean() > 0.8
+
+
 @pytest.mark.parametrize("case", ["constant-column", "separable"])
 def test_unpenalised_fit_returns_finite_weights(case):
     # l2 = 0 leaves the Hessian singular (constant column) or the optimum at

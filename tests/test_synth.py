@@ -7,8 +7,7 @@ from conftest import logistic, normal_cdf
 from wsfair.core import DataError, LabelVector, rng_stream
 from wsfair.synth import (GROUP1_OFFSET, GROUP1_MIX, LabelingFunctionSpec,
                           gen_gaussian_pair_dataset, gen_lfcount_dataset,
-                          gen_shift_dataset, lf_accuracy_at, sample_lf_votes,
-                          shift_accuracy_sweep)
+                          gen_shift_dataset, lf_accuracy_at, sample_lf_votes)
 
 
 def _spec(theta, center=(0.0, 0.0)):
@@ -203,30 +202,34 @@ def test_lfcount_extra_lfs_do_not_perturb_earlier_streams():
 
 
 # ---------------------------------------------------------------------------
-# shift-decay sweep
+# shift construction
 # ---------------------------------------------------------------------------
+
+def _shift_accuracy(shift, n, seed):
+    """Accuracy of the shift dataset's first LF column, as the shift sweep scores it."""
+    _, _, truth, weak, _ = gen_shift_dataset(n, seed, theta=2.0, shift=shift)
+    return float((weak.votes[:, 0] == truth.labels).mean())
+
 
 def test_shift_accuracy_at_zero_shift_matches_oracle():
     # Monte-Carlo oracle: E[sigmoid(2 theta / (1 + ||x||))] over x ~ N(0, I)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((1_000_000, 2))
     want = float(np.mean(1.0 / (1.0 + np.exp(-4.0 / (1.0 + np.linalg.norm(x, axis=1))))))
-    (_, got), = shift_accuracy_sweep(2.0, [0.0], 200_000, seed=0)
+    got = _shift_accuracy(0.0, 200_000, seed=0)
     assert abs(got - want) < 0.005
 
 
 def test_shift_far_shift_is_random_guessing():
-    (_, acc), = shift_accuracy_sweep(2.0, [1000.0], 50_000, seed=1)
+    acc = _shift_accuracy(1000.0, 50_000, seed=1)
     assert abs(acc - 0.5) < 0.02
 
 
 def test_shift_accuracy_non_increasing():
     shifts = [0.0, 10.0, 100.0, 1000.0]
     med = []
-    for i in range(len(shifts)):
-        vals = [dict(shift_accuracy_sweep(2.0, shifts, 20_000, seed))[shifts[i]]
-                for seed in range(10)]
-        med.append(np.median(vals))
+    for shift in shifts:
+        med.append(np.median([_shift_accuracy(shift, 20_000, seed) for seed in range(10)]))
     assert all(a >= b for a, b in zip(med, med[1:]))
 
 
