@@ -9,8 +9,11 @@ which runs every case through `wsfair.cli.main` and rewrites
 purpose, and say in CHANGES.md which outputs moved and why.
 
 The cases are the benchmark workloads' `wsfair run` commands at 2,000 rows
-per group and seeds 0, 7 and 100, and the README's three sweeps at seeds 0
-and 1.
+per group, an `sbm-sinkhorn` run on lfcount data, whose groups sit 10 to 50
+units apart, all at seeds 0, 7 and 100, and the README's three sweeps at
+seeds 0 and 1. Name cases on the command line to rewrite only those:
+
+    PYTHONPATH=src python tests/regen_golden.py run-lfcount-sinkhorn-s0
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ RUNS = {  # workload: (synth arguments, run arguments)
     "lfcount-baseline": (["--experiment", "lfcount", "--n", "4000", "--m", "24"],
                          ["--method", "baseline", "--postprocess", "dp-threshold",
                           "--max-iters", "3000"]),
+    # far-apart groups: the Sinkhorn fit runs in both directions and absorbs
+    "lfcount-sinkhorn": (["--experiment", "lfcount", "--n", "4000", "--m", "12"],
+                         ["--method", "sbm-sinkhorn", "--postprocess", "dp-threshold"]),
 }
 RUN_SEEDS = (0, 7, 100)
 SWEEPS = {
@@ -64,8 +70,12 @@ def produce(case: str, workdir: Path) -> Path:
     return out
 
 
-def main() -> int:
-    for case in CASES:
+def main(names) -> int:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        print(f"unknown cases: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    for case in names or CASES:
         with tempfile.TemporaryDirectory() as tmp:
             out = produce(case, Path(tmp))
             shutil.rmtree(GOLDEN / case, ignore_errors=True)
@@ -75,4 +85,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
