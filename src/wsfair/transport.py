@@ -16,17 +16,18 @@ destination cloud, found exactly: a destination of at most the Sinkhorn point
 cap, such as every capped Sinkhorn reference, by a blocked scan, a larger one
 with a k-d tree (scipy, imported only then). The Sinkhorn fit is one
 Anderson-accelerated, absorption-stabilised scaling loop, valid at any
-distance between the clouds. Its one dense fit-size array is the kernel, built
-in place over the cost, which is why fits above a point cap are subsampled.
-The fit walks the kernel in cache-sized row blocks, two passes to build it and
-one per scaling sweep; applying the map and the neighbor scan stream blocks of
-the same size through one buffer per worker, so no n_src x n_dst array is ever
-held. The passes bound by compute (the kernel build and rebuilds, the apply,
-the scan) split their blocks into one contiguous run per usable core, in
-threads; the sweeps are bound by memory bandwidth and stay serial. Every block
-is computed as in a serial pass, so results do not depend on the core count.
-Every distance is taken on clouds centered on the destination mean, so results
-do not depend on where the data sits in feature space.
+distance between the clouds. Its one dense fit-size array is the kernel,
+which is why fits above a point cap are subsampled. Every pairwise block (of
+the kernel, the map's softmax weights, the scan) is one matmul of a row block
+with the factors of _block_factors, on clouds centered on the destination
+mean, so results do not depend on where the data sits in feature space. The
+fit walks the kernel in cache-sized row blocks, two passes to build it and
+one per scaling sweep; the apply and the scan stream blocks of the same size
+through one buffer per worker, so no n_src x n_dst array is ever held. The
+passes bound by compute (the kernel passes, the apply, the scan) split their
+blocks into one contiguous run per usable core, in threads; the sweeps are
+bound by memory bandwidth and stay serial. Every block is computed as in a
+serial pass, so results do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -176,17 +177,22 @@ def apply_linear(tmap: TransportMap, x: FeatureMatrix) -> FeatureMatrix:
 # Entropic OT.
 # ---------------------------------------------------------------------------
 
-def pairwise_cost(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """Dense squared Euclidean cost matrix (Gaussian-Monge theory), written
-    into `out` when given. Both clouds are centered on b's mean first, so the
-    expanded form |a|^2 + |b|^2 - 2 a.b keeps its precision far from the
-    origin."""
-    mean = b.mean(axis=0)
-    a, b = a - mean, b - mean
-    d2 = np.matmul(-2.0 * a, b.T, out=out)
-    d2 += np.einsum("ij,ij->i", a, a)[:, None]
-    d2 += np.einsum("ij,ij->i", b, b)
-    return np.maximum(d2, 0.0, out=d2)
+def _block_factors(x: np.ndarray, y: np.ndarray, eta: float, col=0.0):
+    """Factors (lhs, rhs) whose row-block products are pairwise blocks of x, y.
+
+    With mu the mean of y, lhs = [2(x - mu)/eta, 1] and rhs = [(y - mu)^T;
+    col - |y - mu|^2/eta], so lhs[i] @ rhs[:, j] = col_j - (|x_i - y_j|^2 -
+    |x_i - mu|^2)/eta; the last term is constant along a row. Centering keeps
+    the expanded form precise far from the origin. A row term is added after
+    the matmul: as a column of lhs it takes a block at d = 2 past OpenBLAS's
+    threading threshold, whose threads contend with the per-core runs.
+    """
+    with np.errstate(all="ignore"):    # overflow leaves entries the caller tests
+        mean = y.mean(axis=0)
+        x, y = x - mean, y - mean
+        lhs = np.column_stack([x * (2.0 / eta), np.ones(len(x))])
+        rhs = np.vstack([y.T, col - np.einsum("ij,ij->i", y, y) / eta])
+    return lhs, rhs
 
 
 def _block_rows(n_cols: int) -> int:
@@ -228,18 +234,18 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
 
     The kernel K = exp(fn_i + gn_j - C_ij), C = cost/eta, is the one n_src x
     n_dst array; fn starts at the row minima of C and gn at their c-transform,
-    so every kernel row and column holds a 1. Every pass over K walks it in
-    cache-sized row blocks and does all of its work on a block while the block
-    is in cache: the build is two passes (cost, C, fn and fn - C with a running
-    column maximum; then + gn and exp), a rebuild with known potentials is one.
-    The iterate is the destination log-scaling x, and each sweep is one pass,
+    so every kernel row and column holds a 1. A pass over K does all its work
+    on one cache-sized row block, a block product (_block_factors), at a time:
+    the first pass writes fn - C and takes column maxima, which set gn; the
+    kernel pass adds fn - |x - mu|^2/eta to rows with gn in the column slot. The
+    iterate is the destination log-scaling x, and each sweep is one pass,
     u_b = a / (K_b e^x) then K^T u += u_b K_b, which evaluates the fixed-point map
     G(x) = log b - log K^T (a / K e^x) and the column-marginal L1 error of the
     plan whose rows are exact softmaxes over gn + x - C, which is the map
     returned. Steps are Anderson-mixed (Walker & Ni 2011) on mean-free residuals,
     as potentials are defined up to a constant; a mixed step that does not lower
     the error is replaced by the plain one. |x| beyond SINKHORN_ABSORB is folded
-    into the potentials and the kernel rebuilt in place (Schmitzer 2019), so none
+    into fn and gn and the kernel pass rerun (Schmitzer 2019), so none
     underflows however far apart the clouds sit.
     """
     n_src, n_dst = len(src), len(dst)
@@ -248,33 +254,27 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
     # (rows, kernel block, u block): made once, so the sweep loop allocates
     # nothing, which also keeps it fast under tracemalloc
     blocks = [(s, k[s], u[s]) for s in (slice(lo, lo + step) for lo in range(0, n_src, step))]
+    lhs, rhs = _block_factors(src, dst, eta)
+    fn, gn, y2 = np.empty(n_src), rhs[-1], -rhs[-1]   # gn: the column slot; |y - mu|^2/eta
 
-    def cost_block(s, kb):
-        # called through the module, so a wrapper on pairwise_cost sees every block
-        return np.divide(pairwise_cost(src[s], dst, out=kb), eta, out=kb)
-
-    def first_pass(run):               # C, fn and fn - C; the run's column maximum
+    def first_pass(run):               # fn - C into K; the run's column maximum
         top, row = np.full(n_dst, -np.inf), np.empty(n_dst)
         for s, kb, _ in run:
-            fb = np.min(cost_block(s, kb), axis=1, out=fn[s])
-            np.subtract(fb[:, None], kb, out=kb)
-            if not np.isfinite(kb.min()):      # fn - C holds every entry of C
+            fb = np.max(np.matmul(lhs[s], rhs, out=kb), axis=1, out=fn[s])  # -C + a row constant
+            np.subtract(kb, fb[:, None], out=kb)
+            if not np.isfinite(kb.min()):      # an overflow in any entry of C
                 raise NumericalUnderflow("cost matrix is not finite")
+            np.negative(fb, out=fb)
             np.maximum(top, np.max(kb, axis=0, out=row), out=top)
         return top
 
-    def kernel_pass(run, rebuild):     # K = exp(fn - C + gn), fn - C made anew if asked
+    def kernel_pass(run):              # K = exp(fn + gn - C)
         for s, kb, _ in run:
-            if rebuild:
-                np.subtract(fn[s, None], cost_block(s, kb), out=kb)
-            np.exp(np.add(kb, gn, out=kb), out=kb)
+            np.exp(np.add(np.matmul(lhs[s], rhs, out=kb), fn[s, None], out=kb), out=kb)
 
-    # The kernel passes are bound by compute and run on every core; the sweeps
-    # are bound by memory bandwidth and stay serial. A maximum is exact, so the
-    # per-run column maxima combine to the serial result bit for bit.
-    fn = np.empty(n_src)
-    gn = -np.maximum.reduce(_per_core(first_pass, blocks))
-    _per_core(kernel_pass, blocks, False)
+    # a maximum is exact, so the per-run column maxima combine bit for bit
+    gn -= np.maximum.reduce(_per_core(first_pass, blocks))
+    _per_core(kernel_pass, blocks)
     with np.errstate(all="ignore"):
         row = np.empty(n_dst)
         x = x_acc = np.zeros(n_dst)
@@ -298,8 +298,9 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
             if not np.isfinite(g).all():
                 raise NumericalUnderflow("sinkhorn potentials are not finite")
             if np.abs(x).max() > SINKHORN_ABSORB:
-                fn, gn, g, x_acc, hist = fn + np.log(u), gn + x, g - x, np.zeros(n_dst), []
-                _per_core(kernel_pass, blocks, True)
+                fn, g, x_acc, hist = fn + np.log(u), g - x, np.zeros(n_dst), []
+                gn += x
+                _per_core(kernel_pass, blocks)
             hist = hist[-ANDERSON_DEPTH:] + [(x_acc, g)]
             x, plain = g, None
             if len(hist) > 1:
@@ -308,7 +309,7 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
                 dr -= dr.mean(axis=1, keepdims=True)
                 gamma = np.linalg.lstsq(dr.T, r - r.mean(), rcond=None)[0]
                 x, plain = g - gamma @ np.diff(gs, axis=0), g
-    return gn + x_acc, bool(err < tol), sweeps
+    return gn + y2 + x_acc, bool(err < tol), sweeps
 
 
 def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *,
@@ -356,17 +357,16 @@ def _sq_dists(src: np.ndarray, dst: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
     """nn_indices on centered clouds by an exact scan of every destination row.
 
-    Each block of SINKHORN_BLOCK_CELLS cells is one matmul of [q, 1] against
-    [-2r, |r|^2], which gives |r|^2 - 2 q.r: the expanded squared distance
-    less its constant |q|^2. Every column within 1e-9 (|q| + max|r|)^2 of the
-    row's k-th smallest, a margin far above the expanded form's rounding,
-    is a candidate, and the candidates are ranked by (squared distance from
-    coordinate differences, index).
+    Each block of SINKHORN_BLOCK_CELLS cells is one block product at eta 1,
+    2 q.r - |r|^2 = |q|^2 - |q - r|^2, so the nearest rows hold the largest
+    entries. Every column within 1e-9 (|q| + max|r|)^2 of the row's k-th
+    largest, a margin far above the expanded form's rounding, is a candidate,
+    and the candidates are ranked by (squared distance from coordinate
+    differences, index).
     """
     n_src, n_dst = len(src), len(dst)
-    step, r2 = _block_rows(n_dst), np.einsum("ij,ij->i", dst, dst)
-    lhs, rhs = np.hstack([src, np.ones((n_src, 1))]), np.vstack([-2.0 * dst.T, r2])
-    margin = 1e-9 * (np.sqrt(np.einsum("ij,ij->i", src, src)) + np.sqrt(r2.max())) ** 2
+    step, (lhs, rhs) = _block_rows(n_dst), _block_factors(src, dst, 1.0)
+    margin = 1e-9 * (np.sqrt(np.einsum("ij,ij->i", src, src)) + np.sqrt(-rhs[-1].min())) ** 2
     out = np.empty((n_src, k), dtype=np.int64)
 
     def scan(run):
@@ -374,9 +374,9 @@ def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
         for lo in run:
             hi = min(lo + step, n_src)
             e = np.matmul(lhs[lo:hi], rhs, out=buf[:hi - lo])
-            # for k = 1 the partition's value is the row minimum, found ~15x faster
-            kth = e.min(axis=1) if k == 1 else np.partition(e, k - 1, axis=1)[:, k - 1]
-            hits = np.flatnonzero(e <= (kth + margin[lo:hi])[:, None])
+            # for k = 1 the partition's value is the row maximum, found ~15x faster
+            kth = e.max(axis=1) if k == 1 else np.partition(e, n_dst - k, axis=1)[:, n_dst - k]
+            hits = np.flatnonzero(e >= (kth - margin[lo:hi])[:, None])
             rows, cols = np.divmod(hits, n_dst)         # rows ascending
             d2 = ((src[lo + rows] - dst[cols]) ** 2).sum(axis=-1)
             ranked = cols[np.lexsort((cols, d2, rows))]
@@ -471,9 +471,8 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     A Sinkhorn row x maps to the softmax(gn - |x - y|^2/eta)-weighted average
     of the destination reference points y, computed in row blocks of
     SINKHORN_BLOCK_CELLS kernel cells, one contiguous run of blocks per usable
-    core, each through its own reused buffer. The |x|^2 term is constant along
-    a row and cancels in the softmax, so each block is one matmul against the
-    centered reference.
+    core, each through its own reused buffer: one block product with gn in
+    the column slot, whose constant |x|^2 term cancels in the softmax.
     """
     if tmap.kind == "identity":
         return x_src
@@ -482,20 +481,18 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     ref = tmap.dst_reference
     if ref.shape[1] != x_src.d:
         raise DataError(f"map is {ref.shape[1]}-d, features are {x_src.d}-d")
-    mean = ref.mean(axis=0)
-    ref = ref - mean
-    bias = tmap.gn - np.einsum("ij,ij->i", ref, ref) / tmap.eta
+    lhs, rhs = _block_factors(x_src.values, ref, tmap.eta, col=tmap.gn)
+    mean, centered = ref.mean(axis=0), rhs[:-1].T
     step = _block_rows(len(ref))
     out = np.empty((x_src.n, x_src.d))
 
     def image(run):
         buf = np.empty((step, len(ref)))
         for lo in run:
-            rows = (x_src.values[lo:lo + step] - mean) * (2.0 / tmap.eta)
-            w = np.matmul(rows, ref.T, out=buf[:len(rows)])
-            w += bias
+            rows = lhs[lo:lo + step]
+            w = np.matmul(rows, rhs, out=buf[:len(rows)])
             np.exp(np.subtract(w, w.max(axis=1, keepdims=True), out=w), out=w)
-            out[lo:lo + len(rows)] = (w @ ref) / w.sum(axis=1, keepdims=True) + mean
+            out[lo:lo + len(rows)] = (w @ centered) / w.sum(axis=1, keepdims=True) + mean
 
     _per_core(image, range(0, x_src.n, step))
     return FeatureMatrix(out)

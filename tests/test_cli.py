@@ -320,6 +320,15 @@ def test_synth_bad_shift_is_usage_error(tmp_path, capsys, shift):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("shift", ["1e200", "1e300"])
+def test_synth_shift_beyond_squared_range_is_quiet(tmp_path, capsys, shift):
+    # squared distances to the LF center overflow; the votes are coin flips
+    code = _run("synth", "--experiment", "shift", "--n", "100", "--shift", shift,
+                "--outdir", str(tmp_path / "x"))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_center_scan_negative_seed_is_usage_error(tmp_path, capsys):
     outdir = _synth_gauss_pair(tmp_path, n=100, seed=6)
     out = tmp_path / "scan.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import logistic, normal_cdf
-from wsfair.core import DataError, LabelVector, rng_stream
+from wsfair.core import DataError, LabelVector, rng_stream, sigmoid
 from wsfair.synth import (GROUP1_OFFSET, GROUP1_MIX, LabelingFunctionSpec,
                           gen_gaussian_pair_dataset, gen_lfcount_dataset,
                           gen_shift_dataset, lf_accuracy_at, sample_lf_votes)
@@ -29,6 +29,20 @@ def test_accuracy_random_guessing_limits():
     assert 0.5 < tiny < 0.5 + 1e-8
     far = lf_accuracy_at(_spec(2.0), np.array([1e7, 0.0]))
     assert 0.5 < far < 0.5 + 1e-5
+
+
+@pytest.mark.parametrize("coord", [1e200, 1e300, 1.5e308])
+def test_accuracy_far_beyond_squared_range_is_random_guessing(coord):
+    # |x - c|^2 overflows; the distance itself does at 1.5e308 * sqrt(2)
+    assert lf_accuracy_at(_spec(2.0), np.array([coord, coord])) == 0.5
+
+
+def test_accuracy_distance_keeps_its_bits():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((500, 2)) * np.exp(rng.uniform(-30.0, 30.0, (500, 1)))
+    spec = _spec(1.3, [0.5, -2.0])
+    want = sigmoid(2.0 * 1.3 / (1.0 + np.linalg.norm(x - spec.center, axis=1)))
+    assert np.array_equal(lf_accuracy_at(spec, x), want)
 
 
 def test_accuracy_bounds_for_positive_theta():

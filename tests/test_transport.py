@@ -15,8 +15,8 @@ from wsfair.synth import GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset
 from wsfair.transport import (GaussianMoments, TransportMap, apply_linear,
                               apply_map, estimate_moments, fit_linear_ot, fit_map,
                               fit_sinkhorn, knn_borrow, matrix_sqrt_psd, nn_indices,
-                              pairwise_cost, SINKHORN_BLOCK_CELLS, SINKHORN_MAX_ITERS,
-                              SINKHORN_TOL, _sinkhorn_potentials)
+                              SINKHORN_BLOCK_CELLS, SINKHORN_MAX_ITERS, SINKHORN_TOL,
+                              _block_factors, _sinkhorn_potentials)
 
 
 def _random_spd(rng, d):
@@ -151,13 +151,16 @@ def test_matrix_sqrt_up_to_d32():
 # Sinkhorn
 # ---------------------------------------------------------------------------
 
-def test_pairwise_cost_ignores_where_the_data_sits():
+def test_block_product_ignores_where_the_data_sits():
+    # col_j - (|a_i - b_j|^2 - |a_i - mean(b)|^2) / eta, wherever the clouds sit
     rng = np.random.default_rng(14)
     a, b = rng.standard_normal((30, 3)), rng.standard_normal((20, 3))
-    want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+    col, eta = rng.standard_normal(20), 0.7
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+    want = col - (d2 - ((a - b.mean(axis=0)) ** 2).sum(axis=1)[:, None]) / eta
     for offset in (0.0, 1e6):
-        got = pairwise_cost(a + offset, b + offset)
-        assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+        lhs, rhs = _block_factors(a + offset, b + offset, eta, col=col)
+        assert np.allclose(lhs @ rhs, want, rtol=0.0, atol=1e-8)
 
 
 def test_sinkhorn_single_pair():
@@ -243,15 +246,16 @@ def _cost_over_eta(src, dst, eta):
     return ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=-1) / eta
 
 
-def _cost_rows(monkeypatch):
-    """List that records the source rows of every transport.pairwise_cost call."""
-    rows, cost = [], transport.pairwise_cost
+def _kernel_rows(monkeypatch):
+    """List that records the rows of every block the Sinkhorn kernel pass writes."""
+    rows, quiet = [], transport._quiet
 
-    def counting(a, b, out=None):
-        rows.append(len(a))
-        return cost(a, b, out=out)
+    def counting(fn, run, *args):
+        if fn.__name__ == "kernel_pass":
+            rows.extend(len(kb) for _, kb, _ in run)
+        return quiet(fn, run, *args)
 
-    monkeypatch.setattr(transport, "pairwise_cost", counting)
+    monkeypatch.setattr(transport, "_quiet", counting)
     return rows
 
 
@@ -259,7 +263,7 @@ def test_sinkhorn_matches_the_plain_scaling_oracle(monkeypatch):
     # Random shapes, the 1 x 1 and equal-cost cases, and far clouds at a small
     # eta, which only converge through absorption. The last two cases span
     # several row blocks of the kernel and end in a ragged one; the far pair
-    # at eta 0.2 rebuilds its kernel block by block. Potentials are defined up
+    # at eta 0.2 absorbs, which reruns the kernel pass. Potentials are defined up
     # to an additive constant.
     rng = np.random.default_rng(19)
     cases = []
@@ -273,7 +277,7 @@ def test_sinkhorn_matches_the_plain_scaling_oracle(monkeypatch):
     for m, shift, eta in ((1000, 0.5, 1.0), (3000, 5.0, 0.2)):
         n = 3 * (SINKHORN_BLOCK_CELLS // m) + 7
         cases.append((rng.standard_normal((n, 2)), rng.standard_normal((m, 2)) + shift, eta))
-    rows = _cost_rows(monkeypatch)
+    rows = _kernel_rows(monkeypatch)
     for src, dst, eta in cases:
         rows.clear()
         gn, converged, _ = _sinkhorn_potentials(src, dst, eta, SINKHORN_TOL, SINKHORN_MAX_ITERS)
@@ -284,11 +288,9 @@ def test_sinkhorn_matches_the_plain_scaling_oracle(monkeypatch):
     assert max(rows) < len(src) < sum(rows) and sum(rows) % len(src) == 0
 
 
-def test_sinkhorn_fit_passes_each_source_row_through_pairwise_cost_once(monkeypatch):
-    # The benchmark's span tracer times the kernel build by wrapping
-    # transport.pairwise_cost, so the fit must call it through the module: a
-    # fit without absorption builds each row block once.
-    rows = _cost_rows(monkeypatch)
+def test_sinkhorn_fit_passes_each_source_row_through_the_kernel_pass_once(monkeypatch):
+    # a fit without absorption writes each row block of its kernel once
+    rows = _kernel_rows(monkeypatch)
     rng = np.random.default_rng(24)
     n = 3 * (SINKHORN_BLOCK_CELLS // 1000) + 7
     src = FeatureMatrix(rng.standard_normal((n, 2)))
@@ -456,8 +458,8 @@ def test_per_core_passes_on_eight_workers_match_one_worker_bit_for_bit(monkeypat
     # Eight workers on fewer cores, switching threads every microsecond,
     # interleave the runs of every pass. Each pass walks 9 blocks, so one
     # worker takes them all and eight take one or two each. A skipped or
-    # doubled run changes a result or the rows the fits pass through
-    # pairwise_cost; the far fit at eta 0.2 also rebuilds its kernel.
+    # doubled run changes a result or the rows the fits pass through the
+    # kernel pass; the far fit at eta 0.2 absorbs, which reruns that pass.
     rng = np.random.default_rng(25)
     m = 1000
     src = rng.standard_normal((8 * (SINKHORN_BLOCK_CELLS // m) + 7, 2))
@@ -467,7 +469,7 @@ def test_per_core_passes_on_eight_workers_match_one_worker_bit_for_bit(monkeypat
               "absorbing fit": lambda: _sinkhorn_potentials(src, far, 0.2),
               "apply": lambda: (apply_map(tmap, FeatureMatrix(src)).values,),
               "scan": lambda: (nn_indices(src, near, 3),)}
-    rows, sizes, quiet = _cost_rows(monkeypatch), [], transport._quiet
+    rows, sizes, quiet = _kernel_rows(monkeypatch), [], transport._quiet
 
     def sizing(fn, run, *args):
         sizes.append(len(run))
