@@ -62,9 +62,11 @@ class LabelingFunctionSpec:
 def lf_accuracy_at(spec: LabelingFunctionSpec, x) -> np.ndarray:
     """P(vote = truth) at the given point(s); in (0.5, 1) for theta > 0."""
     diff = np.atleast_2d(np.asarray(x, dtype=np.float64)) - spec.center
-    e = np.frexp(np.abs(diff).max(axis=1))[1]   # norm of diff / 2^e: exact, no square overflows
-    with np.errstate(over="ignore"):             # a distance past float64 is inf: p = 1/2
-        dist = np.ldexp(np.linalg.norm(np.ldexp(diff, -e[:, None]), axis=1), e)
+    with np.errstate(over="ignore"):    # a distance past float64 is inf: p = 1/2
+        dist = np.linalg.norm(diff, axis=1)
+        far = np.isinf(dist)            # squares overflowed: scale by 2^-e, exactly
+        e = np.frexp(np.abs(diff[far]).max(axis=1))[1]
+        dist[far] = np.ldexp(np.linalg.norm(np.ldexp(diff[far], -e[:, None]), axis=1), e)
     p = sigmoid(2.0 * spec.theta / (1.0 + dist))
     return float(p[0]) if np.asarray(x).ndim == 1 else p
 

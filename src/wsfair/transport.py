@@ -17,17 +17,16 @@ cap, such as every capped Sinkhorn reference, by a blocked scan, a larger one
 with a k-d tree (scipy, imported only then). The Sinkhorn fit is one
 Anderson-accelerated, absorption-stabilised scaling loop, valid at any
 distance between the clouds. Its one dense fit-size array is the kernel,
-which is why fits above a point cap are subsampled. Every pairwise block (of
-the kernel, the map's softmax weights, the scan) is one matmul of a row block
-with the factors of _block_factors, on clouds centered on the destination
-mean, so results do not depend on where the data sits in feature space. The
-fit walks the kernel in cache-sized row blocks, two passes to build it and
-one per scaling sweep; the apply and the scan stream blocks of the same size
-through one buffer per worker, so no n_src x n_dst array is ever held. The
-passes bound by compute (the kernel passes, the apply, the scan) split their
-blocks into one contiguous run per usable core, in threads; the sweeps are
-bound by memory bandwidth and stay serial. Every block is computed as in a
-serial pass, so results do not depend on the core count.
+which is why fits above a point cap are subsampled. Every pairwise block is
+one matmul of a row block with the factors of _block_factors, on clouds
+centered on the destination mean, so results do not depend on where the data
+sits in feature space. The fit walks the kernel in cache-sized row blocks,
+two passes to build it and one per scaling sweep; the apply and the scan
+stream blocks of the same size through one buffer per worker, so no n_src x
+n_dst array is ever held. Every pass but the sweeps, which are bound by
+memory bandwidth, splits its blocks into one contiguous run per usable core,
+in threads. Every block is computed as in a serial pass, so results do not
+depend on the core count.
 """
 
 from __future__ import annotations
@@ -182,10 +181,9 @@ def _block_factors(x: np.ndarray, y: np.ndarray, eta: float, col=0.0):
 
     With mu the mean of y, lhs = [2(x - mu)/eta, 1] and rhs = [(y - mu)^T;
     col - |y - mu|^2/eta], so lhs[i] @ rhs[:, j] = col_j - (|x_i - y_j|^2 -
-    |x_i - mu|^2)/eta; the last term is constant along a row. Centering keeps
-    the expanded form precise far from the origin. A row term is added after
-    the matmul: as a column of lhs it takes a block at d = 2 past OpenBLAS's
-    threading threshold, whose threads contend with the per-core runs.
+    |x_i - mu|^2)/eta. Centering keeps it precise far from the origin. Row
+    terms are added after the matmul: a third column would take d = 2 blocks
+    past OpenBLAS's threading threshold, and its threads contend with ours.
     """
     with np.errstate(all="ignore"):    # overflow leaves entries the caller tests
         mean = y.mean(axis=0)
