@@ -260,7 +260,7 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
         for s, kb, _ in run:
             fb = np.max(np.matmul(lhs[s], rhs, out=kb), axis=1, out=fn[s])  # -C + a row constant
             np.subtract(kb, fb[:, None], out=kb)
-            if not np.isfinite(kb.min()):      # an overflow in any entry of C
+            if not np.isfinite(kb.min()):      # the block product overflowed
                 raise NumericalUnderflow("cost matrix is not finite")
             np.negative(fb, out=fb)
             np.maximum(top, np.max(kb, axis=0, out=row), out=top)
