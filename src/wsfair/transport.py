@@ -13,20 +13,19 @@ Two fitted map families plus an identity bypass:
 
 After mapping, labels are borrowed from Euclidean nearest neighbors in the
 destination cloud, found exactly: a destination of at most the Sinkhorn point
-cap, such as every capped Sinkhorn reference, by a blocked scan, a larger one
-with a k-d tree (scipy, imported only then). The Sinkhorn fit is one
-Anderson-accelerated, absorption-stabilised scaling loop, valid at any
-distance between the clouds. Its one dense fit-size array is the kernel,
-which is why fits above a point cap are subsampled. Every pairwise block is
-one matmul of a row block with the factors of _block_factors, on clouds
-centered on the destination mean, so results do not depend on where the data
-sits in feature space. The fit walks the kernel in cache-sized row blocks,
-two passes to build it and one per scaling sweep; the apply and the scan
-stream blocks of the same size through one buffer per worker, so no n_src x
-n_dst array is ever held. Every pass but the sweeps, which are bound by
-memory bandwidth, splits its blocks into one contiguous run per usable core,
-in threads. Every block is computed as in a serial pass, so results do not
-depend on the core count.
+cap, which holds every capped Sinkhorn reference, by a blocked scan, a larger
+one with a scipy k-d tree. The Sinkhorn fit is one Anderson-accelerated,
+absorption-stabilised scaling loop, valid at any distance between the clouds.
+Its one dense fit-size array is the kernel, which is why fits above a point cap
+are subsampled. Every pairwise block is one matmul of a row block with the
+factors of _block_factors, less its row terms where they do not cancel, on
+clouds centered on the destination mean, so results do not depend on where the
+data sits in feature space. The fit walks the kernel in cache-sized row blocks,
+two passes to build it and one per scaling sweep; the apply and the scan stream
+blocks of the same size through one buffer per worker, so no n_src x n_dst
+array is ever held. Every pass but the sweeps, which are bound by memory
+bandwidth, splits its blocks into one contiguous run per usable core. Each
+block is computed as in a serial pass, so no result depends on the core count.
 """
 
 from __future__ import annotations
@@ -177,20 +176,20 @@ def apply_linear(tmap: TransportMap, x: FeatureMatrix) -> FeatureMatrix:
 # ---------------------------------------------------------------------------
 
 def _block_factors(x: np.ndarray, y: np.ndarray, eta: float, col=0.0):
-    """Factors (lhs, rhs) whose row-block products are pairwise blocks of x, y.
+    """(lhs, rhs, xx), where lhs[i] @ rhs[:, j] - xx_i = col_j - |x_i - y_j|^2/eta.
 
-    With mu the mean of y, lhs = [2(x - mu)/eta, 1] and rhs = [(y - mu)^T;
-    col - |y - mu|^2/eta], so lhs[i] @ rhs[:, j] = col_j - (|x_i - y_j|^2 -
-    |x_i - mu|^2)/eta. Centering keeps it precise far from the origin. Row
-    terms are added after the matmul: a third column would take d = 2 blocks
-    past OpenBLAS's threading threshold, and its threads contend with ours.
+    With mu the mean of y, lhs = [2(x - mu)/eta, 1], rhs = [(y - mu)^T;
+    col - |y - mu|^2/eta] and xx = |x - mu|^2/eta; centering keeps them precise
+    far from the origin. Row terms are subtracted after the matmul: a third
+    column would take d = 2 blocks past OpenBLAS's threading threshold, and its
+    threads contend with ours.
     """
     with np.errstate(all="ignore"):    # overflow leaves entries the caller tests
         mean = y.mean(axis=0)
         x, y = x - mean, y - mean
         lhs = np.column_stack([x * (2.0 / eta), np.ones(len(x))])
         rhs = np.vstack([y.T, col - np.einsum("ij,ij->i", y, y) / eta])
-    return lhs, rhs
+        return lhs, rhs, np.einsum("ij,ij->i", x, x) / eta
 
 
 def _block_rows(n_cols: int) -> int:
@@ -232,19 +231,21 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
 
     The kernel K = exp(fn_i + gn_j - C_ij), C = cost/eta, is the one n_src x
     n_dst array; fn starts at the row minima of C and gn at their c-transform,
-    so every kernel row and column holds a 1. A pass over K does all its work
-    on one cache-sized row block, a block product (_block_factors), at a time:
-    the first pass writes fn - C and takes column maxima, which set gn; the
-    kernel pass adds fn - |x - mu|^2/eta to rows with gn in the column slot. The
-    iterate is the destination log-scaling x, and each sweep is one pass,
-    u_b = a / (K_b e^x) then K^T u += u_b K_b, which evaluates the fixed-point map
-    G(x) = log b - log K^T (a / K e^x) and the column-marginal L1 error of the
-    plan whose rows are exact softmaxes over gn + x - C, which is the map
-    returned. Steps are Anderson-mixed (Walker & Ni 2011) on mean-free residuals,
-    as potentials are defined up to a constant; a mixed step that does not lower
-    the error is replaced by the plain one. |x| beyond SINKHORN_ABSORB is folded
-    into fn and gn and the kernel pass rerun (Schmitzer 2019), so none
-    underflows however far apart the clouds sit.
+    so every kernel row and column holds a 1. A pass over K works on one
+    cache-sized row block at a time, forming -C as a block product less its row
+    terms (_block_factors): the first pass writes fn - C and takes column
+    maxima, which set gn; the kernel pass adds fn to -C, which gives fn - C bit
+    for bit, then gn. As C is formed in full, an entry past the float64 range
+    fails the first pass, and a row whose |x - mu|^2 swamps its cross terms is
+    flat. The iterate is the destination log-scaling x, and each sweep is one
+    pass, u_b = a / (K_b e^x) then K^T u += u_b K_b, which evaluates the
+    fixed-point map G(x) = log b - log K^T (a / K e^x) and the column-marginal
+    L1 error of the plan whose rows are exact softmaxes over gn + x - C, which
+    is the map returned. Steps are Anderson-mixed (Walker & Ni 2011) on
+    mean-free residuals, as potentials are defined up to a constant; a mixed
+    step that does not lower the error is replaced by the plain one. |x| beyond
+    SINKHORN_ABSORB is folded into fn and gn and the kernel pass rerun
+    (Schmitzer 2019), so none underflows however far apart the clouds sit.
     """
     n_src, n_dst = len(src), len(dst)
     a, b = 1.0 / n_src, 1.0 / n_dst    # uniform marginals
@@ -252,31 +253,32 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
     # (rows, kernel block, u block): made once, so the sweep loop allocates
     # nothing, which also keeps it fast under tracemalloc
     blocks = [(s, k[s], u[s]) for s in (slice(lo, lo + step) for lo in range(0, n_src, step))]
-    lhs, rhs = _block_factors(src, dst, eta)
-    fn, gn, y2 = np.empty(n_src), rhs[-1], -rhs[-1]   # gn: the column slot; |y - mu|^2/eta
+    (lhs, rhs, xx), fn = _block_factors(src, dst, eta), np.empty(n_src)
 
     def first_pass(run):               # fn - C into K; the run's column maximum
         top, row = np.full(n_dst, -np.inf), np.empty(n_dst)
         for s, kb, _ in run:
-            fb = np.max(np.matmul(lhs[s], rhs, out=kb), axis=1, out=fn[s])  # -C + a row constant
+            np.subtract(np.matmul(lhs[s], rhs, out=kb), xx[s, None], out=kb)   # -C
+            fb = np.max(kb, axis=1, out=fn[s])
             np.subtract(kb, fb[:, None], out=kb)
-            if not np.isfinite(kb.min()):      # the block product overflowed
+            if not np.isfinite(kb.min()):      # C overflowed
                 raise NumericalUnderflow("cost matrix is not finite")
             np.negative(fb, out=fb)
             np.maximum(top, np.max(kb, axis=0, out=row), out=top)
         return top
 
-    def kernel_pass(run):              # K = exp(fn + gn - C)
+    def kernel_pass(run):              # K = exp(fn - C + gn)
         for s, kb, _ in run:
-            np.exp(np.add(np.matmul(lhs[s], rhs, out=kb), fn[s, None], out=kb), out=kb)
+            np.subtract(np.matmul(lhs[s], rhs, out=kb), xx[s, None], out=kb)
+            np.add(kb, fn[s, None], out=kb)
+            np.exp(np.add(kb, gn, out=kb), out=kb)
 
     # a maximum is exact, so the per-run column maxima combine bit for bit
-    gn -= np.maximum.reduce(_per_core(first_pass, blocks))
+    gn = -np.maximum.reduce(_per_core(first_pass, blocks))
     _per_core(kernel_pass, blocks)
     with np.errstate(all="ignore"):
-        row = np.empty(n_dst)
+        row, ktu = np.empty(n_dst), np.empty(n_dst)
         x = x_acc = np.zeros(n_dst)
-        ktu = np.empty(n_dst)
         err, sweeps, hist, plain = np.inf, 0, [], None   # hist: (x, G(x)) accepted
         while sweeps < max_iters:
             sweeps += 1
@@ -296,8 +298,7 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
             if not np.isfinite(g).all():
                 raise NumericalUnderflow("sinkhorn potentials are not finite")
             if np.abs(x).max() > SINKHORN_ABSORB:
-                fn, g, x_acc, hist = fn + np.log(u), g - x, np.zeros(n_dst), []
-                gn += x
+                fn, gn, g, x_acc, hist = fn + np.log(u), gn + x, g - x, np.zeros(n_dst), []
                 _per_core(kernel_pass, blocks)
             hist = hist[-ANDERSON_DEPTH:] + [(x_acc, g)]
             x, plain = g, None
@@ -307,7 +308,7 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
                 dr -= dr.mean(axis=1, keepdims=True)
                 gamma = np.linalg.lstsq(dr.T, r - r.mean(), rcond=None)[0]
                 x, plain = g - gamma @ np.diff(gs, axis=0), g
-    return gn + y2 + x_acc, bool(err < tol), sweeps
+    return gn + x_acc, bool(err < tol), sweeps
 
 
 def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *,
@@ -363,8 +364,8 @@ def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
     differences, index).
     """
     n_src, n_dst = len(src), len(dst)
-    step, (lhs, rhs) = _block_rows(n_dst), _block_factors(src, dst, 1.0)
-    margin = 1e-9 * (np.sqrt(np.einsum("ij,ij->i", src, src)) + np.sqrt(-rhs[-1].min())) ** 2
+    step, (lhs, rhs, qq) = _block_rows(n_dst), _block_factors(src, dst, 1.0)
+    margin = 1e-9 * (np.sqrt(qq) + np.sqrt(-rhs[-1].min())) ** 2
     out = np.empty((n_src, k), dtype=np.int64)
 
     def scan(run):
@@ -479,10 +480,9 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     ref = tmap.dst_reference
     if ref.shape[1] != x_src.d:
         raise DataError(f"map is {ref.shape[1]}-d, features are {x_src.d}-d")
-    lhs, rhs = _block_factors(x_src.values, ref, tmap.eta, col=tmap.gn)
+    lhs, rhs, _ = _block_factors(x_src.values, ref, tmap.eta, col=tmap.gn)
     mean, centered = ref.mean(axis=0), rhs[:-1].T
-    step = _block_rows(len(ref))
-    out = np.empty((x_src.n, x_src.d))
+    step, out = _block_rows(len(ref)), np.empty((x_src.n, x_src.d))
 
     def image(run):
         buf = np.empty((step, len(ref)))

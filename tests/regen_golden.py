@@ -11,9 +11,7 @@ purpose, and say in CHANGES.md which outputs moved and why.
 The cases are the benchmark workloads' `wsfair run` commands at 2,000 rows
 per group, an `sbm-sinkhorn` run on lfcount data, whose groups sit 10 to 50
 units apart, all at seeds 0, 7 and 100, and the README's three sweeps at
-seeds 0 and 1. Name cases on the command line to rewrite only those:
-
-    PYTHONPATH=src python tests/regen_golden.py run-lfcount-sinkhorn-s0
+seeds 0 and 1.
 """
 
 from __future__ import annotations
@@ -70,12 +68,8 @@ def produce(case: str, workdir: Path) -> Path:
     return out
 
 
-def main(names) -> int:
-    unknown = sorted(set(names) - set(CASES))
-    if unknown:
-        print(f"unknown cases: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    for case in names or CASES:
+def main() -> int:
+    for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             out = produce(case, Path(tmp))
             shutil.rmtree(GOLDEN / case, ignore_errors=True)
@@ -85,4 +79,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

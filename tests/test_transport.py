@@ -152,15 +152,14 @@ def test_matrix_sqrt_up_to_d32():
 # ---------------------------------------------------------------------------
 
 def test_block_product_ignores_where_the_data_sits():
-    # col_j - (|a_i - b_j|^2 - |a_i - mean(b)|^2) / eta, wherever the clouds sit
+    # col_j - |a_i - b_j|^2 / eta, wherever the clouds sit
     rng = np.random.default_rng(14)
     a, b = rng.standard_normal((30, 3)), rng.standard_normal((20, 3))
     col, eta = rng.standard_normal(20), 0.7
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-    want = col - (d2 - ((a - b.mean(axis=0)) ** 2).sum(axis=1)[:, None]) / eta
+    want = col - ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1) / eta
     for offset in (0.0, 1e6):
-        lhs, rhs = _block_factors(a + offset, b + offset, eta, col=col)
-        assert np.allclose(lhs @ rhs, want, rtol=0.0, atol=1e-8)
+        lhs, rhs, xx = _block_factors(a + offset, b + offset, eta, col=col)
+        assert np.allclose(lhs @ rhs - xx[:, None], want, rtol=0.0, atol=1e-8)
 
 
 def test_sinkhorn_single_pair():
@@ -323,6 +322,29 @@ def test_sinkhorn_sweep_cap_returns_a_finite_unconverged_potential():
         gn, converged, sweeps = _sinkhorn_potentials(src, dst, 1.0, SINKHORN_TOL, 2)
         assert not converged and sweeps == 2
         assert gn.shape == (len(dst),) and np.isfinite(gn).all()
+
+
+def test_sinkhorn_keeps_exact_kernel_ones_when_the_destination_is_far_larger():
+    # |y - mu|^2/eta is about 1e20 or 1e100, so a kernel exponent that took gn
+    # through the block product would carry a rounding error of 1e4 or more
+    rng = np.random.default_rng(15)
+    cases = [(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)) * 1e10),
+             (rng.standard_normal((300, 2)), rng.standard_normal((200, 2)) * 1e50)]
+    for src, dst in cases:
+        tmap = fit_sinkhorn(FeatureMatrix(src), FeatureMatrix(dst))
+        assert tmap.converged and np.isfinite(tmap.gn).all()
+
+
+def test_sinkhorn_source_far_larger_than_the_destination():
+    # |x - mu|^2 swamps every cross term of C, so each row of C is flat and the
+    # plan is uniform; past the float64 range, C itself fails the finiteness test
+    rng = np.random.default_rng(15)
+    src, dst = rng.standard_normal((300, 2)), rng.standard_normal((200, 2))
+    for scale in (1e50, 1e150):
+        tmap = fit_sinkhorn(FeatureMatrix(src * scale), FeatureMatrix(dst))
+        assert tmap.converged and np.ptp(tmap.gn) == 0.0
+    with pytest.raises(NumericalUnderflow, match="cost matrix is not finite"):
+        fit_sinkhorn(FeatureMatrix(src * 1e155), FeatureMatrix(dst))
 
 
 @pytest.mark.parametrize("eta, error", [(1e-300, NumericalUnderflow), (1e-320, NumericalError)])
