@@ -10,8 +10,9 @@ purpose, and say in CHANGES.md which outputs moved and why.
 
 The cases are the benchmark workloads' `wsfair run` commands at 2,000 rows
 per group, an `sbm-sinkhorn` run on lfcount data, whose groups sit 10 to 50
-units apart, all at seeds 0, 7 and 100, and the README's three sweeps at
-seeds 0 and 1.
+units apart, all at seeds 0, 7 and 100, an `sbm-linear` run at 6,000 rows per
+group, whose neighbour search uses the k-d tree, at seed 0, and the README's
+three sweeps at seeds 0 and 1.
 """
 
 from __future__ import annotations
@@ -35,15 +36,19 @@ RUNS = {  # workload: (synth arguments, run arguments)
     # far-apart groups: the Sinkhorn fit runs in both directions and absorbs
     "lfcount-sinkhorn": (["--experiment", "lfcount", "--n", "4000", "--m", "12"],
                          ["--method", "sbm-sinkhorn", "--postprocess", "dp-threshold"]),
+    # destinations above the scan's 5,000-row cap: the k-d tree finds the neighbours
+    "pair-linear-tree": (["--experiment", "gaussian-pair", "--n", "6000"],
+                         ["--method", "sbm-linear", *_PAIR_RUN]),
 }
-RUN_SEEDS = (0, 7, 100)
+RUN_SEEDS = {"pair-linear-tree": (0,)}   # (0, 7, 100) for every other run
 SWEEPS = {
     "sweep-samples": ["--experiment", "samples", "--grid", "100,1000,10000",
                       "--eval", "direct-lf", "--methods", "baseline,sbm-linear"],
     "sweep-lfs": ["--experiment", "lfs", "--grid", "3,6,12,24", "--eval", "direct-lf"],
     "sweep-shift": ["--experiment", "shift", "--grid", "0,10,100,1000"],
 }
-CASES = [f"run-{name}-s{seed}" for name in RUNS for seed in RUN_SEEDS] + list(SWEEPS)
+CASES = [f"run-{name}-s{seed}" for name in RUNS
+         for seed in RUN_SEEDS.get(name, (0, 7, 100))] + list(SWEEPS)
 
 
 def produce(case: str, workdir: Path) -> Path:
