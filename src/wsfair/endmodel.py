@@ -86,9 +86,9 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
     t = _as_targets(targets, x.n)
 
     # moments of x / 2^e, 2^e near each column's max |x|: exact, and no square overflows
-    scale = np.ldexp(1.0, np.frexp(np.abs(x.values).max(axis=0))[1])
-    mean = (x.values / scale).mean(axis=0) * scale
-    std = (x.values / scale).std(axis=0) * scale
+    e = np.frexp(np.abs(x.values).max(axis=0))[1]
+    mean = np.ldexp(np.ldexp(x.values, -e).mean(axis=0), e)
+    std = np.ldexp(np.ldexp(x.values, -e).std(axis=0), e)
     std = np.where(std == 0.0, 1.0, std)
     xs = (x.values - mean) / std
     xt = np.column_stack([xs, np.ones(x.n)])

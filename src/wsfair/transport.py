@@ -12,20 +12,21 @@ Two fitted map families plus an identity bypass:
   applied to the destination points and is defined for any row, fitted or not.
 
 After mapping, labels are borrowed from Euclidean nearest neighbors in the
-destination cloud, found exactly: a destination of at most the Sinkhorn point
-cap, which holds every capped Sinkhorn reference, by a blocked scan, a larger
-one with a scipy k-d tree. The Sinkhorn fit is one Anderson-accelerated,
-absorption-stabilised scaling loop, valid at any distance between the clouds.
-Its one dense fit-size array is the kernel, which is why fits above a point cap
-are subsampled. Every pairwise block is one matmul of a row block with the
-factors of _block_factors, less its row terms where they do not cancel, on
-clouds centered on the destination mean, so results do not depend on where the
-data sits in feature space. The fit walks the kernel in cache-sized row blocks,
-two passes to build it and one per scaling sweep; the apply and the scan stream
-blocks of the same size through one buffer per worker, so no n_src x n_dst
-array is ever held. Every pass but the sweeps, which are bound by memory
-bandwidth, splits its blocks into one contiguous run per usable core. Each
-block is computed as in a serial pass, so no result depends on the core count.
+destination cloud, found exactly and ranked by (squared distance, index): a
+destination of at most SINKHORN_MAX_POINTS rows, the default Sinkhorn cap, by a
+blocked scan, a larger one with a scipy k-d tree whose near-tied rows the scan
+settles. The Sinkhorn fit is one Anderson-accelerated, absorption-stabilised
+scaling loop, valid at any distance between the clouds. Its one dense fit-size
+array is the kernel, which is why fits above a point cap are subsampled. Every
+pairwise block is one matmul of a row block with the factors of _block_factors,
+less its row terms where they do not cancel, on clouds centered on the
+destination mean, so results do not depend on where the data sits in feature
+space. The fit walks the kernel in cache-sized row blocks, two passes to build
+it and one per scaling sweep; the apply and the scan stream blocks of the same
+size through one buffer per worker, so no n_src x n_dst array is ever held.
+Every pass but the sweeps, which are bound by memory bandwidth, splits its
+blocks into one contiguous run per usable core. Each block is computed as in a
+serial pass, so no result depends on the core count.
 """
 
 from __future__ import annotations
@@ -348,11 +349,6 @@ def _as_values(x) -> np.ndarray:
     return x.values if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)
 
 
-def _sq_dists(src: np.ndarray, dst: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Squared distances from each src row to the dst rows its idx row names."""
-    return ((src[:, None, :] - dst[idx]) ** 2).sum(axis=-1)
-
-
 def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
     """nn_indices on centered clouds by an exact scan of every destination row.
 
@@ -392,11 +388,11 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
     Exact search on both clouds centered on the destination mean. Squared
     distances are recomputed from coordinate differences, and exact ties are
     broken toward the lowest destination row index. A destination of at most
-    SINKHORN_MAX_POINTS rows, which covers every capped Sinkhorn reference,
-    is scanned in blocks on every core (_scan_nn); a larger one is searched
-    with a k-d tree from scipy, imported only then. Tree rows whose k-th and
-    (k+1)-th neighbors are (near-)equally far are re-resolved over every
-    destination point inside that radius.
+    SINKHORN_MAX_POINTS rows (every reference of a fit at the default cap) is
+    scanned in blocks on every core (_scan_nn); a larger one is searched with
+    a k-d tree from scipy, imported only then. A tree row keeps the tree's
+    order unless two of its k + 1 nearest distances lie within 1e-9 of each
+    other, relatively; those rows are all rescanned in one _scan_nn call.
     """
     src, dst = _as_values(x_src), _as_values(x_dst)
     if dst.shape[0] == 0:
@@ -416,33 +412,28 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
         return _scan_nn(src, dst, k)
     from scipy.spatial import cKDTree   # deferred: importing scipy costs ~0.4 s
 
-    tree = cKDTree(dst)
     kq = min(k + 1, n_dst)
-    dist, idx = tree.query(src, k=kq)
-    dist, idx = dist.reshape(n_src, kq), idx.reshape(n_src, kq).astype(np.int64)
-    d2 = _sq_dists(src, dst, idx)
-    order = np.lexsort((idx, d2), axis=1)[:, :k]
-    out = np.take_along_axis(idx, order, axis=1)
-    if kq == k:
-        return out
-    # The margin dominates the rounding gap between the tree's distances and d2.
-    radius = dist[:, k - 1] * (1.0 + 1e-9)
-    tied = np.flatnonzero(dist[:, k] <= radius)
-    for i, ball in zip(tied, tree.query_ball_point(src[tied], radius[tied])):
-        cand = np.asarray(ball, dtype=np.int64)
-        cd2 = _sq_dists(src[i:i + 1], dst, cand[None, :])[0]
-        out[i] = cand[np.lexsort((cand, cd2))[:k]]
+    dist, idx = cKDTree(dst).query(src, k=kq)
+    dist, out = dist.reshape(n_src, kq), idx.reshape(n_src, kq)[:, :k].astype(np.int64)
+    # the margin dominates the rounding of the tree's distances, so an untied
+    # row's order is its (d2, index) order
+    tied = np.flatnonzero((dist[:, 1:] <= dist[:, :-1] * (1.0 + 1e-9)).any(axis=1))
+    if tied.size:
+        out[tied] = _scan_nn(src[tied], dst, k)
     return out
 
 
 def knn_borrow(x_mapped_src, x_dst, labels_dst, k: int = 1) -> np.ndarray:
     """Borrow destination labels for each mapped source row.
 
-    `labels_dst` may be a single +-1 column or a stack of columns; for k > 1
-    the per-column majority decides, ties going to +1.
+    `labels_dst` has one row per destination row and may be a single +-1
+    column or a stack of columns; for k > 1 the per-column majority decides,
+    ties going to +1.
     """
+    labels, n_dst = np.asarray(labels_dst), len(_as_values(x_dst))
+    if len(labels) != n_dst:
+        raise DataError(f"{len(labels)} vote rows for {n_dst} destination rows")
     idx = nn_indices(x_mapped_src, x_dst, k)
-    labels = np.asarray(labels_dst)
     single = labels.ndim == 1
     cols = labels[:, None] if single else labels
     gathered = cols[idx]                       # (n_src, k, c)

@@ -141,6 +141,18 @@ def test_predictions_invariant_to_a_huge_feature_scale():
     assert (preds[0] == y.labels).mean() > 0.8
 
 
+@pytest.mark.parametrize("scale", [1.5e308, 1.79e308])
+def test_predictions_invariant_to_a_feature_scale_near_the_float64_limit(scale):
+    # max |x| at or above 2^1023, where 2^e itself is not a float64
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1.0, 1.0, (200, 2))
+    y = LabelVector(np.where(x[:, 0] + 0.3 * rng.standard_normal(200) > 0, 1, -1))
+    preds = [predict_labels(predict_logreg(train_logreg(feats, y), feats)).labels
+             for feats in (FeatureMatrix(x), FeatureMatrix(x * scale))]
+    assert np.array_equal(preds[0], preds[1])
+    assert (preds[0] == y.labels).mean() > 0.8
+
+
 @pytest.mark.parametrize("case", ["constant-column", "separable"])
 def test_unpenalised_fit_returns_finite_weights(case):
     # l2 = 0 leaves the Hessian singular (constant column) or the optimum at

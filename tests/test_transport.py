@@ -552,22 +552,25 @@ def test_knn_tie_breaks_to_lowest_index():
 def check_both_paths(monkeypatch):
     """check(src, dst, k): nn_indices equals the oracle through the blocked
     scan, with the destination at the scan's row cap, and through the k-d
-    tree, one row above it."""
-    scans, scan = [], transport._scan_nn
+    tree, one row above it. The path is told by the trees built, as the tree
+    path also scans its near-tied rows."""
+    import scipy.spatial
+
+    trees, tree = [], scipy.spatial.cKDTree
 
     def counting(*args):
-        scans.append(1)
-        return scan(*args)
+        trees.append(1)
+        return tree(*args)
 
-    monkeypatch.setattr(transport, "_scan_nn", counting)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
 
     def check(src, dst, k):
         want = brute_force_nn(src, dst, k)
-        for cap, scanned in ((len(dst), 1), (len(dst) - 1, 0)):
-            scans.clear()
+        for cap, built in ((len(dst), 0), (len(dst) - 1, 1)):
+            trees.clear()
             monkeypatch.setattr(transport, "SINKHORN_MAX_POINTS", cap)
             got = nn_indices(src, dst, k)
-            assert len(scans) == scanned
+            assert len(trees) == built
             assert np.array_equal(got, want), (cap, src.shape, dst.shape, k)
     return check
 
@@ -597,6 +600,28 @@ def test_nn_indices_match_brute_force_oracle(check_both_paths, k, d):
     check_both_paths(rng.integers(-2, 3, size=(40, d)), lat_dst, len(lat_dst))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_tree_path_matches_the_oracle_above_the_cap(monkeypatch, k):
+    # Above the real cap the k-d tree runs. Lattice rows, each duplicated
+    # ~160 times, tie every source near them; continuous rows and sources
+    # far out keep the tree's order. The tied rows are scanned in one call.
+    rng = np.random.default_rng(40 + k)
+    n_lat = transport.SINKHORN_MAX_POINTS - 1000
+    dst = np.vstack([rng.integers(-2, 3, size=(n_lat, 2)), 3.0 * rng.standard_normal((2000, 2))])
+    src = np.vstack([rng.integers(-2, 3, size=(100, 2)), 3.0 * rng.standard_normal((300, 2))])
+    scanned, scan = [], transport._scan_nn
+
+    def counting(rows, *args):
+        scanned.append(len(rows))
+        return scan(rows, *args)
+
+    monkeypatch.setattr(transport, "_scan_nn", counting)
+    got = nn_indices(src, dst, k)
+    assert len(scanned) == 1 and 100 <= scanned[0] < len(src)
+    rows = rng.choice(len(src), size=200, replace=False)
+    assert np.array_equal(got[rows], brute_force_nn(src[rows], dst, k))
+
+
 def test_nn_indices_uses_every_destination_row_when_k_is_n_dst():
     dst = np.array([[1.0], [-1.0], [1.0], [3.0]])
     src = np.array([[0.0], [2.0]])
@@ -618,6 +643,13 @@ def test_knn_k_bounds_and_empty_destination():
         knn_borrow(src, FeatureMatrix([[1.0]]), np.array([1]), k=2)
     with pytest.raises(DataError, match="destination set is empty"):
         knn_borrow(src, np.empty((0, 1)), np.array([]), k=1)
+
+
+@pytest.mark.parametrize("n_labels", [2, 4])
+def test_knn_rejects_votes_of_another_length(n_labels):
+    src, dst = FeatureMatrix([[0.0], [2.9]]), FeatureMatrix([[0.0], [1.0], [3.0]])
+    with pytest.raises(DataError, match=f"{n_labels} vote rows for 3 destination rows"):
+        knn_borrow(src, dst, np.ones(n_labels, dtype=np.int8))
 
 
 @pytest.mark.parametrize("n_dst", [40, transport.SINKHORN_MAX_POINTS + 1])  # scan, k-d tree
