@@ -15,18 +15,18 @@ After mapping, labels are borrowed from Euclidean nearest neighbors in the
 destination cloud, found exactly and ranked by (squared distance, index): a
 destination of at most SINKHORN_MAX_POINTS rows, the default Sinkhorn cap, by a
 blocked scan, a larger one with a scipy k-d tree whose near-tied rows the scan
-settles. The Sinkhorn fit is one Anderson-accelerated, absorption-stabilised
-scaling loop, valid at any distance between the clouds. Its one dense fit-size
-array is the kernel, which is why fits above a point cap are subsampled. Every
-pairwise block is one matmul of a row block with the factors of _block_factors,
-less its row terms where they do not cancel, on clouds centered on the
-destination mean, so results do not depend on where the data sits in feature
-space. The fit walks the kernel in cache-sized row blocks, two passes to build
-it and one per scaling sweep; the apply and the scan stream blocks of the same
-size through one buffer per worker, so no n_src x n_dst array is ever held.
-Every pass but the sweeps, which are bound by memory bandwidth, splits its
-blocks into one contiguous run per usable core. Each block is computed as in a
-serial pass, so no result depends on the core count.
+settles. The Sinkhorn fit is one Anderson-accelerated,
+absorption-stabilised scaling loop, valid at any distance between the clouds.
+Its one dense fit-size array is the kernel, which is why fits above a point cap
+are subsampled. Every pairwise block is one matmul of a row block with the
+factors of _block_factors, less its row terms where they do not cancel, on
+clouds centered on the destination mean, so results do not depend on where the
+data sits in feature space. The fit walks the kernel in cache-sized row blocks,
+two passes to build it and one per scaling sweep; the apply and the scan stream
+blocks of the same size through one buffer per worker, so no n_src x n_dst
+array is ever held. Every pass but the sweeps, which are bound by memory
+bandwidth, splits its blocks into one contiguous run per usable core. Each
+block is computed as in a serial pass, so no result depends on the core count.
 """
 
 from __future__ import annotations
