@@ -71,6 +71,14 @@ def loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, targets: np.ndarray,
     return loss, grad_w, grad_b
 
 
+def _standardize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """(x - mean) / std, with every term first scaled by 2^-e, 2^e near the
+    larger of each column's max |x| and |mean|, so that no difference
+    overflows; a power-of-two scale leaves the quotient's bits unchanged."""
+    e = np.frexp(np.maximum(np.abs(x).max(axis=0, initial=0.0), np.abs(mean)))[1]
+    return (np.ldexp(x, -e) - np.ldexp(mean, -e)) / np.ldexp(std, -e)
+
+
 def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> LogisticModel:
     """Fit by damped Newton steps on the (d+1)x(d+1) Hessian.
 
@@ -90,7 +98,7 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
     mean = np.ldexp(np.ldexp(x.values, -e).mean(axis=0), e)
     std = np.ldexp(np.ldexp(x.values, -e).std(axis=0), e)
     std = np.where(std == 0.0, 1.0, std)
-    xs = (x.values - mean) / std
+    xs = _standardize(x.values, mean, std)
     xt = np.column_stack([xs, np.ones(x.n)])
     ridge = np.diag(np.append(np.full(x.d, cfg.l2), 0.0))
 
@@ -127,5 +135,5 @@ def predict_logreg(model: LogisticModel, x: FeatureMatrix) -> ScoreVector:
     """sigmoid(x.w + b) on standardized rows."""
     if x.d != model.weights.shape[0]:
         raise DataError(f"model is {model.weights.shape[0]}-d, features are {x.d}-d")
-    xs = (x.values - model.standardize_mean) / model.standardize_std
+    xs = _standardize(x.values, model.standardize_mean, model.standardize_std)
     return ScoreVector(sigmoid(xs @ model.weights + model.bias))

@@ -12,20 +12,23 @@ Two fitted map families plus an identity bypass:
   applied to the destination points and is defined for any row, fitted or not.
 
 After mapping, labels are borrowed from Euclidean nearest neighbors in the
-destination cloud, found exactly and ranked by (squared distance, index): a
-destination of at most SINKHORN_MAX_POINTS rows, the default Sinkhorn cap, by a
-blocked scan, a larger one with a scipy k-d tree whose near-tied rows the scan
-settles. The Sinkhorn fit is one Anderson-accelerated,
-absorption-stabilised scaling loop, valid at any distance between the clouds.
+destination cloud, found exactly and ranked by (squared distance, index), by a
+blocked scan of the destination rows that k-d tree leaf boxes cannot rule out.
+A search whose scan would cost more than one over a destination of
+SINKHORN_MAX_POINTS rows, the default Sinkhorn cap, goes to a scipy k-d tree
+whose near-tied rows the scan settles. The Sinkhorn fit is one
+Anderson-accelerated, absorption-stabilised scaling loop, valid at any
+distance between the clouds.
 Its one dense fit-size array is the kernel, which is why fits above a point cap
 are subsampled. Every pairwise block is one matmul of a row block with the
 factors of _block_factors, less its row terms where they do not cancel, on
 clouds centered on the destination mean, so results do not depend on where the
 data sits in feature space. The fit walks the kernel in cache-sized row blocks,
 two passes to build it and one per scaling sweep; the apply and the scan stream
-blocks of the same size through one buffer per worker, so no n_src x n_dst
-array is ever held. Every pass but the sweeps, which are bound by memory
-bandwidth, splits its blocks into one contiguous run per usable core. Each
+blocks of at most the same size through one buffer per worker, so no n_src x
+n_dst array is ever held. Every pass but the sweeps, which are bound by memory
+bandwidth, splits its blocks (the scan, its source groups) into one
+contiguous run per usable core. Each
 block is computed as in a serial pass, so no result depends on the core count.
 """
 
@@ -51,6 +54,7 @@ SINKHORN_ABSORB = 100.0       # |log scaling| that is folded into the potentials
 ANDERSON_DEPTH = 6            # residual differences mixed into each Sinkhorn step
 
 _SUBSAMPLE_STREAM = 90
+_LEAF_ROWS, _GROUP_ROWS = 32, 256   # destination leaf and source group of the scan
 
 
 # ---------------------------------------------------------------------------
@@ -349,36 +353,119 @@ def _as_values(x) -> np.ndarray:
     return x.values if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)
 
 
-def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
-    """nn_indices on centered clouds by an exact scan of every destination row.
+def _cells(x: np.ndarray, size: int):
+    """(order, starts): cell c of x's rows is order[starts[c]:starts[c + 1]].
 
-    Each block of SINKHORN_BLOCK_CELLS cells is one block product at eta 1,
-    2 q.r - |r|^2 = |q|^2 - |q - r|^2, so the nearest rows hold the largest
-    entries. Every column within 1e-9 (|q| + max|r|)^2 of the row's k-th
-    largest, a margin far above the expanded form's rounding, is a candidate,
-    and the candidates are ranked by (squared distance from coordinate
-    differences, index).
+    ceil(n / size) cells, made by cutting each node across its widest
+    coordinate into two parts whose row counts are in proportion to the cells
+    each will hold. Each level sorts the rows of all nodes at once, by node
+    and then by rank along the node's cutting coordinate.
     """
-    n_src, n_dst = len(src), len(dst)
-    step, (lhs, rhs, qq) = _block_rows(n_dst), _block_factors(src, dst, 1.0)
+    n = len(x)
+    rank = np.argsort(np.argsort(x.T), axis=1).ravel()   # [a * n + i]: row i's rank in column a
+    order, starts, cells = np.arange(n), np.array([0, n]), np.array([-(-n // size)])
+    while (cells > 1).any():
+        v, sizes = np.take(x, order, axis=0), np.diff(starts)
+        spread = np.maximum.reduceat(v, starts[:-1]) - np.minimum.reduceat(v, starts[:-1])
+        node = np.repeat(np.arange(len(sizes)), sizes)
+        order = order[np.argsort(node * n + rank[spread.argmax(axis=1)[node] * n + order])]
+        left = cells // 2
+        cuts = np.column_stack([starts[:-1], starts[:-1] + sizes * left // cells]).ravel()
+        halves = np.column_stack([left, cells - left]).ravel()
+        starts, cells = np.append(cuts[halves > 0], n), halves[halves > 0]
+    return order, starts
+
+
+def _kth_largest(e: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th largest entry; for k = 1 the row maximum, found ~15x faster."""
+    return e.max(axis=1) if k == 1 else np.partition(e, e.shape[1] - k, axis=1)[:, e.shape[1] - k]
+
+
+def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int, budget=np.inf):
+    """nn_indices on centered clouds by an exact scan of the destination rows
+    that can be neighbours, or None if those exceed `budget` row pairs, which
+    is known before any block is scanned.
+
+    Sources are cut into groups of about _GROUP_ROWS rows and the destination
+    into leaves of about _LEAF_ROWS (_cells), each with its bounding box, as in
+    a k-d tree (Friedman, Bentley & Finkel 1977). A group's bound U is the
+    largest k-th smallest squared distance from its rows to the rows of its
+    home leaf, the leaf of least max box distance, and then, if that bound
+    rules out a leaf, to the rows of every leaf no farther by min box distance
+    (from fewer than k rows: the least max box distance within which k rows
+    lie). A leaf is kept when its min box distance is at most U (1 + 1e-6) +
+    4 margin, which keeps every row within a source row's k-th distance plus
+    the margin below, so the result is that of a scan of every row.
+
+    A group's kept rows are scanned in blocks of at most SINKHORN_BLOCK_CELLS
+    cells, each one block product at eta 1, 2 q.r - |r|^2 = |q|^2 - |q - r|^2,
+    so the nearest rows hold the largest entries. Every column within 1e-9
+    (|q| + max|r|)^2 of the row's k-th largest, a margin far above the
+    expanded form's rounding, is a candidate, and the candidates are ranked
+    by (squared distance from coordinate differences, index).
+    """
+    if not len(src):
+        return np.empty((0, k), dtype=np.int64)
+    # sources in group order and destination rows in leaf order, so that a
+    # group's rows and a leaf's rows are each one slice
+    group, group_at = _cells(src, _GROUP_ROWS)
+    leaf, at = _cells(dst, _LEAF_ROWS)
+    src, dst, sizes = np.take(src, group, axis=0), np.take(dst, leaf, axis=0), np.diff(at)
+    lhs, rhs, qq = _block_factors(src, dst, 1.0)
     margin = 1e-9 * (np.sqrt(qq) + np.sqrt(-rhs[-1].min())) ** 2
-    out = np.empty((n_src, k), dtype=np.int64)
+    box_lo, box_hi = np.minimum.reduceat(dst, at[:-1]), np.maximum.reduceat(dst, at[:-1])
+    q_lo, q_hi = np.minimum.reduceat(src, group_at[:-1]), np.maximum.reduceat(src, group_at[:-1])
+    slack = 4.0 * np.maximum.reduceat(margin, group_at[:-1])
+
+    def positions(leaves):             # the rows of the given leaves, in leaf order
+        lens = sizes[leaves]
+        return np.arange(lens.sum()) + np.repeat(at[:-1][leaves] - np.cumsum(lens) + lens, lens)
+
+    plan, pairs = [], 0
+    for g, (a, b) in enumerate(zip(group_at[:-1], group_at[1:])):
+        up, down = box_hi - q_lo[g], q_hi[g] - box_lo
+        near = (np.minimum(np.minimum(up, down), 0.0) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):    # an infinite bound keeps every leaf
+            far = (np.maximum(up, down) ** 2).sum(axis=1)
+        home = far.argmin()
+        for probe in (np.arange(at[home], at[home + 1]), positions(near <= near[home])):
+            if len(probe) >= k:
+                bound = (qq[a:b] - _kth_largest(lhs[a:b] @ np.take(rhs, probe, axis=1), k)).max()
+            else:
+                by = far.argsort()
+                bound = far[by[np.searchsorted(np.cumsum(sizes[by]), k)]]
+            kept = np.flatnonzero(near <= bound * (1.0 + 1e-6) + slack[g])
+            if len(kept) == len(sizes):
+                break
+        pairs += (b - a) * sizes[kept].sum()
+        if pairs > budget:
+            return None
+        plan.append((a, b, None if len(kept) == len(sizes) else kept))
+    found = np.empty((len(src), k), dtype=np.int64)
 
     def scan(run):
-        buf = np.empty((step, n_dst))
-        for lo in run:
-            hi = min(lo + step, n_src)
-            e = np.matmul(lhs[lo:hi], rhs, out=buf[:hi - lo])
-            # for k = 1 the partition's value is the row maximum, found ~15x faster
-            kth = e.max(axis=1) if k == 1 else np.partition(e, n_dst - k, axis=1)[:, n_dst - k]
-            hits = np.flatnonzero(e >= (kth - margin[lo:hi])[:, None])
-            rows, cols = np.divmod(hits, n_dst)         # rows ascending
-            d2 = ((src[lo + rows] - dst[cols]) ** 2).sum(axis=-1)
-            ranked = cols[np.lexsort((cols, d2, rows))]
-            first = np.searchsorted(rows, np.arange(hi - lo))
-            out[lo:hi] = ranked[first[:, None] + np.arange(k)]
+        buf = np.empty(max(SINKHORN_BLOCK_CELLS, len(dst)))
+        for a, b, kept in run:
+            r, y, index = rhs, dst, leaf        # every leaf kept: no copy
+            if kept is not None:
+                keep = positions(kept)
+                r, y, index = np.take(rhs, keep, axis=1), np.take(dst, keep, axis=0), leaf[keep]
+            m = len(index)
+            step = _block_rows(m)
+            for lo in range(a, b, step):
+                hi = min(lo + step, b)
+                e = np.matmul(lhs[lo:hi], r, out=buf[:(hi - lo) * m].reshape(hi - lo, m))
+                hits = np.flatnonzero(e >= (_kth_largest(e, k) - margin[lo:hi])[:, None])
+                rows, cols = np.divmod(hits, m)         # rows ascending
+                d2 = ((np.take(src, lo + rows, axis=0) - np.take(y, cols, axis=0)) ** 2).sum(axis=-1)
+                cols = index[cols]
+                ranked = cols[np.lexsort((cols, d2, rows))]
+                first = np.searchsorted(rows, np.arange(hi - lo))
+                found[lo:hi] = ranked[first[:, None] + np.arange(k)]
 
-    _per_core(scan, range(0, n_src, step))
+    _per_core(scan, plan)
+    out = np.empty_like(found)
+    out[group] = found
     return out
 
 
@@ -387,12 +474,14 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
 
     Exact search on both clouds centered on the destination mean. Squared
     distances are recomputed from coordinate differences, and exact ties are
-    broken toward the lowest destination row index. A destination of at most
-    SINKHORN_MAX_POINTS rows (every reference of a fit at the default cap) is
-    scanned in blocks on every core (_scan_nn); a larger one is searched with
-    a k-d tree from scipy, imported only then. A tree row keeps the tree's
-    order unless two of its k + 1 nearest distances lie within 1e-9 of each
-    other, relatively; those rows are all rescanned in one _scan_nn call.
+    broken toward the lowest destination row index. The search scans, on
+    every core, the destination rows that its leaf bounds cannot rule out
+    (_scan_nn), unless those come to more than SINKHORN_MAX_POINTS per source
+    row, the cost of scanning a destination at the default cap, which only a
+    larger destination can reach. Such a search goes to a k-d tree from
+    scipy, imported only then. A tree row keeps the tree's order unless two
+    of its k + 1 nearest distances lie within 1e-9 of each other,
+    relatively; those rows are all rescanned in one _scan_nn call.
     """
     src, dst = _as_values(x_src), _as_values(x_dst)
     if dst.shape[0] == 0:
@@ -408,8 +497,9 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
     reach = sum(np.sqrt(np.einsum("ij,ij->i", v, v).max(initial=0.0)) for v in (src, dst))
     if not np.isfinite(reach * reach):
         raise NumericalUnderflow("squared neighbor distances overflow")
-    if n_dst <= SINKHORN_MAX_POINTS:
-        return _scan_nn(src, dst, k)
+    out = _scan_nn(src, dst, k, n_src * SINKHORN_MAX_POINTS)
+    if out is not None:
+        return out
     from scipy.spatial import cKDTree   # deferred: importing scipy costs ~0.4 s
 
     kq = min(k + 1, n_dst)

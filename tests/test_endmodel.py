@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,20 @@ def test_predictions_invariant_to_a_feature_scale_near_the_float64_limit(scale):
              for feats in (FeatureMatrix(x), FeatureMatrix(x * scale))]
     assert np.array_equal(preds[0], preds[1])
     assert (preds[0] == y.labels).mean() > 0.8
+
+
+def test_standardizes_a_column_whose_spread_passes_the_float64_range():
+    # 90% of the rows at -0.5 x 1.79e308 and 10% at 0.95 x 1.79e308: every
+    # value is finite, but a value less the column mean is not
+    high = np.arange(200) % 10 == 0
+    x = np.column_stack([np.where(high, 0.95, -0.5) * 1.79e308,
+                         np.random.default_rng(8).standard_normal(200)])
+    y = LabelVector(np.where(high, 1, -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_logreg(FeatureMatrix(x), y)
+        preds = predict_labels(predict_logreg(model, FeatureMatrix(x))).labels
+    assert np.array_equal(preds, y.labels)
 
 
 @pytest.mark.parametrize("case", ["constant-column", "separable"])

@@ -22,11 +22,15 @@ def test_import_does_not_load_scipy():
 
 def test_only_a_destination_above_the_cap_loads_scipy():
     # Both groups are above the Sinkhorn cap. The Sinkhorn map borrows votes
-    # from its capped reference, which is scanned; the linear map borrows from
-    # the whole other group, which goes to the k-d tree.
+    # from its capped reference, the linear map from the whole other group;
+    # the clouds overlap, so the scan skips most of that group, and neither
+    # loads scipy. An 8-d search above the cap skips almost nothing: its scan
+    # would keep more than the cap's pairs per source row, so it goes to the
+    # k-d tree.
     code = """
 import sys
-from wsfair import SbmConfig, gen_gaussian_pair_dataset, run_pipeline
+import numpy as np
+from wsfair import SbmConfig, gen_gaussian_pair_dataset, run_pipeline, transport
 from wsfair.transport import SINKHORN_MAX_POINTS
 
 feats, groups, _, weak, _ = gen_gaussian_pair_dataset(SINKHORN_MAX_POINTS + 500, 0)
@@ -34,9 +38,17 @@ for ot_kind in ("sinkhorn", "linear"):
     cfg = SbmConfig(ot_kind=ot_kind, seed=0, sinkhorn_max_points=2000)
     audit = run_pipeline(feats, groups, weak, cfg).audit
     print(sum(d.rows_rewritten for d in audit.per_lf) > 0,
-          [m for m in sys.modules if m.startswith("scipy")] == [],
-          "scipy.spatial" in sys.modules)
+          [m for m in sys.modules if m.startswith("scipy")] == [])
+rng = np.random.default_rng(0)
+src, dst = rng.standard_normal((2000, 8)), rng.standard_normal((SINKHORN_MAX_POINTS + 500, 8))
+center = dst.mean(axis=0)
+budget = len(src) * SINKHORN_MAX_POINTS
+print(transport._scan_nn(src - center, dst - center, 1, budget) is None,
+      "scipy.spatial" in sys.modules)
+transport.nn_indices(src, dst, 1)
+print("scipy.spatial" in sys.modules)
 """
-    sinkhorn, linear = _python(code).splitlines()
-    assert sinkhorn == "True True False"
-    assert linear == "True False True"
+    sinkhorn, linear, over_budget, tree = _python(code).splitlines()
+    assert sinkhorn == linear == "True True"
+    assert over_budget == "True False"
+    assert tree == "True"

@@ -478,19 +478,21 @@ def test_barycentric_mean_matches_destination_mean():
 
 def test_per_core_passes_on_eight_workers_match_one_worker_bit_for_bit(monkeypatch):
     # Eight workers on fewer cores, switching threads every microsecond,
-    # interleave the runs of every pass. Each pass walks 9 blocks, so one
-    # worker takes them all and eight take one or two each. A skipped or
-    # doubled run changes a result or the rows the fits pass through the
-    # kernel pass; the far fit at eta 0.2 absorbs, which reruns that pass.
+    # interleave the runs of every pass. Each pass walks 9 blocks (the scan,
+    # 9 source groups), so one worker takes them all and eight take one or
+    # two each. A skipped or doubled run changes a result or the rows the
+    # fits pass through the kernel pass; the far fit at eta 0.2 absorbs,
+    # which reruns that pass.
     rng = np.random.default_rng(25)
     m = 1000
     src = rng.standard_normal((8 * (SINKHORN_BLOCK_CELLS // m) + 7, 2))
     near, far = rng.standard_normal((m, 2)) + 0.5, rng.standard_normal((m, 2)) + 5.0
+    queries = rng.standard_normal((8 * transport._GROUP_ROWS + 7, 2))
     tmap = fit_sinkhorn(FeatureMatrix(src), FeatureMatrix(near))
     passes = {"fit": lambda: _sinkhorn_potentials(src, near, 1.0),
               "absorbing fit": lambda: _sinkhorn_potentials(src, far, 0.2),
               "apply": lambda: (apply_map(tmap, FeatureMatrix(src)).values,),
-              "scan": lambda: (nn_indices(src, near, 3),)}
+              "scan": lambda: (nn_indices(queries, near, 3),)}
     rows, sizes, quiet = _kernel_rows(monkeypatch), [], transport._quiet
 
     def sizing(fn, run, *args):
@@ -550,10 +552,10 @@ def test_knn_tie_breaks_to_lowest_index():
 
 @pytest.fixture
 def check_both_paths(monkeypatch):
-    """check(src, dst, k): nn_indices equals the oracle through the blocked
-    scan, with the destination at the scan's row cap, and through the k-d
-    tree, one row above it. The path is told by the trees built, as the tree
-    path also scans its near-tied rows."""
+    """check(src, dst, k): nn_indices equals the oracle through the scan,
+    with the cap at the destination's rows, and through the k-d tree, with a
+    cap of 0, which no kept pair fits. The path is told by the trees built,
+    as the tree path also scans its near-tied rows."""
     import scipy.spatial
 
     trees, tree = [], scipy.spatial.cKDTree
@@ -566,7 +568,7 @@ def check_both_paths(monkeypatch):
 
     def check(src, dst, k):
         want = brute_force_nn(src, dst, k)
-        for cap, built in ((len(dst), 0), (len(dst) - 1, 1)):
+        for cap, built in ((len(dst), 0), (0, 1)):
             trees.clear()
             monkeypatch.setattr(transport, "SINKHORN_MAX_POINTS", cap)
             got = nn_indices(src, dst, k)
@@ -602,24 +604,67 @@ def test_nn_indices_match_brute_force_oracle(check_both_paths, k, d):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_tree_path_matches_the_oracle_above_the_cap(monkeypatch, k):
-    # Above the real cap the k-d tree runs. Lattice rows, each duplicated
-    # ~160 times, tie every source near them; continuous rows and sources
-    # far out keep the tree's order. The tied rows are scanned in one call.
+    # Above the real cap, a search whose scan would keep more than the cap's
+    # pairs per source row runs the k-d tree, as 8-d clouds do: their leaf
+    # boxes rule out almost nothing. Rows of a 0/1 lattice, each duplicated
+    # ~16 times, tie every source on the lattice; continuous rows keep the
+    # tree's order. The tied rows are scanned in one call, after the call that
+    # found the scan over its budget.
     rng = np.random.default_rng(40 + k)
     n_lat = transport.SINKHORN_MAX_POINTS - 1000
-    dst = np.vstack([rng.integers(-2, 3, size=(n_lat, 2)), 3.0 * rng.standard_normal((2000, 2))])
-    src = np.vstack([rng.integers(-2, 3, size=(100, 2)), 3.0 * rng.standard_normal((300, 2))])
+    dst = np.vstack([rng.integers(0, 2, size=(n_lat, 8)), rng.standard_normal((2000, 8))])
+    src = np.vstack([rng.integers(0, 2, size=(100, 8)), rng.standard_normal((300, 8))])
     scanned, scan = [], transport._scan_nn
 
     def counting(rows, *args):
-        scanned.append(len(rows))
-        return scan(rows, *args)
+        out = scan(rows, *args)
+        scanned.append((len(rows), out is None))
+        return out
 
     monkeypatch.setattr(transport, "_scan_nn", counting)
     got = nn_indices(src, dst, k)
-    assert len(scanned) == 1 and 100 <= scanned[0] < len(src)
+    assert len(scanned) == 2 and scanned[0] == (len(src), True)
+    assert 100 <= scanned[1][0] < len(src) and not scanned[1][1]
     rows = rng.choice(len(src), size=200, replace=False)
-    assert np.array_equal(got[rows], brute_force_nn(src[rows], dst, k))
+    want = np.vstack([brute_force_nn(src[r], dst, k) for r in np.split(rows, 4)])
+    assert np.array_equal(got[rows], want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("k", [1, 3, transport._LEAF_ROWS + 1])
+def test_pruned_scan_matches_the_oracle(monkeypatch, k, d):
+    # The scan skips every destination leaf whose box lies beyond its group's
+    # bound, and must still return the rows of a scan over all of them; a
+    # second cluster 50 away is always skipped. Three rows are copied 40
+    # times, more than a leaf holds, so equal distances straddle leaf
+    # boundaries, and a group's worth of sources sits on one of them. The
+    # other cases: clouds 1e4 apart, points on one coordinate axis (boxes of
+    # zero width in every other coordinate), a one-row destination, and a
+    # two-value lattice whose source groups are copies of one point, so a
+    # bound is 0 up to the expanded form's rounding and may round below it.
+    rng = np.random.default_rng(200 + 10 * k + d)
+    dst = rng.standard_normal((1000, d))
+    dst = np.vstack([dst, np.repeat(dst[:3], 40, axis=0), rng.standard_normal((200, d)) + 50.0])
+    src = np.vstack([rng.standard_normal((800, d)), dst[rng.choice(len(dst), 60)],
+                     np.repeat(dst[1:2], transport._GROUP_ROWS, axis=0)])
+    line = np.zeros((600, d))
+    line[:, 0] = np.repeat(rng.standard_normal(300), 2)
+    lattice = rng.integers(0, 2, size=(2400, d)) / 3.0
+    widths, block_rows, pruned = [], transport._block_rows, False
+
+    def counting(n_cols):              # a group's kept destination rows
+        widths.append(n_cols)
+        return block_rows(n_cols)
+
+    monkeypatch.setattr(transport, "_block_rows", counting)
+    for s, t in ((src, dst), (src + 1e4, dst), (line[::3] + 0.1, line), (src, dst[5:6]),
+                 (lattice[1200:], lattice[:1200])):
+        want = np.vstack([brute_force_nn(s[i:i + 200], t, min(k, len(t)))
+                          for i in range(0, len(s), 200)])
+        widths.clear()
+        assert np.array_equal(nn_indices(s, t, min(k, len(t))), want), (s.shape, t.shape)
+        pruned |= min(widths) < len(t)
+    assert pruned
 
 
 def test_nn_indices_uses_every_destination_row_when_k_is_n_dst():
@@ -652,7 +697,7 @@ def test_knn_rejects_votes_of_another_length(n_labels):
         knn_borrow(src, dst, np.ones(n_labels, dtype=np.int8))
 
 
-@pytest.mark.parametrize("n_dst", [40, transport.SINKHORN_MAX_POINTS + 1])  # scan, k-d tree
+@pytest.mark.parametrize("n_dst", [40, transport.SINKHORN_MAX_POINTS + 1])  # below, above the cap
 def test_nn_distance_overflow_is_a_numerical_error(n_dst):
     rng = np.random.default_rng(9)
     src, dst = rng.standard_normal((30, 2)), rng.standard_normal((n_dst, 2))
