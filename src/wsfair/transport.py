@@ -412,6 +412,7 @@ def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int, budget=np.inf):
     leaf, at = _cells(dst, _LEAF_ROWS)
     src, dst, sizes = np.take(src, group, axis=0), np.take(dst, leaf, axis=0), np.diff(at)
     lhs, rhs, qq = _block_factors(src, dst, 1.0)
+    rhs = np.ascontiguousarray(rhs)    # in C order a gather of its columns copies only them
     margin = 1e-9 * (np.sqrt(qq) + np.sqrt(-rhs[-1].min())) ** 2
     box_lo, box_hi = np.minimum.reduceat(dst, at[:-1]), np.maximum.reduceat(dst, at[:-1])
     q_lo, q_hi = np.minimum.reduceat(src, group_at[:-1]), np.maximum.reduceat(src, group_at[:-1])
@@ -441,7 +442,7 @@ def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int, budget=np.inf):
         if pairs > budget:
             return None
         plan.append((a, b, None if len(kept) == len(sizes) else kept))
-    found = np.empty((len(src), k), dtype=np.int64)
+    out = np.empty((len(src), k), dtype=np.int64)
 
     def scan(run):
         buf = np.empty(max(SINKHORN_BLOCK_CELLS, len(dst)))
@@ -461,11 +462,9 @@ def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int, budget=np.inf):
                 cols = index[cols]
                 ranked = cols[np.lexsort((cols, d2, rows))]
                 first = np.searchsorted(rows, np.arange(hi - lo))
-                found[lo:hi] = ranked[first[:, None] + np.arange(k)]
+                out[group[lo:hi]] = ranked[first[:, None] + np.arange(k)]
 
     _per_core(scan, plan)
-    out = np.empty_like(found)
-    out[group] = found
     return out
 
 
