@@ -14,9 +14,8 @@ Two fitted map families plus an identity bypass:
 After mapping, labels are borrowed from Euclidean nearest neighbors in the
 destination cloud, found exactly and ranked by (squared distance, index), by a
 blocked scan of the destination rows that k-d tree leaf boxes cannot rule out.
-A search whose scan would cost more than one over a destination of
-SINKHORN_MAX_POINTS rows, the default Sinkhorn cap, goes to a scipy k-d tree
-whose near-tied rows the scan settles. The Sinkhorn fit is one
+A tree query would prune more finely at a few dimensions but falls behind the
+scan above about ten, where real feature vectors live. The Sinkhorn fit is one
 Anderson-accelerated, absorption-stabilised scaling loop, valid at any
 distance between the clouds.
 Its one dense fit-size array is the kernel, which is why fits above a point cap
@@ -381,10 +380,13 @@ def _kth_largest(e: np.ndarray, k: int) -> np.ndarray:
     return e.max(axis=1) if k == 1 else np.partition(e, e.shape[1] - k, axis=1)[:, e.shape[1] - k]
 
 
-def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int, budget=np.inf):
-    """nn_indices on centered clouds by an exact scan of the destination rows
-    that can be neighbours, or None if those exceed `budget` row pairs, which
-    is known before any block is scanned.
+def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
+    """(n_src, k) destination indices ordered by (distance, index).
+
+    Exact search on both clouds centered on the destination mean, by a scan of
+    the destination rows that leaf boxes cannot rule out, on every core.
+    Squared distances are recomputed from coordinate differences, and exact
+    ties are broken toward the lowest destination row index.
 
     Sources are cut into groups of about _GROUP_ROWS rows and the destination
     into leaves of about _LEAF_ROWS (_cells), each with its bounding box, as in
@@ -404,6 +406,19 @@ def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int, budget=np.inf):
     expanded form's rounding, is a candidate, and the candidates are ranked
     by (squared distance from coordinate differences, index).
     """
+    src, dst = _as_values(x_src), _as_values(x_dst)
+    if dst.shape[0] == 0:
+        raise DataError("destination set is empty")
+    if src.shape[1] != dst.shape[1]:
+        raise DataError("source and destination dimensions differ")
+    if k < 1 or k > dst.shape[0]:
+        raise DataError(f"k must lie in [1, {dst.shape[0]}], got {k}")
+    mean = dst.mean(axis=0)
+    src, dst = src - mean, dst - mean
+    # every squared distance, expanded or not, is at most (max|q| + max|r|)^2
+    reach = sum(np.sqrt(np.einsum("ij,ij->i", v, v).max(initial=0.0)) for v in (src, dst))
+    if not np.isfinite(reach * reach):
+        raise NumericalUnderflow("squared neighbor distances overflow")
     if not len(src):
         return np.empty((0, k), dtype=np.int64)
     # sources in group order and destination rows in leaf order, so that a
@@ -422,7 +437,7 @@ def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int, budget=np.inf):
         lens = sizes[leaves]
         return np.arange(lens.sum()) + np.repeat(at[:-1][leaves] - np.cumsum(lens) + lens, lens)
 
-    plan, pairs = [], 0
+    plan = []
     for g, (a, b) in enumerate(zip(group_at[:-1], group_at[1:])):
         up, down = box_hi - q_lo[g], q_hi[g] - box_lo
         near = (np.minimum(np.minimum(up, down), 0.0) ** 2).sum(axis=1)
@@ -438,9 +453,6 @@ def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int, budget=np.inf):
             kept = np.flatnonzero(near <= bound * (1.0 + 1e-6) + slack[g])
             if len(kept) == len(sizes):
                 break
-        pairs += (b - a) * sizes[kept].sum()
-        if pairs > budget:
-            return None
         plan.append((a, b, None if len(kept) == len(sizes) else kept))
     out = np.empty((len(src), k), dtype=np.int64)
 
@@ -465,50 +477,6 @@ def _scan_nn(src: np.ndarray, dst: np.ndarray, k: int, budget=np.inf):
                 out[group[lo:hi]] = ranked[first[:, None] + np.arange(k)]
 
     _per_core(scan, plan)
-    return out
-
-
-def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
-    """(n_src, k) destination indices ordered by (distance, index).
-
-    Exact search on both clouds centered on the destination mean. Squared
-    distances are recomputed from coordinate differences, and exact ties are
-    broken toward the lowest destination row index. The search scans, on
-    every core, the destination rows that its leaf bounds cannot rule out
-    (_scan_nn), unless those come to more than SINKHORN_MAX_POINTS per source
-    row, the cost of scanning a destination at the default cap, which only a
-    larger destination can reach. Such a search goes to a k-d tree from
-    scipy, imported only then. A tree row keeps the tree's order unless two
-    of its k + 1 nearest distances lie within 1e-9 of each other,
-    relatively; those rows are all rescanned in one _scan_nn call.
-    """
-    src, dst = _as_values(x_src), _as_values(x_dst)
-    if dst.shape[0] == 0:
-        raise DataError("destination set is empty")
-    if src.shape[1] != dst.shape[1]:
-        raise DataError("source and destination dimensions differ")
-    if k < 1 or k > dst.shape[0]:
-        raise DataError(f"k must lie in [1, {dst.shape[0]}], got {k}")
-    n_src, n_dst = src.shape[0], dst.shape[0]
-    mean = dst.mean(axis=0)
-    src, dst = src - mean, dst - mean
-    # every squared distance, expanded or not, is at most (max|q| + max|r|)^2
-    reach = sum(np.sqrt(np.einsum("ij,ij->i", v, v).max(initial=0.0)) for v in (src, dst))
-    if not np.isfinite(reach * reach):
-        raise NumericalUnderflow("squared neighbor distances overflow")
-    out = _scan_nn(src, dst, k, n_src * SINKHORN_MAX_POINTS)
-    if out is not None:
-        return out
-    from scipy.spatial import cKDTree   # deferred: importing scipy costs ~0.4 s
-
-    kq = min(k + 1, n_dst)
-    dist, idx = cKDTree(dst).query(src, k=kq)
-    dist, out = dist.reshape(n_src, kq), idx.reshape(n_src, kq)[:, :k].astype(np.int64)
-    # the margin dominates the rounding of the tree's distances, so an untied
-    # row's order is its (d2, index) order
-    tied = np.flatnonzero((dist[:, 1:] <= dist[:, :-1] * (1.0 + 1e-9)).any(axis=1))
-    if tied.size:
-        out[tied] = _scan_nn(src[tied], dst, k)
     return out
 
 

@@ -11,8 +11,8 @@ purpose, and say in CHANGES.md which outputs moved and why.
 The cases are the benchmark workloads' `wsfair run` commands at 2,000 rows
 per group, an `sbm-sinkhorn` run on lfcount data, whose groups sit 10 to 50
 units apart, all at seeds 0, 7 and 100, an `sbm-linear` run at 6,000 rows per
-group, whose neighbour search uses the k-d tree, at seed 0, and the README's
-three sweeps at seeds 0 and 1.
+group, whose neighbour search runs on destinations above the Sinkhorn cap, at
+seed 0, and the README's three sweeps at seeds 0 and 1.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ RUNS = {  # workload: (synth arguments, run arguments)
     # far-apart groups: the Sinkhorn fit runs in both directions and absorbs
     "lfcount-sinkhorn": (["--experiment", "lfcount", "--n", "4000", "--m", "12"],
                          ["--method", "sbm-sinkhorn", "--postprocess", "dp-threshold"]),
-    # destinations above the scan's 5,000-row cap: the k-d tree finds the neighbours
-    "pair-linear-tree": (["--experiment", "gaussian-pair", "--n", "6000"],
-                         ["--method", "sbm-linear", *_PAIR_RUN]),
+    # neighbour searches over destinations above the 5,000-row Sinkhorn cap
+    "pair-linear-6k": (["--experiment", "gaussian-pair", "--n", "6000"],
+                       ["--method", "sbm-linear", *_PAIR_RUN]),
 }
-RUN_SEEDS = {"pair-linear-tree": (0,)}   # (0, 7, 100) for every other run
+RUN_SEEDS = {"pair-linear-6k": (0,)}   # (0, 7, 100) for every other run
 SWEEPS = {
     "sweep-samples": ["--experiment", "samples", "--grid", "100,1000,10000",
                       "--eval", "direct-lf", "--methods", "baseline,sbm-linear"],

@@ -550,36 +550,15 @@ def test_knn_tie_breaks_to_lowest_index():
     assert idx[0].tolist() == [0, 1]
 
 
-@pytest.fixture
-def check_both_paths(monkeypatch):
-    """check(src, dst, k): nn_indices equals the oracle through the scan,
-    with the cap at the destination's rows, and through the k-d tree, with a
-    cap of 0, which no kept pair fits. The path is told by the trees built,
-    as the tree path also scans its near-tied rows."""
-    import scipy.spatial
-
-    trees, tree = [], scipy.spatial.cKDTree
-
-    def counting(*args):
-        trees.append(1)
-        return tree(*args)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
-
-    def check(src, dst, k):
-        want = brute_force_nn(src, dst, k)
-        for cap, built in ((len(dst), 0), (0, 1)):
-            trees.clear()
-            monkeypatch.setattr(transport, "SINKHORN_MAX_POINTS", cap)
-            got = nn_indices(src, dst, k)
-            assert len(trees) == built
-            assert np.array_equal(got, want), (cap, src.shape, dst.shape, k)
-    return check
+def check_against_oracle(src, dst, k):
+    """nn_indices equals brute_force_nn on every source row."""
+    assert np.array_equal(nn_indices(src, dst, k), brute_force_nn(src, dst, k)), \
+        (src.shape, dst.shape, k)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_nn_indices_match_brute_force_oracle(check_both_paths, k, d):
+def test_nn_indices_match_brute_force_oracle(k, d):
     rng = np.random.default_rng(100 + 10 * k + d)
     # Small-integer lattice points: many destination duplicates and many
     # equidistant neighbors. 64 rows keep the centering exact; with 50 rows
@@ -587,7 +566,7 @@ def test_nn_indices_match_brute_force_oracle(check_both_paths, k, d):
     for n_dst, offset in ((64, 0.0), (50, 0.0), (50, 1e4)):
         lat_dst = rng.integers(-2, 3, size=(n_dst, d)) + offset
         lat_src = rng.integers(-2, 3, size=(40, d)) + offset
-        check_both_paths(lat_src, lat_dst, k)
+        check_against_oracle(lat_src, lat_dst, k)
     # Continuous cloud with duplicated destination rows and sources placed on
     # destination rows and on midpoints between two of them.
     dst = rng.standard_normal((300, d))
@@ -595,39 +574,38 @@ def test_nn_indices_match_brute_force_oracle(check_both_paths, k, d):
     pairs = rng.choice(dst.shape[0], size=(40, 2))
     src = np.vstack([rng.standard_normal((200, d)), dst[:40],
                      (dst[pairs[:, 0]] + dst[pairs[:, 1]]) / 2.0])
-    check_both_paths(src, dst, k)
+    check_against_oracle(src, dst, k)
     # Groups 40 units apart, and every destination row asked for.
-    check_both_paths(src + 40.0, dst, k)
+    check_against_oracle(src + 40.0, dst, k)
     lat_dst = rng.integers(-2, 3, size=(12, d))
-    check_both_paths(rng.integers(-2, 3, size=(40, d)), lat_dst, len(lat_dst))
+    check_against_oracle(rng.integers(-2, 3, size=(40, d)), lat_dst, len(lat_dst))
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_tree_path_matches_the_oracle_above_the_cap(monkeypatch, k):
-    # Above the real cap, a search whose scan would keep more than the cap's
-    # pairs per source row runs the k-d tree, as 8-d clouds do: their leaf
-    # boxes rule out almost nothing. Rows of a 0/1 lattice, each duplicated
-    # ~16 times, tie every source on the lattice; continuous rows keep the
-    # tree's order. The tied rows are scanned in one call, after the call that
-    # found the scan over its budget.
+def test_high_dimensional_searches_match_the_oracle(k):
+    # Leaf boxes rule out little above a few dimensions, so these searches
+    # keep most leaves. An 8-d 0/1 lattice of 4,000 rows, each row duplicated
+    # ~16 times, ties every source on the lattice, beside 2,000 continuous
+    # rows; it is checked on 200 sampled source rows. At d = 16 and 64, clouds
+    # of intrinsic dimension 4 are embedded by a random projection, with 100
+    # destination rows duplicated and sources placed on destination rows and
+    # on midpoints between two of them.
     rng = np.random.default_rng(40 + k)
-    n_lat = transport.SINKHORN_MAX_POINTS - 1000
-    dst = np.vstack([rng.integers(0, 2, size=(n_lat, 8)), rng.standard_normal((2000, 8))])
+    dst = np.vstack([rng.integers(0, 2, size=(4000, 8)), rng.standard_normal((2000, 8))])
     src = np.vstack([rng.integers(0, 2, size=(100, 8)), rng.standard_normal((300, 8))])
-    scanned, scan = [], transport._scan_nn
-
-    def counting(rows, *args):
-        out = scan(rows, *args)
-        scanned.append((len(rows), out is None))
-        return out
-
-    monkeypatch.setattr(transport, "_scan_nn", counting)
     got = nn_indices(src, dst, k)
-    assert len(scanned) == 2 and scanned[0] == (len(src), True)
-    assert 100 <= scanned[1][0] < len(src) and not scanned[1][1]
     rows = rng.choice(len(src), size=200, replace=False)
     want = np.vstack([brute_force_nn(src[r], dst, k) for r in np.split(rows, 4)])
     assert np.array_equal(got[rows], want)
+    for d in (16, 64):
+        embed = rng.standard_normal((4, d))
+        dst = rng.standard_normal((1500, 4)) @ embed
+        dst = np.vstack([dst, dst[rng.choice(1500, size=100)]])
+        pairs = rng.choice(len(dst), size=(50, 2))
+        src = np.vstack([rng.standard_normal((200, 4)) @ embed, dst[-50:],
+                         (dst[pairs[:, 0]] + dst[pairs[:, 1]]) / 2.0])
+        want = np.vstack([brute_force_nn(src[i:i + 50], dst, k) for i in range(0, len(src), 50)])
+        assert np.array_equal(nn_indices(src, dst, k), want), d
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -697,7 +675,7 @@ def test_knn_rejects_votes_of_another_length(n_labels):
         knn_borrow(src, dst, np.ones(n_labels, dtype=np.int8))
 
 
-@pytest.mark.parametrize("n_dst", [40, transport.SINKHORN_MAX_POINTS + 1])  # below, above the cap
+@pytest.mark.parametrize("n_dst", [40, 5001])  # 2 and 157 destination leaves
 def test_nn_distance_overflow_is_a_numerical_error(n_dst):
     rng = np.random.default_rng(9)
     src, dst = rng.standard_normal((30, 2)), rng.standard_normal((n_dst, 2))
