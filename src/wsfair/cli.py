@@ -189,11 +189,11 @@ def _per_lf_csv(weak_pre: WeakLabelMatrix, weak_post: WeakLabelMatrix,
         rows = groups.indices(g)
         if rows.size == 0:
             continue
-        t = truth.labels[rows]
-        for j, name in enumerate(weak_pre.lf_names):
-            pre = float((weak_pre.votes[rows, j] == t).mean())
-            post = float((weak_post.votes[rows, j] == t).mean())
-            lines.append(f"{name},{g},{format_real(pre)},{format_real(post)}")
+        t = truth.labels[rows, None]
+        pre = (weak_pre.votes[rows] == t).mean(axis=0).tolist()
+        post = (weak_post.votes[rows] == t).mean(axis=0).tolist()
+        lines += (f"{name},{g},{format_real(a)},{format_real(b)}"
+                  for name, a, b in zip(weak_pre.lf_names, pre, post))
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ map it hit, a sweep to its cell, and anything else ends with exit code 3.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +57,9 @@ class NonFiniteLoss(NumericalError):
 def sigmoid(z):
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))  # exp(-|z|), and a NaN keeps its sign bit
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def rng_stream(seed: int, *stream: int) -> np.random.Generator:
@@ -127,7 +124,7 @@ class GroupAssignment:
         g = np.asarray(self.group_of)
         if g.ndim != 1:
             raise DataError("group assignment must be 1-d")
-        if not np.isin(g, (0, 1)).all():
+        if not ((g == 0) | (g == 1)).all():
             raise DataError("group ids must be 0 or 1")
         object.__setattr__(self, "group_of", _frozen(g.astype(np.int8)))
 
@@ -150,7 +147,7 @@ class WeakLabelMatrix:
         v = np.asarray(self.votes)
         if v.ndim != 2:
             raise DataError(f"votes must be 2-d, got shape {v.shape}")
-        if not np.isin(v, (-1, 1)).all():
+        if not ((v == 1) | (v == -1)).all():
             raise DataError("votes must be -1 or +1 (abstention is not modeled)")
         names = self.lf_names
         if names is None:
@@ -184,7 +181,7 @@ class LabelVector:
         y = np.asarray(self.labels)
         if y.ndim != 1:
             raise DataError("labels must be 1-d")
-        if not np.isin(y, (-1, 1)).all():
+        if not ((y == 1) | (y == -1)).all():
             raise DataError("labels must be -1 or +1")
         object.__setattr__(self, "labels", _frozen(y.astype(np.int8)))
 
@@ -269,35 +266,38 @@ def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = next(csv.reader([fh.readline()]), [])
-        body = fh.read()
-    if header[:len(prefix)] != prefix or len(header) < min_width:
-        raise DataError(f"{path}: expected header {expected}")
-    if not body.strip():
-        raise DataError(f"{path}: no data rows")
-    try:
-        return header, np.loadtxt(io.StringIO(body), [("id", object)] + fields(len(header)),
-                                  delimiter=",", comments=None, quotechar='"', ndmin=1)
-    except ValueError as exc:
-        if "columns but" in str(exc):  # numpy's wording for a row of the wrong width
-            raise DataError(f"{path}: every row must have the header's "
-                            f"{len(header)} cells") from None
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _id_order(path, ids: np.ndarray) -> np.ndarray:
-    """argsort of the id texts, which must be unique."""
-    order = np.argsort(ids, kind="stable")  # timsort: ids are mostly in runs
-    ranked = ids[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        raise DataError(f"{path}: row ids must be unique")
-    return order
+        if header[:len(prefix)] != prefix or len(header) < min_width:
+            raise DataError(f"{path}: expected header {expected}")
+        head = []  # lines up to the first non-blank one; the rest streams, never read whole
+        for line in fh:
+            head.append(line)
+            if line.strip():
+                break
+        else:
+            raise DataError(f"{path}: no data rows")
+        try:
+            return header, np.loadtxt(itertools.chain(head, fh),
+                                      [("id", object)] + fields(len(header)), delimiter=",",
+                                      comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:
+            if "columns but" in str(exc):  # numpy's wording for a row of the wrong width
+                raise DataError(f"{path}: every row must have the header's "
+                                f"{len(header)} cells") from None
+            raise DataError(f"{path}: {exc}") from None
 
 
 def _aligned(path, rec: np.ndarray, field: str, ids: tuple) -> np.ndarray:
-    """`rec[field]` with its rows in the order of the feature CSV's `ids`."""
+    """`rec[field]` with its rows in the order of the feature CSV's `ids`: as it is
+    when the file lists those (unique) ids in that order, else sorted to match."""
+    if rec["id"].tolist() == list(ids):
+        return rec[field]
+    ours = np.argsort(rec["id"], kind="stable")
+    ranked = rec["id"][ours]
+    if (ranked[1:] == ranked[:-1]).any():
+        raise DataError(f"{path}: row ids must be unique")
     ids = np.asarray(ids, dtype=object)
-    ours, theirs = _id_order(path, rec["id"]), np.argsort(ids, kind="stable")
-    if len(ours) != len(theirs) or (rec["id"][ours] != ids[theirs]).any():
+    theirs = np.argsort(ids, kind="stable")
+    if len(ours) != len(theirs) or (ranked != ids[theirs]).any():
         raise DataError(f"{path}: ids do not match the feature CSV")
     out = np.empty_like(rec[field])
     out[theirs] = rec[field][ours]
@@ -307,22 +307,24 @@ def _aligned(path, rec: np.ndarray, field: str, ids: tuple) -> np.ndarray:
 def load_feature_csv(path) -> tuple[FeatureMatrix, GroupAssignment, tuple]:
     """(features, groups, ids); the ids serve only to align the other CSVs."""
     _, rec = _read_csv(path, ["id", "group"], 3, "id,group,f1,...",
-                       lambda w: [("group", np.int64), ("x", np.float64, (w - 2,))])
-    _id_order(path, rec["id"])
-    return FeatureMatrix(rec["x"]), GroupAssignment(rec["group"]), tuple(rec["id"].tolist())
+                       lambda w: [("group", np.int8), ("x", np.float64, (w - 2,))])
+    ids = tuple(rec["id"].tolist())
+    if len(set(ids)) != len(ids):
+        raise DataError(f"{path}: row ids must be unique")
+    return FeatureMatrix(rec["x"]), GroupAssignment(rec["group"]), ids
 
 
 def load_weak_csv(path, ids: tuple) -> WeakLabelMatrix:
     """Load a vote matrix and align its rows to `ids` from the feature CSV."""
     header, rec = _read_csv(path, ["id"], 2, "id,lf_1,...",
-                            lambda w: [("v", np.int64, (w - 1,))])
+                            lambda w: [("v", np.int8, (w - 1,))])
     return WeakLabelMatrix(_aligned(path, rec, "v", ids), tuple(header[1:]))
 
 
 def load_label_csv(path, ids: tuple) -> LabelVector:
     # cells after `y` are allowed and ignored
     _, rec = _read_csv(path, ["id", "y"], 2, "id,y",
-                       lambda w: [("y", np.int64), ("rest", object, (w - 2,))])
+                       lambda w: [("y", np.int8), ("rest", object, (w - 2,))])
     return LabelVector(_aligned(path, rec, "y", ids))
 
 

@@ -56,6 +56,18 @@ def _as_targets(targets, n: int) -> np.ndarray:
     return t
 
 
+def _loss_grad_p(w: np.ndarray, b: float, x: np.ndarray, targets: np.ndarray,
+                 l2: float):
+    """`loss_and_grad`'s (loss, grad_w, grad_b), then p = sigmoid(z)."""
+    z = x @ w + b
+    loss = float(np.mean(np.logaddexp(0.0, z) - targets * z) + 0.5 * l2 * (w @ w))
+    p = sigmoid(z)
+    resid = p - targets
+    grad_w = x.T @ resid / x.shape[0] + l2 * w
+    grad_b = float(resid.mean())
+    return loss, grad_w, grad_b, p
+
+
 def loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, targets: np.ndarray,
                   l2: float):
     """Mean cross-entropy with soft targets plus (l2/2)||w||^2, and its gradient.
@@ -63,12 +75,7 @@ def loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, targets: np.ndarray,
     Cross-entropy per row is softplus(z) - t*z with z = x.w + b, which is
     stable for large |z|.
     """
-    z = x @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, z) - targets * z) + 0.5 * l2 * (w @ w))
-    resid = sigmoid(z) - targets
-    grad_w = x.T @ resid / x.shape[0] + l2 * w
-    grad_b = float(resid.mean())
-    return loss, grad_w, grad_b
+    return _loss_grad_p(w, b, x, targets, l2)[:3]
 
 
 def _standardize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -104,7 +111,7 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
 
     w = np.zeros(x.d)
     b = 0.0
-    loss, grad_w, grad_b = loss_and_grad(w, b, xs, t, cfg.l2)
+    loss, grad_w, grad_b, p = _loss_grad_p(w, b, xs, t, cfg.l2)
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
         if not np.isfinite(loss):
@@ -112,20 +119,19 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
         if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) < cfg.tol:
             iters -= 1
             break
-        p = sigmoid(xs @ w + b)
         hess = xt.T @ (xt * (p * (1.0 - p))[:, None]) / x.n + ridge
         step = np.linalg.lstsq(hess, np.append(grad_w, grad_b), rcond=None)[0]
         alpha = 1.0
         while True:
             w_new = w - alpha * step[:-1]
             b_new = b - alpha * step[-1]
-            loss_new, gw_new, gb_new = loss_and_grad(w_new, b_new, xs, t, cfg.l2)
+            loss_new, gw_new, gb_new, p_new = _loss_grad_p(w_new, b_new, xs, t, cfg.l2)
             if np.isfinite(loss_new) and loss_new <= loss:
                 break
             alpha /= 2.0
             if alpha < 1e-12:
                 raise NonFiniteLoss("step size underflowed while backtracking")
-        w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+        w, b, loss, grad_w, grad_b, p = w_new, b_new, loss_new, gw_new, gb_new, p_new
     return LogisticModel(weights=w, bias=float(b), standardize_mean=mean,
                          standardize_std=std,
                          training_meta={"iterations": iters, "final_loss": loss})

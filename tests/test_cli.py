@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsfair import endmodel, metrics, synth
-from wsfair.cli import METHODS, main
+from wsfair.cli import METHODS, _per_lf_csv, main
 from wsfair.core import (FeatureMatrix, GroupAssignment, LabelVector, NumericalError,
-                         WeakLabelMatrix, feature_csv_text, label_csv_text,
+                         WeakLabelMatrix, feature_csv_text, format_real, label_csv_text,
                          load_feature_csv, load_label_csv, load_weak_csv, weak_csv_text)
 from wsfair.endmodel import TrainConfig
 from wsfair.metrics import fairness_report
@@ -644,3 +644,22 @@ def test_sweep_contains_a_one_row_groups_moment_failure(tmp_path):
     one_row = [r for r in rows if r[:2] == ["1", "0"]]
     assert ([r[3:] for r in one_row if r[2] == "baseline"]
             == [r[3:] for r in one_row if r[2] == "sbm-linear"] != [])
+
+
+@pytest.mark.parametrize("one_group", [False, True])
+def test_per_lf_csv_equals_the_per_column_loop(one_group):
+    # the vectorised table against the one-column-at-a-time means it replaced
+    rng = np.random.default_rng(22)
+    n, m = 257, 24
+    pre, post = (WeakLabelMatrix(rng.choice([-1, 1], size=(n, m))) for _ in range(2))
+    truth = LabelVector(rng.choice([-1, 1], size=n))
+    groups = GroupAssignment(np.zeros(n, int) if one_group else rng.integers(0, 2, size=n))
+    lines = ["lf,group,acc_pre,acc_post"]
+    for g in (0, 1):
+        rows = groups.indices(g)
+        for j, name in enumerate(pre.lf_names):
+            if rows.size:
+                a = float((pre.votes[rows, j] == truth.labels[rows]).mean())
+                b = float((post.votes[rows, j] == truth.labels[rows]).mean())
+                lines.append(f"{name},{g},{format_real(a)},{format_real(b)}")
+    assert _per_lf_csv(pre, post, truth, groups) == "\n".join(lines) + "\n"

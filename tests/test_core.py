@@ -1,5 +1,6 @@
 import io
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from wsfair.core import (DataError, FeatureMatrix, GroupAssignment, LabelVector,
                          NumericalError, ScoreVector, WeakLabelMatrix,
                          feature_csv_text, label_csv_text, load_feature_csv,
-                         load_label_csv, load_weak_csv, split_by_group,
+                         load_label_csv, load_weak_csv, sigmoid, split_by_group,
                          validate_dataset, weak_csv_text)
+from wsfair.synth import gen_lfcount_dataset
 
 
 def _dataset(n=4, m=3, seed=0):
@@ -41,6 +43,10 @@ def test_error_classes_are_one_data_error_and_the_sweeps_four_numerical_ones():
 def test_zero_vote_rejected():
     with pytest.raises(DataError, match=r"votes must be -1 or \+1"):
         WeakLabelMatrix([[1, 0, -1]])
+    # 127 * 127 wraps to 1 in int8, so a check by v * v == 1 would pass it
+    for bad in (127, -127):
+        with pytest.raises(DataError, match=r"votes must be -1 or \+1"):
+            WeakLabelMatrix(np.array([[1, bad]], dtype=np.int8))
 
 
 def test_empty_group_passes_validation_but_fails_the_split():
@@ -166,8 +172,10 @@ _GOOD_CSV = {"f.csv": "id,group,f1,f2\n0,0,1.5,2\n1,1,-3,4e-2\n",
     ("f.csv", "1,1,-3,4e-2", "1,1,-3"),    # ragged row
     ("f.csv", "0,0,", "0,1.0,"),           # group written as a real
     ("w.csv", "0,1,-1", "0,1,-x"),         # vote not an integer
+    ("w.csv", "0,1,-1", "0,300,-1"),       # vote beyond the int8 range
     ("w.csv", "1,-1,-1,1", "1,-1,-1,1,1"),  # ragged row
     ("l.csv", "1,-1", "1,no"),             # label not an integer
+    ("l.csv", "1,-1", "1,-300"),           # label beyond the int8 range
     ("l.csv", "0,1\n", "0\n"),             # ragged row
 ])
 def test_malformed_csv_cell_is_a_data_error_naming_the_file(tmp_path, name, old, new):
@@ -205,6 +213,32 @@ def test_duplicate_vote_or_label_id_is_a_data_error(tmp_path, name, extra):
     texts = dict(_GOOD_CSV, **{name: _GOOD_CSV[name] + extra})    # ids 0, 1, 1
     with pytest.raises(DataError, match=f"{name}: row ids must be unique"):
         _load_all(tmp_path, texts)
+
+
+@pytest.mark.parametrize("name", ["w.csv", "l.csv"])
+def test_same_length_repeated_vote_or_label_id_is_a_data_error(tmp_path, name):
+    texts = dict(_GOOD_CSV, **{name: _GOOD_CSV[name].replace("\n1,", "\n0,")})  # 0, 0
+    with pytest.raises(DataError, match=f"{name}: row ids must be unique"):
+        _load_all(tmp_path, texts)
+
+
+def test_weak_csv_load_peak_is_a_small_multiple_of_the_file(tmp_path):
+    # the widest vote file a run loads: lfcount at m = 24. The body streams
+    # through the parser and the votes parse to int8, so neither the text nor
+    # an int64 matrix is ever held whole
+    _, _, _, weak, _ = gen_lfcount_dataset(20_000, 24, 0)
+    wp = tmp_path / "w.csv"
+    wp.write_text(weak_csv_text(weak), encoding="utf-8")
+    ids = tuple(str(i) for i in range(weak.n))
+    tracemalloc.start()
+    try:
+        loaded = load_weak_csv(wp, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.votes, weak.votes)
+    size = wp.stat().st_size
+    assert peak < 8 * size, f"peak {peak / size:.2f} x the file's bytes"
 
 
 def test_crlf_and_trailing_blank_line_load_like_lf(tmp_path):
@@ -304,3 +338,28 @@ def test_writers_match_per_cell_formatting_and_round_trip_bits(data):
     assert np.array_equal(back[1].group_of, groups.group_of)
     assert np.array_equal(back[3].votes, weak.votes)
     assert np.array_equal(back[4].labels, labels.labels)
+
+
+def _two_branch_sigmoid(z):
+    """The logistic function as two branches on the sign of z, one exp each."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_LOGITS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(-800.0, 800.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 745.0, -745.0, 745.2, -745.2, 709.8, -709.8]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_LOGITS, max_size=40))
+def test_sigmoid_equals_the_two_branch_form_bit_for_bit(z):
+    z = np.array(z, dtype=np.float64)
+    assert sigmoid(z).view(np.uint64).tolist() == _two_branch_sigmoid(z).view(np.uint64).tolist()
