@@ -8,7 +8,7 @@ from .core import (FeatureMatrix, GroupAssignment, LabelVector, ScoreVector,
 from .labelmodel import (AccuracyEstimate, LabelModelParams, fit_label_model,
                          majority_vote, predict_labels, predict_proba,
                          resolve_signs, triplet_estimate)
-from .transport import (GaussianMoments, TransportMap, apply_linear, apply_map,
+from .transport import (GaussianMoments, TransportMap, apply_map,
                         estimate_moments, fit_linear_ot, fit_sinkhorn, knn_borrow)
 from .sbm import SbmAudit, SbmConfig, group_accuracies, run_pipeline, run_sbm
 from .metrics import (CenterScan, FairnessReport, accuracy_f1, center_scan,

@@ -261,25 +261,29 @@ def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
     """(header, records): the body parsed in one pass of numpy's C reader.
 
     Each record holds the `id` cell as its exact text, then the cells typed
-    by `fields(width)`. A row whose cell count differs from the header's, or
-    a cell that does not parse, is a DataError naming the file.
+    by `fields(width)`. A row whose cell count differs from the header's, a
+    cell that does not parse, or bytes that are not UTF-8 are a DataError
+    naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = next(csv.reader([fh.readline()]), [])
+        try:    # decodes the first chunk of the file, outside numpy's reader
+            header = next(csv.reader([fh.readline()]), [])
+            head = []  # lines up to the first non-blank one; the rest streams, never read whole
+            for line in fh:
+                head.append(line)
+                if line.strip():
+                    break
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
         if header[:len(prefix)] != prefix or len(header) < min_width:
             raise DataError(f"{path}: expected header {expected}")
-        head = []  # lines up to the first non-blank one; the rest streams, never read whole
-        for line in fh:
-            head.append(line)
-            if line.strip():
-                break
-        else:
+        if not (head and head[-1].strip()):
             raise DataError(f"{path}: no data rows")
         try:
             return header, np.loadtxt(itertools.chain(head, fh),
                                       [("id", object)] + fields(len(header)), delimiter=",",
                                       comments=None, quotechar='"', ndmin=1)
-        except ValueError as exc:
+        except ValueError as exc:      # also a UnicodeDecodeError further on
             if "columns but" in str(exc):  # numpy's wording for a row of the wrong width
                 raise DataError(f"{path}: every row must have the header's "
                                 f"{len(header)} cells") from None

@@ -118,11 +118,7 @@ def run_sbm(features: FeatureMatrix, groups: GroupAssignment, weak: WeakLabelMat
         try:
             tmap = fit_map(x_src, x_dst, cfg.ot_kind, eta=cfg.eta, seed=cfg.seed,
                            max_points=cfg.sinkhorn_max_points)
-            mapped = apply_map(tmap, x_src)
-            dst_vals, dst_votes = x_dst.values, w_dst.votes[:, lfs]
-            if tmap.kind == "sinkhorn-barycentric":      # the map's (maybe sampled) rows
-                dst_vals, dst_votes = tmap.dst_reference, dst_votes[tmap.dst_indices]
-            borrowed = knn_borrow(mapped, dst_vals, dst_votes, cfg.knn_k)
+            borrowed = knn_borrow(apply_map(tmap, x_src), x_dst, w_dst.votes[:, lfs], cfg.knn_k)
         except NumericalError as exc:
             directions[lfs], errors[lfs] = DIRECTION_NONE, str(exc)
             continue

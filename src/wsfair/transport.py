@@ -103,9 +103,9 @@ class TransportMap:
     """A fitted source-to-destination map.
 
     kind "linear" carries (A, b); kind "sinkhorn-barycentric" carries the
-    destination reference points (and their indices into the original
-    destination set, a subsample when the fit was capped), the destination
-    log-potential `gn` with one entry per reference point, and `eta`.
+    destination reference points (a subsample when the fit was capped), the
+    destination log-potential `gn` with one entry per reference point, and
+    `eta`.
     `converged` is False when Sinkhorn hit the iteration cap and returned its
     last iterate.
     """
@@ -114,7 +114,6 @@ class TransportMap:
     A: np.ndarray = None
     b: np.ndarray = None
     dst_reference: np.ndarray = None
-    dst_indices: np.ndarray = None
     gn: np.ndarray = None
     eta: float = None
     converged: bool = True
@@ -164,15 +163,6 @@ def fit_linear_ot(src: GaussianMoments, dst: GaussianMoments) -> TransportMap:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise SingularCovariance("linear map coefficients are not finite")
     return TransportMap(kind="linear", A=a, b=b)
-
-
-def apply_linear(tmap: TransportMap, x: FeatureMatrix) -> FeatureMatrix:
-    """Row-wise affine image A x + b, in input row order."""
-    if tmap.kind != "linear":
-        raise DataError("apply_linear needs a linear map")
-    if tmap.A.shape[1] != x.d:
-        raise DataError(f"map is {tmap.A.shape[1]}-d, features are {x.d}-d")
-    return FeatureMatrix(x.values @ tmap.A.T + tmap.b)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +219,7 @@ def _per_core(fn, items, *args) -> list:
         return [run.result() for run in runs]
 
 
-def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
-                         tol: float = SINKHORN_TOL, max_iters: int = SINKHORN_MAX_ITERS):
+def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float):
     """Return (gn, converged, sweeps): gn is the destination log-potential g / eta.
 
     The kernel K = exp(fn_i + gn_j - C_ij), C = cost/eta, is the one n_src x
@@ -284,7 +273,7 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
         row, ktu = np.empty(n_dst), np.empty(n_dst)
         x = x_acc = np.zeros(n_dst)
         err, sweeps, hist, plain = np.inf, 0, [], None   # hist: (x, G(x)) accepted
-        while sweeps < max_iters:
+        while sweeps < SINKHORN_MAX_ITERS:
             sweeps += 1
             ev = np.exp(x)
             ktu.fill(0.0)
@@ -296,7 +285,7 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
                 x, plain, hist = plain, None, []
                 continue
             err, x_acc = trial, x
-            if err < tol:
+            if err < SINKHORN_TOL:
                 break
             g = np.log(b / ktu)
             if not np.isfinite(g).all():
@@ -312,7 +301,7 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float,
                 dr -= dr.mean(axis=1, keepdims=True)
                 gamma = np.linalg.lstsq(dr.T, r - r.mean(), rcond=None)[0]
                 x, plain = g - gamma @ np.diff(gs, axis=0), g
-    return gn + x_acc, bool(err < tol), sweeps
+    return gn + x_acc, bool(err < SINKHORN_TOL), sweeps
 
 
 def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *,
@@ -328,20 +317,17 @@ def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *
         raise DataError("eta must be finite and positive")
     if x_src.d != x_dst.d:
         raise DataError("source and destination dimensions differ")
-    fit_src = x_src.values
-    dst_vals, dst_idx = x_dst.values, np.arange(x_dst.n)
+    fit_src, dst_vals = x_src.values, x_dst.values
     if x_src.n > max_points:
-        keep = np.sort(rng_stream(seed, _SUBSAMPLE_STREAM, 0).choice(
-            x_src.n, size=max_points, replace=False))
-        fit_src = fit_src[keep]
+        fit_src = fit_src[np.sort(rng_stream(seed, _SUBSAMPLE_STREAM, 0).choice(
+            x_src.n, size=max_points, replace=False))]
     if x_dst.n > max_points:
-        dst_idx = np.sort(rng_stream(seed, _SUBSAMPLE_STREAM, 1).choice(
-            x_dst.n, size=max_points, replace=False))
-        dst_vals = dst_vals[dst_idx]
+        dst_vals = dst_vals[np.sort(rng_stream(seed, _SUBSAMPLE_STREAM, 1).choice(
+            x_dst.n, size=max_points, replace=False))]
 
     gn, converged, _ = _sinkhorn_potentials(fit_src, dst_vals, eta)
     return TransportMap(kind="sinkhorn-barycentric", dst_reference=dst_vals,
-                        dst_indices=dst_idx, gn=gn, eta=eta, converged=converged)
+                        gn=gn, eta=eta, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +501,20 @@ def fit_map(x_src: FeatureMatrix, x_dst: FeatureMatrix, ot_kind: str, *,
 def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     """Image of each row of x_src under the map, in input row order.
 
-    A Sinkhorn row x maps to the softmax(gn - |x - y|^2/eta)-weighted average
-    of the destination reference points y, computed in row blocks of
+    A linear map takes a row x to A x + b. A Sinkhorn row x maps to the
+    softmax(gn - |x - y|^2/eta)-weighted average of the destination reference
+    points y, computed in row blocks of
     SINKHORN_BLOCK_CELLS kernel cells, one contiguous run of blocks per usable
     core, each through its own reused buffer: one block product with gn in
     the column slot, whose constant |x|^2 term cancels in the softmax.
     """
     if tmap.kind == "identity":
         return x_src
-    if tmap.kind == "linear":
-        return apply_linear(tmap, x_src)
-    ref = tmap.dst_reference
+    ref = tmap.A if tmap.kind == "linear" else tmap.dst_reference
     if ref.shape[1] != x_src.d:
         raise DataError(f"map is {ref.shape[1]}-d, features are {x_src.d}-d")
+    if tmap.kind == "linear":
+        return FeatureMatrix(x_src.values @ tmap.A.T + tmap.b)
     lhs, rhs, _ = _block_factors(x_src.values, ref, tmap.eta, col=tmap.gn)
     mean, centered = ref.mean(axis=0), rhs[:-1].T
     step, out = _block_rows(len(ref)), np.empty((x_src.n, x_src.d))

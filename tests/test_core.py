@@ -241,6 +241,20 @@ def test_weak_csv_load_peak_is_a_small_multiple_of_the_file(tmp_path):
     assert peak < 8 * size, f"peak {peak / size:.2f} x the file's bytes"
 
 
+@pytest.mark.parametrize("position", [3, 100, -50])   # header, first rows, last row
+def test_non_utf8_byte_is_a_data_error_naming_the_file(tmp_path, position):
+    # the file object decodes its first 8 KiB chunk before numpy's reader
+    # starts; the last row lies past that chunk
+    _, _, _, weak, _ = gen_lfcount_dataset(2_000, 12, 0)
+    text = bytearray(weak_csv_text(weak).encode("utf-8"))
+    assert len(text) > 2 * 8192
+    text[position] = 0xFF
+    wp = tmp_path / "w.csv"
+    wp.write_bytes(bytes(text))
+    with pytest.raises(DataError, match="w.csv: 'utf-8' codec can't decode byte 0xff"):
+        load_weak_csv(wp, tuple(str(i) for i in range(weak.n)))
+
+
 def test_crlf_and_trailing_blank_line_load_like_lf(tmp_path):
     edits = {"lf": lambda t: t, "crlf": lambda t: t.replace("\n", "\r\n"),
              "blank": lambda t: t + "\n"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import sample_ci_votes
+from conftest import brute_force_nn, sample_ci_votes
 from wsfair import sbm
 from wsfair.core import (DataError, DegenerateMoments, FeatureMatrix, GroupAssignment,
                          NonFiniteLoss, NumericalUnderflow, SingularCovariance,
@@ -150,6 +150,25 @@ def test_determinism():
     out2, audit2 = run_sbm(feats, groups, weak, cfg)
     assert np.array_equal(out1.votes, out2.votes)
     assert audit1.to_json() == audit2.to_json()
+
+
+def test_sinkhorn_votes_come_from_the_whole_favored_group():
+    # Both groups hold about 300 rows, three times the fit cap, so the map is
+    # fitted on subsamples; a rewritten vote is still the vote of the mapped
+    # row's nearest neighbor among all rows of the other group.
+    feats, groups, _, weak, _ = gen_lfcount_dataset(600, 8, 0)
+    cfg = SbmConfig(ot_kind="sinkhorn", sinkhorn_max_points=100)
+    out, audit = run_sbm(feats, groups, weak, cfg)
+    directions = np.array([d.direction for d in audit.per_lf])
+    assert {DIRECTION_0_TO_1, DIRECTION_1_TO_0} <= set(directions)
+    for direction, src, dst in ((DIRECTION_0_TO_1, 0, 1), (DIRECTION_1_TO_0, 1, 0)):
+        lfs = np.flatnonzero(directions == direction)
+        rows_src, rows_dst = groups.indices(src), groups.indices(dst)
+        x_src, x_dst = feats.take(rows_src), feats.take(rows_dst)
+        assert min(x_src.n, x_dst.n) > 2 * cfg.sinkhorn_max_points
+        mapped = sbm.apply_map(sbm.fit_map(x_src, x_dst, "sinkhorn", max_points=100), x_src)
+        nearest = rows_dst[brute_force_nn(mapped.values, x_dst.values, 1)[:, 0]]
+        assert np.array_equal(out.votes[np.ix_(rows_src, lfs)], weak.votes[np.ix_(nearest, lfs)])
 
 
 def test_degenerate_lf_downgraded_to_none():

@@ -12,10 +12,10 @@ from wsfair.core import (DataError, FeatureMatrix, NumericalError, NumericalUnde
                          SingularCovariance)
 from wsfair import transport
 from wsfair.synth import GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset
-from wsfair.transport import (GaussianMoments, TransportMap, apply_linear,
-                              apply_map, estimate_moments, fit_linear_ot, fit_map,
-                              fit_sinkhorn, knn_borrow, matrix_sqrt_psd, nn_indices,
-                              SINKHORN_BLOCK_CELLS, SINKHORN_MAX_ITERS, SINKHORN_TOL,
+from wsfair.transport import (GaussianMoments, TransportMap, apply_map,
+                              estimate_moments, fit_linear_ot, fit_map, fit_sinkhorn,
+                              knn_borrow, matrix_sqrt_psd, nn_indices,
+                              SINKHORN_BLOCK_CELLS, SINKHORN_TOL,
                               _block_factors, _sinkhorn_potentials)
 
 
@@ -119,13 +119,22 @@ def test_monge_self_map_is_identity():
     assert np.abs(tmap.b).max() <= 1e-8
 
 
-def test_apply_linear():
+def test_apply_map_linear():
     x = FeatureMatrix([[1.0, 1.0]])
     ident = TransportMap(kind="linear", A=np.eye(2), b=np.zeros(2))
-    assert np.allclose(apply_linear(ident, x).values, x.values)
+    assert np.allclose(apply_map(ident, x).values, x.values)
     doubled = TransportMap(kind="linear", A=2.0 * np.eye(2), b=np.zeros(2))
-    out = apply_linear(doubled, x)
+    out = apply_map(doubled, x)
     assert np.allclose(out.values, [[2.0, 2.0]])
+
+
+@pytest.mark.parametrize("ot_kind", ["linear", "sinkhorn"])
+def test_apply_map_rejects_features_of_another_dimension(ot_kind):
+    rng = np.random.default_rng(26)
+    src, dst = rng.standard_normal((20, 2)), rng.standard_normal((30, 2))
+    tmap = fit_map(FeatureMatrix(src), FeatureMatrix(dst), ot_kind)
+    with pytest.raises(DataError, match="map is 2-d, features are 3-d"):
+        apply_map(tmap, FeatureMatrix(rng.standard_normal((5, 3))))
 
 
 def test_fit_then_apply_matches_destination_moments():
@@ -133,7 +142,7 @@ def test_fit_then_apply_matches_destination_moments():
     src = FeatureMatrix(rng.standard_normal((20_000, 2)) @ np.diag([1.0, 3.0]) + 2.0)
     dst = FeatureMatrix(rng.standard_normal((20_000, 2)) @ np.array([[1.0, 0.4], [0.4, 1.0]]) - 1.0)
     tmap = fit_linear_ot(estimate_moments(src), estimate_moments(dst))
-    image = apply_linear(tmap, src)
+    image = apply_map(tmap, src)
     got, want = estimate_moments(image), estimate_moments(dst)
     assert np.abs(got.mean - want.mean).max() < 0.05
     assert np.linalg.norm(got.cov - want.cov) / np.linalg.norm(want.cov) < 0.05
@@ -238,7 +247,7 @@ def test_sinkhorn_subsampled_fit():
     assert np.abs(plan.sum(axis=1) - 1.0).max() < 1e-9
     again = fit_sinkhorn(src, dst, max_points=50, seed=3)
     assert np.array_equal(plan, sinkhorn_plan(again, src))
-    assert np.array_equal(tmap.dst_indices, again.dst_indices)
+    assert np.array_equal(tmap.dst_reference, again.dst_reference)
 
 
 def _cost_over_eta(src, dst, eta):
@@ -279,7 +288,7 @@ def test_sinkhorn_matches_the_plain_scaling_oracle(monkeypatch):
     rows = _kernel_rows(monkeypatch)
     for src, dst, eta in cases:
         rows.clear()
-        gn, converged, _ = _sinkhorn_potentials(src, dst, eta, SINKHORN_TOL, SINKHORN_MAX_ITERS)
+        gn, converged, _ = _sinkhorn_potentials(src, dst, eta)
         want, want_converged, _ = plain_sinkhorn(_cost_over_eta(src, dst, eta), SINKHORN_TOL)
         assert converged and want_converged
         diff = gn - want
@@ -302,24 +311,25 @@ def test_mixed_sinkhorn_needs_at_most_half_the_plain_sweeps():
     rng = np.random.default_rng(20)
     src = rng.standard_normal((1000, 2))
     dst = rng.standard_normal((1000, 2)) @ GROUP1_MIX.T + GROUP1_OFFSET
-    _, converged, sweeps = _sinkhorn_potentials(src, dst, 1.0, SINKHORN_TOL, SINKHORN_MAX_ITERS)
+    _, converged, sweeps = _sinkhorn_potentials(src, dst, 1.0)
     _, plain_converged, plain_sweeps = plain_sinkhorn(_cost_over_eta(src, dst, 1.0),
                                                       SINKHORN_TOL)
     assert converged and plain_converged
     assert sweeps <= plain_sweeps / 2, f"{sweeps} mixed against {plain_sweeps} plain sweeps"
 
 
-def test_sinkhorn_sweep_cap_returns_a_finite_unconverged_potential():
-    # The second case sorts the sources along a line that spans several row
-    # blocks, so a c-transform taken over one block alone would overflow the
-    # kernel in the others.
+def test_sinkhorn_sweep_cap_returns_a_finite_unconverged_potential(monkeypatch):
+    # The sweep cap is lowered to 2. The second case sorts the sources along a
+    # line that spans several row blocks, so a c-transform taken over one
+    # block alone would overflow the kernel in the others.
+    monkeypatch.setattr(transport, "SINKHORN_MAX_ITERS", 2)
     rng = np.random.default_rng(21)
     m = 1000
     cases = [(rng.standard_normal((50, 2)), rng.standard_normal((40, 2)) + 1.0),
              (np.sort(rng.uniform(0.0, 40.0, (3 * (SINKHORN_BLOCK_CELLS // m) + 7, 1)), axis=0),
               rng.uniform(0.0, 40.0, (m, 1)))]
     for src, dst in cases:
-        gn, converged, sweeps = _sinkhorn_potentials(src, dst, 1.0, SINKHORN_TOL, 2)
+        gn, converged, sweeps = _sinkhorn_potentials(src, dst, 1.0)
         assert not converged and sweeps == 2
         assert gn.shape == (len(dst),) and np.isfinite(gn).all()
 
@@ -371,8 +381,7 @@ def test_sinkhorn_map_rejects_a_bad_potential():
     ref = np.zeros((3, 2))
     for gn in (np.zeros(2), np.array([0.0, np.nan, 0.0])):
         with pytest.raises(DataError):
-            TransportMap(kind="sinkhorn-barycentric", dst_reference=ref,
-                         dst_indices=np.arange(3), gn=gn, eta=1.0)
+            TransportMap(kind="sinkhorn-barycentric", dst_reference=ref, gn=gn, eta=1.0)
 
 
 def test_barycentric_identity_permutation():
@@ -380,7 +389,7 @@ def test_barycentric_identity_permutation():
     # its nearest reference row, so rows sitting on dst[[1, 2, 0]] map there.
     dst = FeatureMatrix([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tmap = TransportMap(kind="sinkhorn-barycentric", dst_reference=dst.values,
-                        dst_indices=np.arange(3), gn=np.zeros(3), eta=1e-3)
+                        gn=np.zeros(3), eta=1e-3)
     src = FeatureMatrix(dst.values[[1, 2, 0]])
     assert np.allclose(sinkhorn_plan(tmap, src), np.eye(3)[[1, 2, 0]])
     out = apply_map(tmap, src)
@@ -393,7 +402,7 @@ def test_barycentric_uniform_maps_to_centroid():
     dst = FeatureMatrix([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
                          [0.0, 2.0, 0.0], [2.0, 2.0, 0.0]])
     tmap = TransportMap(kind="sinkhorn-barycentric", dst_reference=dst.values,
-                        dst_indices=np.arange(4), gn=np.zeros(4), eta=1.0)
+                        gn=np.zeros(4), eta=1.0)
     src = FeatureMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 5.0]])
     assert np.allclose(sinkhorn_plan(tmap, src), 0.25)
     out = apply_map(tmap, src)
