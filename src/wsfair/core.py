@@ -273,8 +273,8 @@ def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
                 head.append(line)
                 if line.strip():
                     break
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
         if header[:len(prefix)] != prefix or len(header) < min_width:
             raise DataError(f"{path}: expected header {expected}")
         if not (head and head[-1].strip()):
@@ -283,11 +283,26 @@ def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
             return header, np.loadtxt(itertools.chain(head, fh),
                                       [("id", object)] + fields(len(header)), delimiter=",",
                                       comments=None, quotechar='"', ndmin=1)
-        except ValueError as exc:      # also a UnicodeDecodeError further on
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
+        except ValueError as exc:
             if "columns but" in str(exc):  # numpy's wording for a row of the wrong width
                 raise DataError(f"{path}: every row must have the header's "
                                 f"{len(header)} cells") from None
             raise DataError(f"{path}: {exc}") from None
+
+
+def _decode_error(path) -> DataError:
+    """The error for a file that is not UTF-8, placed by byte offset and line in
+    the whole file: a decoder reading in chunks counts from its chunk."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # its position is the byte offset in the file
+        line = data.count(b"\n", 0, exc.start) + 1
+        return DataError(f"{path}: {exc} (line {line})")
+    return DataError(f"{path}: the file changed while it was read")
 
 
 def _aligned(path, rec: np.ndarray, field: str, ids: tuple) -> np.ndarray:
@@ -322,7 +337,12 @@ def load_weak_csv(path, ids: tuple) -> WeakLabelMatrix:
     """Load a vote matrix and align its rows to `ids` from the feature CSV."""
     header, rec = _read_csv(path, ["id"], 2, "id,lf_1,...",
                             lambda w: [("v", np.int8, (w - 1,))])
-    return WeakLabelMatrix(_aligned(path, rec, "v", ids), tuple(header[1:]))
+    names = header[1:]
+    if len(set(names)) != len(names) or not all(names) or any(
+            c in name for name in names for c in ',"\r\n'):
+        raise DataError(f"{path}: LF names must be unique, non-empty and free of "
+                        "commas, quotes and line breaks")
+    return WeakLabelMatrix(_aligned(path, rec, "v", ids), tuple(names))
 
 
 def load_label_csv(path, ids: tuple) -> LabelVector:
@@ -332,23 +352,33 @@ def load_label_csv(path, ids: tuple) -> LabelVector:
     return LabelVector(_aligned(path, rec, "y", ids))
 
 
-def _csv_text(header: list, lines) -> str:
-    return "\n".join([",".join(header), *lines, ""])
+_CSV_BLOCK_ROWS = 4096  # rows formatted by one `%` call
+
+
+def _csv_text(header: list, row: str, n: int, cols: list) -> str:
+    """The header, then line i < n as `row % (i, cols[0][i], ...)`: one `%` call
+    per block of rows, over cells gathered column by column."""
+    width, parts = len(cols) + 1, [",".join(header) + "\n"]
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, n)
+        cells = [None] * ((hi - lo) * width)
+        cells[::width] = range(lo, hi)
+        for j, col in enumerate(cols, 1):
+            cells[j::width] = col[lo:hi].tolist()  # Python ints and floats
+        parts.append(((row + "\n") * (hi - lo)) % tuple(cells))
+    return "".join(parts)
 
 
 def feature_csv_text(features: FeatureMatrix, groups: GroupAssignment) -> str:
     # "%.17g" is format_real's text for a Python float
-    line = "%d,%d" + ",%.17g" * features.d
     return _csv_text(["id", "group"] + [f"f{j + 1}" for j in range(features.d)],
-                     (line % (i, g, *row) for i, (g, row) in enumerate(zip(
-                         groups.group_of.tolist(), features.values.tolist()))))
+                     "%d,%d" + ",%.17g" * features.d, features.n,
+                     [groups.group_of, *features.values.T])
 
 
 def weak_csv_text(weak: WeakLabelMatrix) -> str:
-    line = "%d" + ",%d" * len(weak.lf_names)
-    return _csv_text(["id", *weak.lf_names],
-                     (line % (i, *row) for i, row in enumerate(weak.votes.tolist())))
+    return _csv_text(["id", *weak.lf_names], "%d" + ",%d" * weak.m, weak.n, list(weak.votes.T))
 
 
 def label_csv_text(labels: LabelVector) -> str:
-    return _csv_text(["id", "y"], ("%d,%d" % iy for iy in enumerate(labels.labels.tolist())))
+    return _csv_text(["id", "y"], "%d,%d", labels.n, [labels.labels])

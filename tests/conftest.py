@@ -107,3 +107,29 @@ def loop_triplet_magnitudes(moments, strict=True):
         mags[i] = np.mean(np.sqrt(absm[i, j] * absm[i, k] / absm[j, k]))
         neg_flags[i] = bool((sgn[i, j] * sgn[i, k] * sgn[j, k] < 0).any())
     return mags, neg_flags, degenerate
+
+
+# The CSV writers as they were before block formatting: one `%` call per line.
+# The library's writers must produce these bytes.
+
+def _line_csv_text(header: list, lines) -> str:
+    return "\n".join([",".join(header), *lines, ""])
+
+
+def line_feature_csv_text(features, groups) -> str:
+    # "%.17g" is format_real's text for a Python float
+    line = "%d,%d" + ",%.17g" * features.d
+    return _line_csv_text(["id", "group"] + [f"f{j + 1}" for j in range(features.d)],
+                          (line % (i, g, *row) for i, (g, row) in enumerate(zip(
+                              groups.group_of.tolist(), features.values.tolist()))))
+
+
+def line_weak_csv_text(weak) -> str:
+    line = "%d" + ",%d" * len(weak.lf_names)
+    return _line_csv_text(["id", *weak.lf_names],
+                          (line % (i, *row) for i, row in enumerate(weak.votes.tolist())))
+
+
+def line_label_csv_text(labels) -> str:
+    return _line_csv_text(["id", "y"],
+                          ("%d,%d" % iy for iy in enumerate(labels.labels.tolist())))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import line_feature_csv_text, line_label_csv_text, line_weak_csv_text
 from wsfair import endmodel, metrics, synth
 from wsfair.cli import METHODS, _per_lf_csv, main
 from wsfair.core import (FeatureMatrix, GroupAssignment, LabelVector, NumericalError,
@@ -480,6 +481,33 @@ def test_run_malformed_cell_exits_2(tmp_path, capsys, name):
     rd = tmp_path / "out"
     assert _run(*_run_args(outdir, rd)) == 2
     assert name in capsys.readouterr().out
+    assert not rd.exists()
+
+
+@pytest.mark.parametrize("experiment,gen", [
+    ("gaussian-pair", lambda: synth.gen_gaussian_pair_dataset(300, 5)),
+    ("lfcount", lambda: synth.gen_lfcount_dataset(300, 24, 5)),
+    ("shift", lambda: synth.gen_shift_dataset(300, 5, shift=1.5, m=24)),
+])
+def test_synth_csvs_equal_the_line_writers(tmp_path, experiment, gen):
+    # the goldens compare reals to 1e-12, so they cannot see a formatting change
+    data = tmp_path / "data"
+    assert _run("synth", "--experiment", experiment, "--n", "300", "--m", "24",
+                "--shift", "1.5", "--seed", "5", "--outdir", str(data)) == 0
+    feats, groups, truth, weak, _ = gen()
+    assert (data / "features.csv").read_text() == line_feature_csv_text(feats, groups)
+    assert (data / "weak.csv").read_text() == line_weak_csv_text(weak)
+    assert (data / "labels.csv").read_text() == line_label_csv_text(truth)
+
+
+@pytest.mark.parametrize("names", ["lf_1,lf_1,lf_3", ",lf_2,lf_3"])
+def test_run_bad_lf_name_exits_2_without_outputs(tmp_path, capsys, names):
+    outdir = _synth_gauss_pair(tmp_path, n=100, seed=9)
+    path = outdir / "weak.csv"
+    path.write_text(path.read_text().replace("id,lf_1,lf_2,lf_3", "id," + names, 1))
+    rd = tmp_path / "out"
+    assert _run(*_run_args(outdir, rd)) == 2
+    assert "weak.csv: LF names must be unique" in capsys.readouterr().out
     assert not rd.exists()
 
 

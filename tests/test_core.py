@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsfair.core import (DataError, FeatureMatrix, GroupAssignment, LabelVector,
-                         NumericalError, ScoreVector, WeakLabelMatrix,
+from conftest import line_feature_csv_text, line_label_csv_text, line_weak_csv_text
+from wsfair.core import (_CSV_BLOCK_ROWS, DataError, FeatureMatrix, GroupAssignment,
+                         LabelVector, NumericalError, ScoreVector, WeakLabelMatrix,
                          feature_csv_text, label_csv_text, load_feature_csv,
                          load_label_csv, load_weak_csv, sigmoid, split_by_group,
                          validate_dataset, weak_csv_text)
-from wsfair.synth import gen_lfcount_dataset
+from wsfair.synth import gen_gaussian_pair_dataset, gen_lfcount_dataset
 
 
 def _dataset(n=4, m=3, seed=0):
@@ -241,18 +242,38 @@ def test_weak_csv_load_peak_is_a_small_multiple_of_the_file(tmp_path):
     assert peak < 8 * size, f"peak {peak / size:.2f} x the file's bytes"
 
 
-@pytest.mark.parametrize("position", [3, 100, -50])   # header, first rows, last row
+@pytest.mark.parametrize("position", [3, 100, 490_000, -50])  # header, first rows, late, last row
 def test_non_utf8_byte_is_a_data_error_naming_the_file(tmp_path, position):
-    # the file object decodes its first 8 KiB chunk before numpy's reader
-    # starts; the last row lies past that chunk
-    _, _, _, weak, _ = gen_lfcount_dataset(2_000, 12, 0)
+    # the widest vote file a run loads. The file object decodes it in chunks of
+    # about 8 KiB, the first before numpy's reader starts; a decode error's own
+    # position counts from its chunk, so the message gives the byte's offset
+    # and line in the file instead
+    _, _, _, weak, _ = gen_lfcount_dataset(20_000, 24, 0)
     text = bytearray(weak_csv_text(weak).encode("utf-8"))
     assert len(text) > 2 * 8192
+    position %= len(text)
     text[position] = 0xFF
+    line = text.count(b"\n", 0, position) + 1
     wp = tmp_path / "w.csv"
     wp.write_bytes(bytes(text))
-    with pytest.raises(DataError, match="w.csv: 'utf-8' codec can't decode byte 0xff"):
+    with pytest.raises(DataError) as err:
         load_weak_csv(wp, tuple(str(i) for i in range(weak.n)))
+    assert str(err.value) == (f"{wp}: 'utf-8' codec can't decode byte 0xff in position "
+                              f"{position}: invalid start byte (line {line})")
+
+
+@pytest.mark.parametrize("header", [
+    "id,lf_1,lf_1,lf_3",       # repeated
+    "id,lf_1,,lf_3",           # empty
+    'id,lf_1,"lf,2",lf_3',     # a comma
+    'id,lf_1,"lf""2",lf_3',    # a quote
+    'id,lf_1,lf_2,"lf',        # a line break: the quoted name runs into the next line
+])
+def test_bad_lf_name_is_a_data_error_naming_the_file(tmp_path, header):
+    texts = dict(_GOOD_CSV, **{"w.csv": _GOOD_CSV["w.csv"].replace("id,lf_1,lf_2,lf_3",
+                                                                   header)})
+    with pytest.raises(DataError, match="w.csv: LF names must be unique, non-empty"):
+        _load_all(tmp_path, texts)
 
 
 def test_crlf_and_trailing_blank_line_load_like_lf(tmp_path):
@@ -352,6 +373,47 @@ def test_writers_match_per_cell_formatting_and_round_trip_bits(data):
     assert np.array_equal(back[1].group_of, groups.group_of)
     assert np.array_equal(back[3].votes, weak.votes)
     assert np.array_equal(back[4].labels, labels.labels)
+
+
+_EDGE_REALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, -0.1, 1e16, -3.0, 2.0 ** 53, 1e22, 123456789.0]
+
+
+@pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                               2 * _CSV_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("d,m", [(1, 30), (3, 1), (3, 7)])
+def test_block_writers_equal_the_line_writers(n, d, m):
+    # blocks full, partial and one row long; reals across the float64 range,
+    # integer-valued ones included, and the edge values in every third cell
+    # and in the first and last rows
+    rng = np.random.default_rng([n, d, m])
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+    whole = rng.random((n, d)) < 0.2
+    x[whole] = rng.integers(-10 ** 6, 10 ** 6, size=whole.sum())
+    x.flat[::3] = np.resize(_EDGE_REALS, x.flat[::3].size)
+    x[-1] = x[0] = _EDGE_REALS[(n + d) % len(_EDGE_REALS)]
+    feats, groups = FeatureMatrix(x), GroupAssignment(rng.integers(0, 2, size=n))
+    weak = WeakLabelMatrix(rng.choice([-1, 1], size=(n, m)))
+    labels = LabelVector(rng.choice([-1, 1], size=n))
+    assert feature_csv_text(feats, groups) == line_feature_csv_text(feats, groups)
+    assert weak_csv_text(weak) == line_weak_csv_text(weak)
+    assert label_csv_text(labels) == line_label_csv_text(labels)
+
+
+@pytest.mark.parametrize("part", ["features", "votes"])
+def test_writer_peak_is_a_small_multiple_of_its_text(part):
+    # the pair-linear dataset: 40,000 rows, d = 2, 3 LFs. The writer formats
+    # one block of rows at a time, so it never holds a cell tuple of the file
+    feats, groups, _, weak, _ = gen_gaussian_pair_dataset(20_000, 0)
+    write = {"features": lambda: feature_csv_text(feats, groups),
+             "votes": lambda: weak_csv_text(weak)}[part]
+    tracemalloc.start()
+    try:
+        text = write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * len(text), f"peak {peak / len(text):.2f} x the text's length"
 
 
 def _two_branch_sigmoid(z):
