@@ -75,8 +75,9 @@ def rng_stream(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
+def _frozen(arr: np.ndarray, dtype=None) -> np.ndarray:
+    """A read-only copy of `arr` as `dtype`: one copy, whatever the input dtype."""
+    out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -126,7 +127,7 @@ class GroupAssignment:
             raise DataError("group assignment must be 1-d")
         if not ((g == 0) | (g == 1)).all():
             raise DataError("group ids must be 0 or 1")
-        object.__setattr__(self, "group_of", _frozen(g.astype(np.int8)))
+        object.__setattr__(self, "group_of", _frozen(g, np.int8))
 
     @property
     def n(self) -> int:
@@ -156,7 +157,7 @@ class WeakLabelMatrix:
             names = tuple(str(x) for x in names)
             if len(names) != v.shape[1]:
                 raise DataError(f"{len(names)} names for {v.shape[1]} LFs")
-        object.__setattr__(self, "votes", _frozen(v.astype(np.int8)))
+        object.__setattr__(self, "votes", _frozen(v, np.int8))
         object.__setattr__(self, "lf_names", names)
 
     @property
@@ -183,7 +184,7 @@ class LabelVector:
             raise DataError("labels must be 1-d")
         if not ((y == 1) | (y == -1)).all():
             raise DataError("labels must be -1 or +1")
-        object.__setattr__(self, "labels", _frozen(y.astype(np.int8)))
+        object.__setattr__(self, "labels", _frozen(y, np.int8))
 
     @property
     def n(self) -> int:
@@ -333,16 +334,22 @@ def load_feature_csv(path) -> tuple[FeatureMatrix, GroupAssignment, tuple]:
     return FeatureMatrix(rec["x"]), GroupAssignment(rec["group"]), ids
 
 
+def _check_lf_names(names: tuple, prefix: str = "") -> None:
+    """Raise a DataError, its message after `prefix`, unless `names` can be
+    written as a vote CSV header and read back: one rule for writer and loader."""
+    if len(set(names)) != len(names) or not all(names) or any(
+            c in name for name in names for c in ',"\r\n'):
+        raise DataError(f"{prefix}LF names must be unique, non-empty and free of "
+                        "commas, quotes and line breaks")
+
+
 def load_weak_csv(path, ids: tuple) -> WeakLabelMatrix:
     """Load a vote matrix and align its rows to `ids` from the feature CSV."""
     header, rec = _read_csv(path, ["id"], 2, "id,lf_1,...",
                             lambda w: [("v", np.int8, (w - 1,))])
-    names = header[1:]
-    if len(set(names)) != len(names) or not all(names) or any(
-            c in name for name in names for c in ',"\r\n'):
-        raise DataError(f"{path}: LF names must be unique, non-empty and free of "
-                        "commas, quotes and line breaks")
-    return WeakLabelMatrix(_aligned(path, rec, "v", ids), tuple(names))
+    names = tuple(header[1:])
+    _check_lf_names(names, f"{path}: ")
+    return WeakLabelMatrix(_aligned(path, rec, "v", ids), names)
 
 
 def load_label_csv(path, ids: tuple) -> LabelVector:
@@ -377,6 +384,7 @@ def feature_csv_text(features: FeatureMatrix, groups: GroupAssignment) -> str:
 
 
 def weak_csv_text(weak: WeakLabelMatrix) -> str:
+    _check_lf_names(weak.lf_names)
     return _csv_text(["id", *weak.lf_names], "%d" + ",%d" * weak.m, weak.n, list(weak.votes.T))
 
 

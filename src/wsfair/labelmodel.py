@@ -11,6 +11,10 @@ partners; we average over all usable triples. All LFs are estimated at once
 from one m x (m-1)(m-2)/2 gather whose row i lists LF i's partner pairs (j, k)
 in one fixed order, unusable pairs zeroed in place; that order is what keeps
 the reduction bit-reproducible. Signs are resolved against the majority vote.
+
+Every pass over the n x m votes reads the int8 matrix as it is: integer
+results (moments, the majority vote, agreement) are exact sums, and the only
+float64 copies are of VOTE_BLOCK_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .core import (DataError, DegenerateMoments, ScoreVector, LabelVector,
 DELTA = 1e-3
 # Triples whose denominator moment is below this floor are skipped.
 DENOM_FLOOR = 1e-4
+# Rows of votes per float64 block: 4,096 x 24 LFs is 0.8 MB.
+VOTE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,16 @@ class LabelModelParams:
 
 
 def pairwise_moments(weak: WeakLabelMatrix) -> np.ndarray:
-    """Empirical second-moment matrix E_hat[lambda_i * lambda_j], m x m."""
-    v = weak.votes.astype(np.float64)
-    return (v.T @ v) / weak.n
+    """Empirical second-moment matrix E_hat[lambda_i * lambda_j], m x m.
+
+    V^T V is summed block by block; its entries are integers of magnitude at
+    most n, exact in float64, so the result does not depend on the blocks.
+    """
+    acc = np.zeros((weak.m, weak.m))
+    for lo in range(0, weak.n, VOTE_BLOCK_ROWS):
+        v = weak.votes[lo:lo + VOTE_BLOCK_ROWS].astype(np.float64)
+        acc += v.T @ v
+    return acc / weak.n
 
 
 def triplet_magnitudes_from_moments(moments: np.ndarray, *, strict: bool = True):
@@ -105,7 +118,7 @@ def triplet_estimate(weak: WeakLabelMatrix, *, strict: bool = True) -> AccuracyE
 
 def majority_vote(weak: WeakLabelMatrix) -> LabelVector:
     """Sign of the unweighted row sum; ties go to +1."""
-    s = weak.votes.astype(np.int64).sum(axis=1)
+    s = weak.votes.sum(axis=1, dtype=np.int64)
     return LabelVector(np.where(s >= 0, 1, -1))
 
 
@@ -117,14 +130,21 @@ def resolve_signs(magnitudes: AccuracyEstimate, weak: WeakLabelMatrix) -> Accura
     signed accuracy comes out negative all signs are flipped: the design
     assumes a majority of LFs beat random guessing.
     """
-    mv = majority_vote(weak).labels.astype(np.float64)
-    agree = (weak.votes.astype(np.float64) * mv[:, None]).mean(axis=0)
+    agree = _majority_agreement(weak)
     ties = agree == 0.0
     signs = np.where(agree >= 0.0, 1.0, -1.0)
     signed = signs * magnitudes.per_lf
     if signed.mean() < 0.0:
         signed = -signed
     return replace(magnitudes, per_lf=signed, tie_flags=ties)
+
+
+def _majority_agreement(weak: WeakLabelMatrix) -> np.ndarray:
+    """Mean of v_ij * mv_i over rows i, from the count of votes equal to the
+    majority vote: (2 * count - n) / n."""
+    mv = majority_vote(weak).labels
+    count = (weak.votes == mv[:, None]).sum(axis=0)
+    return (2 * count - weak.n) / weak.n
 
 
 def fit_label_model(acc: AccuracyEstimate, class_prior: float = 0.5) -> LabelModelParams:
@@ -142,8 +162,21 @@ def fit_label_model(acc: AccuracyEstimate, class_prior: float = 0.5) -> LabelMod
 
 
 def predict_proba(params: LabelModelParams, weak: WeakLabelMatrix) -> ScoreVector:
-    """P(Y = +1 | votes) under the conditionally independent vote model."""
-    logits = params.class_prior_logit + weak.votes.astype(np.float64) @ params.weights
+    """P(Y = +1 | votes) under the conditionally independent vote model.
+
+    Each row's logit is the prior plus w_j * v_ij summed over the LFs from the
+    first column to the last, so a row's score does not depend on the other
+    rows or on the BLAS thread count.
+    """
+    w, logits = np.asarray(params.weights), np.empty(weak.n)
+    if w.shape != (weak.m,):
+        raise DataError(f"{w.size} weights for {weak.m} LFs")
+    for lo in range(0, weak.n, VOTE_BLOCK_ROWS):
+        block = weak.votes[lo:lo + VOTE_BLOCK_ROWS]
+        s = np.zeros(len(block))
+        for j in range(weak.m):
+            s += w[j] * block[:, j]
+        logits[lo:lo + len(block)] = params.class_prior_logit + s
     return ScoreVector(sigmoid(logits))
 
 

@@ -479,8 +479,7 @@ def knn_borrow(x_mapped_src, x_dst, labels_dst, k: int = 1) -> np.ndarray:
     idx = nn_indices(x_mapped_src, x_dst, k)
     single = labels.ndim == 1
     cols = labels[:, None] if single else labels
-    gathered = cols[idx]                       # (n_src, k, c)
-    summed = gathered.astype(np.int64).sum(axis=1)
+    summed = cols[idx].sum(axis=1, dtype=np.int64)  # cols[idx] is (n_src, k, c)
     borrowed = np.where(summed >= 0, 1, -1).astype(np.int8)
     return borrowed[:, 0] if single else borrowed
 

@@ -109,6 +109,33 @@ def loop_triplet_magnitudes(moments, strict=True):
     return mags, neg_flags, degenerate
 
 
+# The label model's passes over the votes as they were before they read the
+# int8 matrix: each on a whole float64 (or int64) copy. The library's integer
+# and blocked passes must produce these bits.
+
+def float_pairwise_moments(votes):
+    v = votes.astype(np.float64)
+    return (v.T @ v) / len(v)
+
+
+def int64_majority_vote(votes):
+    s = votes.astype(np.int64).sum(axis=1)
+    return np.where(s >= 0, 1, -1)
+
+
+def float_majority_agreement(votes):
+    mv = int64_majority_vote(votes).astype(np.float64)
+    return (votes.astype(np.float64) * mv[:, None]).mean(axis=0)
+
+
+def column_order_logits(votes, weights, prior):
+    """prior + the sum of w_j * v_ij over the LFs, first column to last."""
+    s = np.zeros(len(votes))
+    for j in range(votes.shape[1]):
+        s = s + weights[j] * votes[:, j].astype(np.float64)
+    return prior + s
+
+
 # The CSV writers as they were before block formatting: one `%` call per line.
 # The library's writers must produce these bytes.
 

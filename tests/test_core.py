@@ -15,7 +15,7 @@ from wsfair.core import (_CSV_BLOCK_ROWS, DataError, FeatureMatrix, GroupAssignm
                          feature_csv_text, label_csv_text, load_feature_csv,
                          load_label_csv, load_weak_csv, sigmoid, split_by_group,
                          validate_dataset, weak_csv_text)
-from wsfair.synth import gen_gaussian_pair_dataset, gen_lfcount_dataset
+from wsfair.synth import gen_gaussian_pair_dataset, gen_lfcount_dataset, gen_shift_dataset
 
 
 def _dataset(n=4, m=3, seed=0):
@@ -274,6 +274,31 @@ def test_bad_lf_name_is_a_data_error_naming_the_file(tmp_path, header):
                                                                    header)})
     with pytest.raises(DataError, match="w.csv: LF names must be unique, non-empty"):
         _load_all(tmp_path, texts)
+
+
+@pytest.mark.parametrize("names", [
+    ("a,b", "a,b", ""),           # written as the header id,a,b,a,b,
+    ("lf_1", "lf_1", "lf_3"), ("lf_1", "", "lf_3"), ("lf_1", 'lf"2', "lf_3"),
+    ("lf_1", "lf\n2", "lf_3"), ("lf_1", "lf\r2", "lf_3"),
+])
+def test_writer_rejects_lf_names_the_loader_rejects(names):
+    weak = WeakLabelMatrix(np.ones((2, 3)), names)
+    with pytest.raises(DataError, match="^LF names must be unique, non-empty and free of "
+                                        "commas, quotes and line breaks$"):
+        weak_csv_text(weak)
+
+
+@pytest.mark.parametrize("gen", [
+    lambda: gen_gaussian_pair_dataset(50, 3), lambda: gen_lfcount_dataset(100, 24, 3),
+    lambda: gen_shift_dataset(100, 3, shift=1.5, m=12),
+])
+def test_synth_lf_names_round_trip(tmp_path, gen):
+    weak = gen()[3]
+    wp = tmp_path / "w.csv"
+    wp.write_text(weak_csv_text(weak), encoding="utf-8")
+    loaded = load_weak_csv(wp, tuple(str(i) for i in range(weak.n)))
+    assert loaded.lf_names == weak.lf_names
+    assert np.array_equal(loaded.votes, weak.votes)
 
 
 def test_crlf_and_trailing_blank_line_load_like_lf(tmp_path):

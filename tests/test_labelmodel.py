@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import loop_triplet_magnitudes, sample_ci_votes
-from wsfair.core import DataError, DegenerateMoments, WeakLabelMatrix
-from wsfair.labelmodel import (DELTA, DENOM_FLOOR, AccuracyEstimate, fit_label_model,
+from conftest import (column_order_logits, float_majority_agreement, float_pairwise_moments,
+                      int64_majority_vote, loop_triplet_magnitudes, sample_ci_votes)
+from wsfair.core import DataError, DegenerateMoments, WeakLabelMatrix, sigmoid
+from wsfair.labelmodel import (DELTA, DENOM_FLOOR, VOTE_BLOCK_ROWS, AccuracyEstimate,
+                               LabelModelParams, _majority_agreement, fit_label_model,
                                majority_vote, pairwise_moments, predict_labels,
                                predict_proba, resolve_signs, triplet_estimate,
                                triplet_magnitudes_from_moments)
+from wsfair.synth import gen_lfcount_dataset
 
 
 def _moments_from_accuracies(a):
@@ -309,3 +313,63 @@ def test_label_invariance_under_common_positive_scaling():
             l1 = predict_labels(predict_proba(p1, weak))
             l2 = predict_labels(predict_proba(p2, weak))
             assert np.array_equal(l1.labels, l2.labels)
+
+
+# ---------------------------------------------------------------------------
+# Passes over the int8 votes
+# ---------------------------------------------------------------------------
+
+def _random_votes(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((n, m)) < rng.uniform(0.2, 0.8, m), 1, -1).astype(np.int8)
+
+
+@pytest.mark.parametrize("m", [3, 24, 100])
+@pytest.mark.parametrize("n", [1, VOTE_BLOCK_ROWS - 1, VOTE_BLOCK_ROWS, VOTE_BLOCK_ROWS + 1,
+                               3 * VOTE_BLOCK_ROWS + 7])
+def test_vote_passes_equal_the_float64_bodies_bit_for_bit(n, m):
+    votes = _random_votes(n, m, seed=n * 1000 + m)
+    weak = WeakLabelMatrix(votes)
+    assert pairwise_moments(weak).tobytes() == float_pairwise_moments(votes).tobytes()
+    assert np.array_equal(majority_vote(weak).labels, int64_majority_vote(votes))
+    assert _majority_agreement(weak).tobytes() == float_majority_agreement(votes).tobytes()
+    params = LabelModelParams(np.random.default_rng(m).uniform(-3.0, 3.0, m), 0.4)
+    expected = sigmoid(column_order_logits(votes, params.weights, params.class_prior_logit))
+    assert predict_proba(params, weak).scores.tobytes() == expected.tobytes()
+
+
+# at these seeds, BLAS's matrix-vector product (the float64 votes @ weights)
+# gives some row other bits when it is scored in a slice of its own
+@pytest.mark.parametrize("seed,n,m,cuts", [
+    (0, 4097, 7, [4096]),
+    (2, 3 * VOTE_BLOCK_ROWS + 7, 24, [1, 2049, 8191, 12000]),
+])
+def test_scores_of_row_slices_concatenate_to_the_whole(seed, n, m, cuts):
+    rng = np.random.default_rng(seed)
+    votes = np.where(rng.random((n, m)) < 0.5, 1, -1).astype(np.int8)
+    params = LabelModelParams(rng.uniform(-3.0, 3.0, m), -0.3)
+    whole = predict_proba(params, WeakLabelMatrix(votes)).scores
+    parts = [predict_proba(params, WeakLabelMatrix(part)).scores
+             for part in np.split(votes, cuts)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("m_weights", [2, 4])
+def test_scores_need_one_weight_per_lf(m_weights):
+    params = LabelModelParams(np.ones(m_weights), 0.0)
+    with pytest.raises(DataError, match=f"{m_weights} weights for 3 LFs"):
+        predict_proba(params, WeakLabelMatrix(np.ones((5, 3), dtype=np.int8)))
+
+
+def test_label_model_peak_is_a_small_multiple_of_the_votes():
+    # the widest vote matrix a benchmark job fits: lfcount at m = 24. No pass
+    # holds a float64 or int64 copy of the whole matrix
+    _, _, _, weak, _ = gen_lfcount_dataset(20_000, 24, 0)
+    tracemalloc.start()
+    try:
+        est = resolve_signs(triplet_estimate(weak), weak)
+        predict_proba(fit_label_model(est), weak)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * weak.votes.nbytes, f"peak {peak / weak.votes.nbytes:.2f} x the votes"

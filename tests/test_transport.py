@@ -726,6 +726,25 @@ def test_knn_multi_column_labels():
     assert out.tolist() == [[1, -1], [-1, 1]]
 
 
+@pytest.mark.parametrize("k", [2, 3, 200])
+def test_knn_borrow_stacked_columns_equal_single_columns(k):
+    # 100 destination points, each held by two rows: for even k every source
+    # row's neighbours are whole pairs, so the alternating column ties
+    rng = np.random.default_rng(k)
+    dst = FeatureMatrix(np.repeat(rng.standard_normal((100, 2)), 2, axis=0))
+    src = FeatureMatrix(rng.standard_normal((40, 2)))
+    tied = np.tile(np.array([1, -1], dtype=np.int8), 100)
+    cols = np.column_stack([tied, np.ones(200, np.int8), -np.ones(200, np.int8),
+                            np.where(rng.random((200, 2)) < 0.5, 1, -1)]).astype(np.int8)
+    out = knn_borrow(src, dst, cols, k=k)
+    for c in range(cols.shape[1]):
+        assert np.array_equal(out[:, c], knn_borrow(src, dst, cols[:, c], k=k))
+    if k % 2 == 0:
+        assert (out[:, 0] == 1).all()
+    # k = 200 sums 200 votes of +1, past what an int8 accumulator holds
+    assert (out[:, 1] == 1).all() and (out[:, 2] == -1).all()
+
+
 def test_transport_none_copies_shared_points():
     rng = np.random.default_rng(13)
     dst_vals = rng.standard_normal((50, 2))
