@@ -27,9 +27,8 @@ from . import __version__
 from .core import (DataError, GroupAssignment, LabelVector,
                    NumericalError, WeakLabelMatrix, feature_csv_text, format_real,
                    label_csv_text, load_feature_csv, load_label_csv, load_weak_csv,
-                   split_by_group, weak_csv_text)
+                   weak_csv_text)
 from . import endmodel as em
-from . import labelmodel as lm
 from . import metrics as mx
 from . import sbm
 from . import synth
@@ -197,6 +196,22 @@ def _per_lf_csv(weak_pre: WeakLabelMatrix, weak_post: WeakLabelMatrix,
     return "\n".join(lines) + "\n"
 
 
+def _label_model_fit(result: sbm.PipelineResult, lf_names: tuple) -> list:
+    """Per LF: the pooled estimate the label model used, its weight and flags,
+    then each group's estimate and clamp flag (null when a group is empty)."""
+    est = result.estimate
+    cols = [est.per_lf, result.params.weights, est.clamp_flags, est.moment_flags,
+            est.tie_flags]
+    if result.group_estimates is None:
+        cols += [np.full(len(lf_names), None)] * 4
+    else:
+        est0, est1 = result.group_estimates
+        cols += [est0.per_lf, est1.per_lf, est0.clamp_flags, est1.clamp_flags]
+    keys = ("lf", "a_hat", "weight", "clamped", "moment_flag", "tie",
+            "a0", "a1", "clamped0", "clamped1")
+    return [dict(zip(keys, row)) for row in zip(lf_names, *(c.tolist() for c in cols))]
+
+
 def cmd_run(args, out: _Outputs) -> int:
     cfg = _sbm_config(args, args.method, args.seed)
     try:
@@ -210,6 +225,9 @@ def cmd_run(args, out: _Outputs) -> int:
     truth = load_label_csv(args.labels, ids) if args.labels else None
     if args.direct_lf_eval and not 0 <= args.lf_index < weak.m:
         raise BadArgs(f"--lf-index must index one of {weak.m} LFs")
+    smaller = min(groups.indices(0).size, groups.indices(1).size)
+    if cfg is not None and 0 < smaller < args.knn_k:
+        raise BadArgs(f"--knn-k must be at most the smaller group's {smaller} rows")
 
     result = sbm.run_pipeline(feats, groups, weak, cfg, class_prior=args.class_prior,
                               train_cfg=train_cfg, hard_labels=args.hard_labels,
@@ -232,6 +250,7 @@ def cmd_run(args, out: _Outputs) -> int:
                    "endmodel": {"l2": args.l2, "max_iters": args.max_iters,
                                 "tol": args.tol}},
         "label_model": report_of(result.labels),
+        "label_model_fit": _label_model_fit(result, weak.lf_names),
         "end_model": report_of(result.end_labels),
         "end_model_fit": result.end_model.training_meta,
         "end_model_postprocessed": report_of(result.post_labels),
@@ -346,7 +365,7 @@ def cmd_sweep(args, out: _Outputs) -> int:
 
 
 # ---------------------------------------------------------------------------
-# center-scan / estimate
+# center-scan
 # ---------------------------------------------------------------------------
 
 def cmd_center_scan(args, out: _Outputs) -> int:
@@ -358,18 +377,6 @@ def cmd_center_scan(args, out: _Outputs) -> int:
     correct = weak.votes[:, args.lf] == truth.labels
     scan = mx.center_scan(feats, correct, groups, seed=args.seed)
     out.write(Path(args.out), scan.to_csv())
-    return 0
-
-
-def cmd_estimate(args, out: _Outputs) -> int:
-    feats, groups, ids = load_feature_csv(args.features)
-    weak = load_weak_csv(args.weak, ids)
-    ests = {"all": lm.resolve_signs(lm.triplet_estimate(weak), weak)}
-    if groups.indices(0).size and groups.indices(1).size:
-        sp = split_by_group(feats, groups, weak)
-        est0, est1 = sbm.group_accuracies(sp.w0, sp.w1)
-        ests["0"], ests["1"] = est0, est1
-    out.write(Path(args.out), lm.accuracies_to_csv(ests, weak.lf_names))
     return 0
 
 
@@ -438,16 +445,11 @@ def build_parser() -> _Parser:
     p.add_argument("--lf", type=int, default=0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
-
-    p = sub.add_parser("estimate", help="export triplet accuracy estimates")
-    p.add_argument("--features", required=True)
-    p.add_argument("--weak", required=True)
-    p.add_argument("--out", required=True)
     return parser
 
 
 _COMMANDS = {"synth": cmd_synth, "run": cmd_run, "sweep": cmd_sweep,
-             "center-scan": cmd_center_scan, "estimate": cmd_estimate}
+             "center-scan": cmd_center_scan}
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (DataError, DegenerateMoments, ScoreVector, LabelVector,
-                   WeakLabelMatrix, format_real, sigmoid)
+                   WeakLabelMatrix, sigmoid)
 
 # Clamp on the correlation scale: estimates live in [DELTA, 1 - DELTA] so the
 # implied log-odds weights stay finite.
@@ -183,13 +183,3 @@ def predict_proba(params: LabelModelParams, weak: WeakLabelMatrix) -> ScoreVecto
 def predict_labels(scores: ScoreVector) -> LabelVector:
     """Threshold at 0.5; ties go to +1."""
     return LabelVector(np.where(scores.scores >= 0.5, 1, -1))
-
-
-def accuracies_to_csv(estimates: dict, lf_names: tuple) -> str:
-    """CSV export `lf,group,a_hat,clamped`; group keys are "all", "0", "1"."""
-    lines = ["lf,group,a_hat,clamped"]
-    for group, est in estimates.items():
-        for j, name in enumerate(lf_names):
-            lines.append(f"{name},{group},{format_real(est.per_lf[j])},"
-                         f"{int(bool(est.clamp_flags[j]))}")
-    return "\n".join(lines) + "\n"

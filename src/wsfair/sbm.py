@@ -15,7 +15,7 @@ continues. A DataError, unusable input, propagates. `run_pipeline` feeds the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,9 +69,10 @@ class SbmLfDecision:
 
 @dataclass(frozen=True)
 class SbmAudit:
-    """Per-LF record of every rewrite decision."""
+    """Per-LF rewrite decisions (serialised) and the gap test's (est0, est1)."""
 
     per_lf: tuple
+    estimates: tuple = field(compare=False, repr=False)
 
     def to_json(self) -> list:
         return [{"lf": d.lf, "a0": d.a0, "a1": d.a1, "direction": d.direction,
@@ -79,13 +80,12 @@ class SbmAudit:
                  "error": d.error} for d in self.per_lf]
 
 
-def group_accuracies(weak0: WeakLabelMatrix, weak1: WeakLabelMatrix, *,
-                     strict: bool = True):
-    """Signed triplet estimates computed independently per group."""
+def group_accuracies(weak0: WeakLabelMatrix, weak1: WeakLabelMatrix):
+    """Signed non-strict triplet estimates computed independently per group."""
     if weak0.n == 0 or weak1.n == 0:
         raise DataError("both groups must be non-empty")
-    est0 = lm.resolve_signs(lm.triplet_estimate(weak0, strict=strict), weak0)
-    est1 = lm.resolve_signs(lm.triplet_estimate(weak1, strict=strict), weak1)
+    est0 = lm.resolve_signs(lm.triplet_estimate(weak0, strict=False), weak0)
+    est1 = lm.resolve_signs(lm.triplet_estimate(weak1, strict=False), weak1)
     return est0, est1
 
 
@@ -98,7 +98,7 @@ def run_sbm(features: FeatureMatrix, groups: GroupAssignment, weak: WeakLabelMat
     is "none" are bit-identical to the input.
     """
     sp = split_by_group(features, groups, weak)
-    est0, est1 = group_accuracies(sp.w0, sp.w1, strict=False)
+    est0, est1 = group_accuracies(sp.w0, sp.w1)
     a0, a1 = est0.per_lf, est1.per_lf
     bad = est0.degenerate_flags | est1.degenerate_flags
 
@@ -129,16 +129,20 @@ def run_sbm(features: FeatureMatrix, groups: GroupAssignment, weak: WeakLabelMat
     decisions = tuple(SbmLfDecision(*row) for row in zip(
         weak.lf_names, a0.tolist(), a1.tolist(), directions, changed.tolist(),
         map_ids, errors))
-    return WeakLabelMatrix(new_votes, weak.lf_names), SbmAudit(decisions)
+    return WeakLabelMatrix(new_votes, weak.lf_names), SbmAudit(decisions, (est0, est1))
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Pseudolabels, then (given a TrainConfig) the end model's output."""
+    """Pseudolabels, the label-model fit behind them (group_estimates is None
+    when a group is empty), then (given a TrainConfig) the end model's output."""
     scores: ScoreVector
     labels: LabelVector
     audit: SbmAudit = None
     weak_used: WeakLabelMatrix = None
+    estimate: lm.AccuracyEstimate = None
+    params: lm.LabelModelParams = None
+    group_estimates: tuple = None
     end_model: em.LogisticModel = None
     end_labels: LabelVector = None
     thresholds: tuple = None          # (t0, t1) and post_labels under postprocess
@@ -153,18 +157,21 @@ def run_pipeline(features: FeatureMatrix, groups: GroupAssignment,
     the end model on soft (or `hard_labels`) pseudolabels; `postprocess` adds
     DP thresholds on its scores chosen to agree with the pseudolabels."""
     validate_dataset(features, groups, weak)
-    used, audit = weak, None
+    used, audit, group_est = weak, None, None
     if cfg is not None:
         used, audit = run_sbm(features, groups, weak, cfg)
+        group_est = audit.estimates
+    elif groups.indices(0).size and groups.indices(1).size:
+        group_est = group_accuracies(*(weak.take(groups.indices(g)) for g in (0, 1)))
     est = lm.resolve_signs(lm.triplet_estimate(used), used)
     params = lm.fit_label_model(est, class_prior)
     scores = lm.predict_proba(params, used)
     labels = lm.predict_labels(scores)
     if train_cfg is None:
-        return PipelineResult(scores, labels, audit, used)
+        return PipelineResult(scores, labels, audit, used, est, params, group_est)
     model = em.train_logreg(features, labels if hard_labels else scores, train_cfg)
     end_scores = em.predict_logreg(model, features)
     thresholds, post_labels = (mx.dp_threshold(end_scores, groups, labels)
                                if postprocess else (None, None))
-    return PipelineResult(scores, labels, audit, used, model,
+    return PipelineResult(scores, labels, audit, used, est, params, group_est, model,
                           lm.predict_labels(end_scores), thresholds, post_labels)

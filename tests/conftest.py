@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 
-from wsfair.core import DegenerateMoments
-from wsfair.labelmodel import DELTA, DENOM_FLOOR
+from wsfair.core import (DegenerateMoments, format_real, load_feature_csv, load_weak_csv,
+                         split_by_group)
+from wsfair.labelmodel import DELTA, DENOM_FLOOR, resolve_signs, triplet_estimate
 
 
 def sample_ci_votes(accuracies, n, seed, class_prior=0.5):
@@ -160,3 +161,28 @@ def line_weak_csv_text(weak) -> str:
 def line_label_csv_text(labels) -> str:
     return _line_csv_text(["id", "y"],
                           ("%d,%d" % iy for iy in enumerate(labels.labels.tolist())))
+
+
+# The `wsfair estimate` command as it was before `report.json` carried its
+# numbers: strict triplet estimates over all rows and in each group, as CSV.
+# `report.json`'s `label_model_fit` must hold every value it printed.
+
+def accuracies_to_csv(estimates: dict, lf_names: tuple) -> str:
+    """CSV export `lf,group,a_hat,clamped`; group keys are "all", "0", "1"."""
+    lines = ["lf,group,a_hat,clamped"]
+    for group, est in estimates.items():
+        for j, name in enumerate(lf_names):
+            lines.append(f"{name},{group},{format_real(est.per_lf[j])},"
+                         f"{int(bool(est.clamp_flags[j]))}")
+    return "\n".join(lines) + "\n"
+
+
+def estimate_csv(features_path, weak_path) -> str:
+    feats, groups, ids = load_feature_csv(features_path)
+    weak = load_weak_csv(weak_path, ids)
+    ests = {"all": resolve_signs(triplet_estimate(weak), weak)}
+    if groups.indices(0).size and groups.indices(1).size:
+        sp = split_by_group(feats, groups, weak)
+        ests["0"] = resolve_signs(triplet_estimate(sp.w0), sp.w0)
+        ests["1"] = resolve_signs(triplet_estimate(sp.w1), sp.w1)
+    return accuracies_to_csv(ests, weak.lf_names)

@@ -300,9 +300,6 @@ def test_criterion_10_cli_determinism(tmp_path):
                              "150,300", "--seeds", "0..2", "--eval", "direct-lf",
                              "--methods", "baseline,sbm-linear",
                              "--out", str(root / "sweep.csv")]) == 0
-            assert cli_main(["estimate", "--features", str(data / "features.csv"),
-                             "--weak", str(data / "weak.csv"),
-                             "--out", str(root / "est.csv")]) == 0
             assert cli_main(["center-scan", "--features", str(data / "features.csv"),
                              "--weak", str(data / "weak.csv"),
                              "--labels", str(data / "labels.csv"), "--lf", "0",
@@ -312,12 +309,12 @@ def test_criterion_10_cli_determinism(tmp_path):
         blob = b""
         for rel in ("data/features.csv", "data/weak.csv", "data/labels.csv",
                     "data/specs.json", "run/report.json", "run/per_lf.csv",
-                    "sweep.csv", "est.csv", "scan.csv"):
+                    "sweep.csv", "scan.csv"):
             blob += (root / rel).read_bytes()
         return blob
 
     blobs = [run_all(f"r{i}_t{t}", t) for i, t in enumerate((1, 1, 4, 4))]
     ok = all(b == blobs[0] for b in blobs)
     _report(10, ok,
-            "cli determinism: synth/run/sweep/estimate/center-scan byte-identical "
+            "cli determinism: synth/run/sweep/center-scan byte-identical "
             "across repeats and WSFAIR_THREADS in {1,4}")

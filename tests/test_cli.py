@@ -1,6 +1,8 @@
 import functools
 import json
 import os
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -9,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import line_feature_csv_text, line_label_csv_text, line_weak_csv_text
+from conftest import (estimate_csv, line_feature_csv_text, line_label_csv_text,
+                      line_weak_csv_text)
 from wsfair import endmodel, metrics, synth
-from wsfair.cli import METHODS, _per_lf_csv, main
+from wsfair.cli import _COMMANDS, METHODS, _per_lf_csv, build_parser, main
 from wsfair.core import (FeatureMatrix, GroupAssignment, LabelVector, NumericalError,
                          WeakLabelMatrix, feature_csv_text, format_real, label_csv_text,
                          load_feature_csv, load_label_csv, load_weak_csv, weak_csv_text)
@@ -269,17 +272,21 @@ def test_sweep_bad_seed_range_is_usage_error(tmp_path):
     assert code == 1
 
 
-def test_estimate_csv(tmp_path):
-    outdir = _synth_gauss_pair(tmp_path, n=500, seed=5)
-    out = tmp_path / "est.csv"
-    code = _run("estimate", "--features", str(outdir / "features.csv"),
-                "--weak", str(outdir / "weak.csv"), "--out", str(out))
-    assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "lf,group,a_hat,clamped"
-    groups_seen = {l.split(",")[1] for l in lines[1:]}
-    assert groups_seen == {"all", "0", "1"}
-    assert len(lines) == 1 + 3 * 3
+def _readme_commands():
+    """Every `wsfair ...` line of README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("wsfair ")]
+
+
+def test_readme_commands_parse():
+    # a deleted command or flag must not stay documented; parsing runs nothing
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == set(_COMMANDS)
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_center_scan_cli(tmp_path):
@@ -359,6 +366,10 @@ def test_version_and_unknown_method(tmp_path):
                 "--seeds", "0..0", "--methods", "warp-drive",
                 "--out", str(tmp_path / "x.csv"))
     assert code == 1
+    # the deleted estimate command: run's report.json holds its numbers
+    assert _run("estimate", "--features", str(outdir / "features.csv"),
+                "--weak", str(outdir / "weak.csv"), "--out", str(tmp_path / "est.csv")) == 1
+    assert not (tmp_path / "est.csv").exists()
 
 
 def _run_args(outdir, rd, *extra):
@@ -386,6 +397,7 @@ def _run_args(outdir, rd, *extra):
     ("--grid", "101"),
     ("--seed", "-1"),
     ("--method", "sbm-sinkhorn", "--sinkhorn-max-points", "100", "--seed", "-1"),
+    ("--method", "sbm-linear", "--knn-k", "201"),
 ])
 def test_run_bad_value_is_usage_error(tmp_path, extra):
     outdir = _synth_gauss_pair(tmp_path, n=200, seed=8)
@@ -523,6 +535,35 @@ def test_run_one_group_reports_null_gaps(tmp_path):
         assert rep["dp_gap"] is None and rep["eo_gap"] is None
         assert rep["n0"] == 300 and rep["n1"] == 0
         assert rep["accuracy"] is not None
+    # the pooled fit is there for every LF; the per-group estimates are null
+    names = (data / "weak.csv").read_text().split("\n", 1)[0].split(",")[1:]
+    fit = report["label_model_fit"]
+    assert [e["lf"] for e in fit] == names
+    for e in fit:
+        assert isinstance(e["a_hat"], float) and isinstance(e["weight"], float)
+        assert all(isinstance(e[k], bool) for k in ("clamped", "moment_flag", "tie"))
+        assert [e[k] for k in ("a0", "a1", "clamped0", "clamped1")] == [None] * 4
+
+
+@pytest.mark.parametrize("synth_args", [
+    ("gaussian-pair", "--n", "100", "--seed", "85"),   # lf_2 clamped pooled and in group 0
+    ("lfcount", "--n", "600", "--m", "12", "--seed", "3")])
+def test_label_model_fit_holds_every_number_estimate_printed(tmp_path, synth_args):
+    data = tmp_path / "data"
+    assert _run("synth", "--experiment", *synth_args, "--outdir", str(data)) == 0
+    rd = tmp_path / "out"
+    assert _run(*_run_args(data, rd, "--method", "baseline")) == 0
+    fit = {e["lf"]: e for e in json.loads((rd / "report.json").read_text())["label_model_fit"]}
+    keys = {"all": ("a_hat", "clamped"), "0": ("a0", "clamped0"), "1": ("a1", "clamped1")}
+    lines = estimate_csv(data / "features.csv", data / "weak.csv").splitlines()
+    assert len(lines) == 1 + 3 * len(fit)
+    for line in lines[1:]:
+        lf, group, a_hat, clamped = line.split(",")
+        a_key, clamped_key = keys[group]
+        assert fit[lf][a_key] == float(a_hat), (lf, group)
+        assert fit[lf][clamped_key] is bool(int(clamped)), (lf, group)
+    for e in fit.values():
+        assert e["weight"] == np.log1p(e["a_hat"]) - np.log1p(-e["a_hat"])
 
 
 def test_run_duplicate_feature_id_exits_2(tmp_path):
@@ -570,6 +611,13 @@ def test_run_report_formats_one_pipeline_call(tmp_path, method):
     assert report["thresholds"] == list(res.thresholds)
     assert report["end_model_fit"] == res.end_model.training_meta
     assert report["sbm_audit"] == (res.audit.to_json() if cfg else None)
+    est, (est0, est1) = res.estimate, res.group_estimates
+    assert report["label_model_fit"] == [
+        {"lf": name, "a_hat": float(est.per_lf[j]), "weight": float(res.params.weights[j]),
+         "clamped": bool(est.clamp_flags[j]), "moment_flag": bool(est.moment_flags[j]),
+         "tie": bool(est.tie_flags[j]), "a0": float(est0.per_lf[j]),
+         "a1": float(est1.per_lf[j]), "clamped0": bool(est0.clamp_flags[j]),
+         "clamped1": bool(est1.clamp_flags[j])} for j, name in enumerate(weak.lf_names)]
 
 
 @pytest.mark.parametrize("method", ["baseline", "sbm-linear"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_nn, sample_ci_votes
-from wsfair import sbm
+from wsfair import labelmodel, sbm
 from wsfair.core import (DataError, DegenerateMoments, FeatureMatrix, GroupAssignment,
                          NonFiniteLoss, NumericalUnderflow, SingularCovariance,
                          WeakLabelMatrix)
@@ -249,6 +249,25 @@ def test_pipeline_bypass_matches_baseline():
                             SbmConfig(epsilon=5.0, ot_kind="linear", seed=0))
     assert np.array_equal(res_noop.scores.scores, res_off.scores.scores)
     assert np.array_equal(res_noop.labels.labels, res_off.labels.labels)
+
+
+@pytest.mark.parametrize("ot_kind", [None, "linear"])
+def test_pipeline_estimates_each_group_once(monkeypatch, ot_kind):
+    # one pooled estimate and one per group; SBM reuses its gap test's two
+    feats, groups, _, weak, _ = _gauss_pair(300, seed=2)
+    sizes, estimate = [], labelmodel.triplet_estimate
+
+    def counted(w, **kwargs):
+        sizes.append(w.n)
+        return estimate(w, **kwargs)
+
+    monkeypatch.setattr(labelmodel, "triplet_estimate", counted)
+    cfg = None if ot_kind is None else SbmConfig(ot_kind=ot_kind)
+    res = run_pipeline(feats, groups, weak, cfg)
+    assert sorted(sizes) == [300, 300, 600]
+    est0, est1 = res.group_estimates
+    if cfg is not None:
+        assert [(d.a0, d.a1) for d in res.audit.per_lf] == list(zip(est0.per_lf, est1.per_lf))
 
 
 def test_pipeline_sbm_beats_baseline_on_gauss_pair():
