@@ -32,12 +32,11 @@ from . import endmodel as em
 from . import metrics as mx
 from . import sbm
 from . import synth
+from .transport import OT_KINDS
 
 SPEC_VERSION = "1"
 
-METHODS = ("baseline", "sbm-none", "sbm-linear", "sbm-sinkhorn")
-_OT_OF_METHOD = {"baseline": "none", "sbm-none": "none",
-                 "sbm-linear": "linear", "sbm-sinkhorn": "sinkhorn"}
+METHODS = ("baseline", *(f"sbm-{kind}" for kind in OT_KINDS))
 
 
 class BadArgs(Exception):
@@ -142,12 +141,19 @@ def _parse_list(text: str, flag: str, convert=str):
 def _sbm_config(args, method: str, seed: int):
     """The method's SbmConfig, None for the baseline; bad SBM flags fail for all."""
     try:
-        cfg = sbm.SbmConfig(epsilon=args.epsilon, ot_kind=_OT_OF_METHOD[method],
+        ot_kind = "none" if method == "baseline" else method.removeprefix("sbm-")
+        cfg = sbm.SbmConfig(epsilon=args.epsilon, ot_kind=ot_kind,
                             eta=args.eta, knn_k=args.knn_k, seed=seed,
                             sinkhorn_max_points=args.sinkhorn_max_points)
     except ValueError as exc:
         raise BadArgs(str(exc)) from None
     return None if method == "baseline" else cfg
+
+
+def _check_knn_k(args, methods, smaller: int):
+    """`--knn-k` must not exceed the smaller group's rows if an SBM method borrows votes."""
+    if any(method != "baseline" for method in methods) and 0 < smaller < args.knn_k:
+        raise BadArgs(f"--knn-k must be at most the smaller group's {smaller} rows")
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +231,7 @@ def cmd_run(args, out: _Outputs) -> int:
     truth = load_label_csv(args.labels, ids) if args.labels else None
     if args.direct_lf_eval and not 0 <= args.lf_index < weak.m:
         raise BadArgs(f"--lf-index must index one of {weak.m} LFs")
-    smaller = min(groups.indices(0).size, groups.indices(1).size)
-    if cfg is not None and 0 < smaller < args.knn_k:
-        raise BadArgs(f"--knn-k must be at most the smaller group's {smaller} rows")
+    _check_knn_k(args, [args.method], min(groups.indices(0).size, groups.indices(1).size))
 
     result = sbm.run_pipeline(feats, groups, weak, cfg, class_prior=args.class_prior,
                               train_cfg=train_cfg, hard_labels=args.hard_labels,
@@ -324,6 +328,8 @@ def cmd_sweep(args, out: _Outputs) -> int:
         methods = ["lf"]
     elif not set(methods) <= set(METHODS):
         raise BadArgs(f"unknown method in {args.methods!r}")
+    else:          # no seed changes a group's rows: x for samples, and lfs's group 1 has n // 2
+        _check_knn_k(args, methods, min(grid) if args.experiment == "samples" else args.n // 2)
 
     tasks = [(x, seed) for x in grid for seed in seeds]
     with ThreadPoolExecutor(max_workers=_threads()) as pool:

@@ -58,7 +58,12 @@ def _as_targets(targets, n: int) -> np.ndarray:
 
 def _loss_grad_p(w: np.ndarray, b: float, x: np.ndarray, targets: np.ndarray,
                  l2: float):
-    """`loss_and_grad`'s (loss, grad_w, grad_b), then p = sigmoid(z)."""
+    """(loss, grad_w, grad_b, p): mean cross-entropy with soft targets plus
+    (l2/2)||w||^2, its gradient, and p = sigmoid(z).
+
+    Cross-entropy per row is softplus(z) - t*z with z = x.w + b, which is
+    stable for large |z|.
+    """
     z = x @ w + b
     loss = float(np.mean(np.logaddexp(0.0, z) - targets * z) + 0.5 * l2 * (w @ w))
     p = sigmoid(z)
@@ -66,16 +71,6 @@ def _loss_grad_p(w: np.ndarray, b: float, x: np.ndarray, targets: np.ndarray,
     grad_w = x.T @ resid / x.shape[0] + l2 * w
     grad_b = float(resid.mean())
     return loss, grad_w, grad_b, p
-
-
-def loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, targets: np.ndarray,
-                  l2: float):
-    """Mean cross-entropy with soft targets plus (l2/2)||w||^2, and its gradient.
-
-    Cross-entropy per row is softplus(z) - t*z with z = x.w + b, which is
-    stable for large |z|.
-    """
-    return _loss_grad_p(w, b, x, targets, l2)[:3]
 
 
 def _standardize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -25,13 +25,11 @@ from .core import (DataError, FeatureMatrix, GroupAssignment, LabelVector,
 from . import endmodel as em
 from . import labelmodel as lm
 from . import metrics as mx
-from .transport import SINKHORN_MAX_POINTS, apply_map, fit_map, knn_borrow
+from .transport import OT_KINDS, SINKHORN_MAX_POINTS, apply_map, fit_map, knn_borrow
 
 DIRECTION_NONE = "none"
 DIRECTION_0_TO_1 = "0->1"
 DIRECTION_1_TO_0 = "1->0"
-
-OT_KINDS = ("none", "linear", "sinkhorn")
 
 
 @dataclass(frozen=True)

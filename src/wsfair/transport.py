@@ -1,13 +1,14 @@
 """Maps that push one group's feature distribution onto the other's.
 
-Two fitted map families plus an identity bypass:
+`fit_map` fits one of the OT_KINDS, and `apply_map` applies the result:
 
-* linear: the closed-form affine map between Gaussian moment pairs,
+* none: the identity; rows keep their own coordinates.
+* linear: the closed-form affine map between the two groups' Gaussian moments,
   A = S_s^{-1/2} (S_s^{1/2} S_t S_s^{1/2})^{1/2} S_s^{-1/2},  b = mu_t - A mu_s,
   which pushes N(mu_s, S_s) exactly onto N(mu_t, S_t).
-* sinkhorn-barycentric: entropically regularized transport between the two
-  empirical clouds (uniform marginals), stored as the destination
-  log-potential gn = g / eta. A row x maps to its barycentric image
+* sinkhorn: entropically regularized transport between the two empirical
+  clouds (uniform marginals), stored as the destination log-potential
+  gn = g / eta. A row x maps to its barycentric image
   sum_j softmax_j(gn - |x - y_j|^2 / eta) y_j, which is the row-rescaled plan
   applied to the destination points and is defined for any row, fitted or not.
 
@@ -42,6 +43,7 @@ import numpy as np
 from .core import (DataError, FeatureMatrix, NumericalUnderflow, SingularCovariance,
                    rng_stream)
 
+OT_KINDS = ("none", "linear", "sinkhorn")
 COV_RIDGE = 1e-6
 EIG_FLOOR = 1e-12
 MAX_CONDITION = 1e12
@@ -56,56 +58,13 @@ _SUBSAMPLE_STREAM = 90
 _LEAF_ROWS, _GROUP_ROWS = 32, 256   # destination leaf and source group of the scan
 
 
-# ---------------------------------------------------------------------------
-# Symmetric PSD matrix roots via eigendecomposition.
-# ---------------------------------------------------------------------------
-
-def _sym_product(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """q diag(d) q^T, symmetrized."""
-    root = q @ (d[:, None] * q.T)
-    return (root + root.T) / 2.0
-
-
-def matrix_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; eigenvalues are floored at EIG_FLOOR first."""
-    w, q = np.linalg.eigh(np.asarray(mat, dtype=np.float64))
-    return _sym_product(q, np.sqrt(np.maximum(w, EIG_FLOOR)))
-
-
-# ---------------------------------------------------------------------------
-# Moments and the closed-form affine map.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussianMoments:
-    """Mean vector and symmetric PSD covariance of one group's features."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.shape != (mean.size, mean.size):
-            raise DataError("covariance shape does not match the mean")
-        scale = max(1.0, np.abs(cov).max(initial=0.0))   # both checks are relative
-        if np.abs(cov - cov.T).max(initial=0.0) > 1e-12 * scale:
-            raise DataError("covariance must be symmetric")
-        cov = (cov + cov.T) / 2.0
-        if np.linalg.eigvalsh(cov).min() < -1e-9 * scale:
-            raise DataError("covariance must be positive semidefinite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-
 @dataclass(frozen=True)
 class TransportMap:
-    """A fitted source-to-destination map.
+    """A fitted source-to-destination map of one of OT_KINDS.
 
-    kind "linear" carries (A, b); kind "sinkhorn-barycentric" carries the
-    destination reference points (a subsample when the fit was capped), the
-    destination log-potential `gn` with one entry per reference point, and
-    `eta`.
+    kind "linear" carries (A, b); kind "sinkhorn" carries the destination
+    reference points (a subsample when the fit was capped), the destination
+    log-potential `gn` with one entry per reference point, and `eta`.
     `converged` is False when Sinkhorn hit the iteration cap and returned its
     last iterate.
     """
@@ -118,23 +77,25 @@ class TransportMap:
     eta: float = None
     converged: bool = True
 
-    def __post_init__(self):
-        if self.kind not in ("identity", "linear", "sinkhorn-barycentric"):
-            raise DataError(f"unknown transport map kind {self.kind!r}")
-        if self.kind == "linear":
-            if self.A is None or self.b is None:
-                raise DataError("linear map needs A and b")
-            if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
-                raise DataError("linear map coefficients must be finite")
-        if self.kind == "sinkhorn-barycentric":
-            if self.gn is None or self.dst_reference is None or self.eta is None:
-                raise DataError("sinkhorn map needs a potential, eta and destination reference")
-            if np.shape(self.gn) != (len(self.dst_reference),) or not np.isfinite(self.gn).all():
-                raise DataError("destination potential must be finite, one entry per reference row")
+
+# ---------------------------------------------------------------------------
+# Gaussian moments and the closed-form affine map.
+# ---------------------------------------------------------------------------
+
+def _sym_product(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """q diag(d) q^T, symmetrized."""
+    root = q @ (d[:, None] * q.T)
+    return (root + root.T) / 2.0
 
 
-def estimate_moments(x: FeatureMatrix) -> GaussianMoments:
-    """Sample mean and covariance (denominator n), ridge-stabilized."""
+def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root; eigenvalues are floored at EIG_FLOOR first."""
+    w, q = np.linalg.eigh(mat)
+    return _sym_product(q, np.sqrt(np.maximum(w, EIG_FLOOR)))
+
+
+def _moments(x: FeatureMatrix):
+    """(mean, cov): sample mean and covariance (denominator n), ridge-stabilized."""
     if x.n < 2:
         raise SingularCovariance("moment estimation needs at least 2 rows")
     mean = x.values.mean(axis=0)
@@ -143,23 +104,24 @@ def estimate_moments(x: FeatureMatrix) -> GaussianMoments:
         cov = (centered.T @ centered) / x.n + COV_RIDGE * np.eye(x.d)
     if not np.isfinite(cov).all():
         raise SingularCovariance("covariance is not finite")
-    return GaussianMoments(mean=mean, cov=(cov + cov.T) / 2.0)
+    return mean, (cov + cov.T) / 2.0
 
 
-def fit_linear_ot(src: GaussianMoments, dst: GaussianMoments) -> TransportMap:
-    """Closed-form affine Monge map between two Gaussian moment pairs."""
-    w_src, q_src = np.linalg.eigh(src.cov)
-    for name, w in (("source", w_src), ("destination", np.linalg.eigvalsh(dst.cov))):
+def _linear_map(src, dst) -> TransportMap:
+    """Closed-form affine Monge map between two (mean, symmetric cov) pairs."""
+    (mean_src, cov_src), (mean_dst, cov_dst) = src, dst
+    w_src, q_src = np.linalg.eigh(cov_src)
+    for name, w in (("source", w_src), ("destination", np.linalg.eigvalsh(cov_dst))):
         if w.min() <= 0.0 or w.max() / w.min() > MAX_CONDITION:
             raise SingularCovariance(f"{name} covariance condition number exceeds {MAX_CONDITION:g}")
     root = np.sqrt(np.maximum(w_src, EIG_FLOOR))
     s_half = _sym_product(q_src, root)
     s_inv_half = _sym_product(q_src, 1.0 / root)
     with np.errstate(over="ignore", invalid="ignore"):    # checked just below
-        mid = matrix_sqrt_psd(s_half @ dst.cov @ s_half)
+        mid = _sqrt_psd(s_half @ cov_dst @ s_half)
         a = s_inv_half @ mid @ s_inv_half
         a = (a + a.T) / 2.0
-        b = dst.mean - a @ src.mean
+        b = mean_dst - a @ mean_src
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise SingularCovariance("linear map coefficients are not finite")
     return TransportMap(kind="linear", A=a, b=b)
@@ -302,32 +264,6 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float):
                 gamma = np.linalg.lstsq(dr.T, r - r.mean(), rcond=None)[0]
                 x, plain = g - gamma @ np.diff(gs, axis=0), g
     return gn + x_acc, bool(err < SINKHORN_TOL), sweeps
-
-
-def fit_sinkhorn(x_src: FeatureMatrix, x_dst: FeatureMatrix, eta: float = 1.0, *,
-                 max_points: int = SINKHORN_MAX_POINTS, seed: int = 0) -> TransportMap:
-    """Entropic transport between the two clouds with uniform marginals.
-
-    Sides larger than `max_points` are fit on a seeded uniform subsample. The
-    fit keeps only the destination potential: a row of the entropic plan is a
-    softmax in that potential, so `apply_map` extends the map to every source
-    row, and on the sampled rows it agrees exactly with the converged plan.
-    """
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise DataError("eta must be finite and positive")
-    if x_src.d != x_dst.d:
-        raise DataError("source and destination dimensions differ")
-    fit_src, dst_vals = x_src.values, x_dst.values
-    if x_src.n > max_points:
-        fit_src = fit_src[np.sort(rng_stream(seed, _SUBSAMPLE_STREAM, 0).choice(
-            x_src.n, size=max_points, replace=False))]
-    if x_dst.n > max_points:
-        dst_vals = dst_vals[np.sort(rng_stream(seed, _SUBSAMPLE_STREAM, 1).choice(
-            x_dst.n, size=max_points, replace=False))]
-
-    gn, converged, _ = _sinkhorn_potentials(fit_src, dst_vals, eta)
-    return TransportMap(kind="sinkhorn-barycentric", dst_reference=dst_vals,
-                        gn=gn, eta=eta, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +423,34 @@ def knn_borrow(x_mapped_src, x_dst, labels_dst, k: int = 1) -> np.ndarray:
 def fit_map(x_src: FeatureMatrix, x_dst: FeatureMatrix, ot_kind: str, *,
             eta: float = 1.0, seed: int = 0,
             max_points: int = SINKHORN_MAX_POINTS) -> TransportMap:
-    """Fit the configured map family, or return the identity bypass."""
+    """Fit the map of kind `ot_kind` (one of OT_KINDS) from x_src onto x_dst.
+
+    A Sinkhorn fit takes each side larger than `max_points` on a seeded
+    uniform subsample, and keeps only the destination potential: a row of the
+    entropic plan is a softmax in that potential, so `apply_map` extends the
+    map to every source row, and on the sampled rows it agrees exactly with
+    the converged plan.
+    """
+    if ot_kind not in OT_KINDS:
+        raise DataError(f"unknown ot_kind {ot_kind!r}")
+    if not (np.isfinite(eta) and eta > 0.0):
+        raise DataError("eta must be finite and positive")
+    if x_src.d != x_dst.d:
+        raise DataError("source and destination dimensions differ")
     if ot_kind == "none":
-        return TransportMap(kind="identity")
+        return TransportMap(kind="none")
     if ot_kind == "linear":
-        return fit_linear_ot(estimate_moments(x_src), estimate_moments(x_dst))
-    if ot_kind == "sinkhorn":
-        return fit_sinkhorn(x_src, x_dst, eta, max_points=max_points, seed=seed)
-    raise DataError(f"unknown ot_kind {ot_kind!r}")
+        return _linear_map(_moments(x_src), _moments(x_dst))
+
+    def capped(x, side):               # a seeded uniform subsample of at most max_points rows
+        if x.n <= max_points:
+            return x.values
+        rows = rng_stream(seed, _SUBSAMPLE_STREAM, side).choice(x.n, size=max_points, replace=False)
+        return x.values[np.sort(rows)]
+
+    ref = capped(x_dst, 1)
+    gn, converged, _ = _sinkhorn_potentials(capped(x_src, 0), ref, eta)
+    return TransportMap(kind="sinkhorn", dst_reference=ref, gn=gn, eta=eta, converged=converged)
 
 
 def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
@@ -507,7 +463,7 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     core, each through its own reused buffer: one block product with gn in
     the column slot, whose constant |x|^2 term cancels in the softmax.
     """
-    if tmap.kind == "identity":
+    if tmap.kind == "none":
         return x_src
     ref = tmap.A if tmap.kind == "linear" else tmap.dst_reference
     if ref.shape[1] != x_src.d:

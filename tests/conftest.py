@@ -1,7 +1,8 @@
 """Shared oracle helpers for the test suite.
 
-These are deliberately independent of the library code paths they check:
-plain rejection-free samplers and closed-form formulas only.
+The oracles are deliberately independent of the library code paths they
+check: plain rejection-free samplers and closed-form formulas only. The
+references that do call the library say so.
 """
 
 import math
@@ -10,6 +11,7 @@ import numpy as np
 
 from wsfair.core import (DegenerateMoments, format_real, load_feature_csv, load_weak_csv,
                          split_by_group)
+from wsfair.endmodel import _loss_grad_p
 from wsfair.labelmodel import DELTA, DENOM_FLOOR, resolve_signs, triplet_estimate
 
 
@@ -33,6 +35,13 @@ def normal_cdf(x):
 
 def logistic(z):
     return 1.0 / (1.0 + math.exp(-z))
+
+
+def loss_and_grad(w, b, x, targets, l2):
+    """The end model's (loss, grad_w, grad_b) without its probabilities: the
+    gradient checks difference this loss and compare the result with its
+    gradient."""
+    return _loss_grad_p(w, b, x, targets, l2)[:3]
 
 
 def brute_force_nn(src, dst, k):

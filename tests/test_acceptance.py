@@ -14,7 +14,6 @@ import pytest
 
 from wsfair.cli import main as cli_main
 from wsfair.core import FeatureMatrix, LabelVector
-from wsfair.endmodel import loss_and_grad
 from wsfair.labelmodel import triplet_estimate, triplet_magnitudes_from_moments
 from wsfair.core import WeakLabelMatrix
 from wsfair.metrics import fairness_report
@@ -22,9 +21,9 @@ from wsfair.sbm import SbmConfig, run_pipeline, run_sbm
 from wsfair.synth import (GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset,
                           gen_lfcount_dataset, gen_shift_dataset, lf_accuracy_at,
                           LabelingFunctionSpec)
-from wsfair.transport import estimate_moments, fit_linear_ot, fit_sinkhorn
+from wsfair.transport import _moments, fit_map
 
-from conftest import sample_ci_votes, sinkhorn_plan
+from conftest import loss_and_grad, sample_ci_votes, sinkhorn_plan
 
 SEEDS = range(10)
 
@@ -195,12 +194,12 @@ def test_criterion_5_lipschitz_bound():
 
 def test_criterion_6_linear_monge_recovery():
     feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(100_000, 0)
-    src = estimate_moments(feats.take(groups.indices(0)))
-    dst = estimate_moments(feats.take(groups.indices(1)))
-    tmap = fit_linear_ot(src, dst)
+    x0, x1 = feats.take(groups.indices(0)), feats.take(groups.indices(1))
+    tmap = fit_map(x0, x1, "linear")
+    (_, src_cov), (_, dst_cov) = _moments(x0), _moments(x1)
     a_err = np.linalg.norm(tmap.A - GROUP1_MIX) / np.linalg.norm(GROUP1_MIX)
     b_err = np.linalg.norm(tmap.b - GROUP1_OFFSET)
-    push = np.linalg.norm(tmap.A @ src.cov @ tmap.A.T - dst.cov) / np.linalg.norm(dst.cov)
+    push = np.linalg.norm(tmap.A @ src_cov @ tmap.A.T - dst_cov) / np.linalg.norm(dst_cov)
     ok = a_err <= 0.05 and b_err <= 0.05 and push <= 1e-8
     _report(6, ok,
             f"linear monge: |A-S|_F/|S|_F {a_err:.5f} (<=0.05), |b-mu| {b_err:.5f} "
@@ -216,14 +215,14 @@ def test_criterion_7_sinkhorn_feasibility():
         d = int(master.integers(1, 6))
         src = FeatureMatrix(master.standard_normal((n_src, d)))
         dst = FeatureMatrix(master.standard_normal((n_dst, d)))
-        tmap = fit_sinkhorn(src, dst, eta=1.0)
+        tmap = fit_map(src, dst, "sinkhorn", eta=1.0)
         assert tmap.converged
         pi = sinkhorn_plan(tmap, src) / n_src
         worst_row = max(worst_row, float(np.abs(pi.sum(axis=1) - 1.0 / n_src).sum()))
         worst_col = max(worst_col, float(np.abs(pi.sum(axis=0) - 1.0 / n_dst).sum()))
         min_entry = min(min_entry, float(pi.min()))
     pts = [[0.0], [math.sqrt(10.0)]]
-    two = fit_sinkhorn(FeatureMatrix(pts), FeatureMatrix(pts), eta=1.0)
+    two = fit_map(FeatureMatrix(pts), FeatureMatrix(pts), "sinkhorn", eta=1.0)
     q = math.exp(-10.0)
     closed_form = np.array([[1.0, q], [q, 1.0]]) / (1.0 + q)
     closed_err = float(np.abs(sinkhorn_plan(two, pts) - closed_form).max())

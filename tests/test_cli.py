@@ -435,6 +435,23 @@ def test_sweep_bad_value_is_usage_error(tmp_path, capsys, extra):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("extra, smaller", [
+    (("--grid", "100,1000", "--knn-k", "500"), 100),
+    (("--experiment", "lfs", "--grid", "3,4", "--n", "41", "--knn-k", "21"), 20),
+])
+def test_sweep_knn_k_above_a_group_is_usage_error(tmp_path, capsys, extra, smaller):
+    # the bound holds in every cell, so it is checked before any cell runs;
+    # a baseline-only sweep borrows no votes and still runs
+    args = ("sweep", "--experiment", "samples", "--seeds", "0..0",
+            "--out", str(tmp_path / "x.csv"), "--per-seed-out", str(tmp_path / "p.csv"), *extra)
+    assert _run(*args, "--methods", "baseline,sbm-linear") == 1
+    assert capsys.readouterr().out == (
+        f"usage error: --knn-k must be at most the smaller group's {smaller} rows\n")
+    assert list(tmp_path.iterdir()) == []
+    assert _run(*args, "--methods", "baseline") == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["p.csv", "x.csv"]
+
+
 def test_sweep_failed_cell_is_an_error_row(tmp_path, capsys):
     # seed 0 of this grid raises DegenerateMoments; seed 1 succeeds
     args = ("sweep", "--experiment", "lfs", "--grid", "3", "--n", "1000",

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from wsfair.core import FeatureMatrix, LabelVector, ScoreVector
-from wsfair.endmodel import (LogisticModel, TrainConfig, loss_and_grad,
-                             predict_logreg, train_logreg)
+from wsfair.endmodel import LogisticModel, TrainConfig, predict_logreg, train_logreg
 from wsfair.labelmodel import predict_labels
 from wsfair.metrics import accuracy_f1
 from wsfair.sbm import SbmConfig, run_pipeline
 from wsfair.synth import gen_gaussian_pair_dataset, gen_lfcount_dataset
+
+from conftest import loss_and_grad
 
 
 def test_separable_two_points():

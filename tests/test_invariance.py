@@ -14,9 +14,9 @@ from wsfair.core import FeatureMatrix, GroupAssignment, WeakLabelMatrix
 from wsfair.sbm import (DIRECTION_0_TO_1, DIRECTION_1_TO_0, DIRECTION_NONE,
                         SbmConfig, run_sbm)
 from wsfair.synth import gen_gaussian_pair_dataset, gen_lfcount_dataset
+from wsfair.transport import OT_KINDS
 
 N_PER_GROUP = 5_000     # at the Sinkhorn cap, so that fit is not subsampled
-OT_KINDS = ("none", "linear", "sinkhorn")
 MIRROR = {DIRECTION_NONE: DIRECTION_NONE, DIRECTION_0_TO_1: DIRECTION_1_TO_0,
           DIRECTION_1_TO_0: DIRECTION_0_TO_1}
 

@@ -12,11 +12,10 @@ from wsfair.core import (DataError, FeatureMatrix, NumericalError, NumericalUnde
                          SingularCovariance)
 from wsfair import transport
 from wsfair.synth import GROUP1_OFFSET, GROUP1_MIX, gen_gaussian_pair_dataset
-from wsfair.transport import (GaussianMoments, TransportMap, apply_map,
-                              estimate_moments, fit_linear_ot, fit_map, fit_sinkhorn,
-                              knn_borrow, matrix_sqrt_psd, nn_indices,
-                              SINKHORN_BLOCK_CELLS, SINKHORN_TOL,
-                              _block_factors, _sinkhorn_potentials)
+from wsfair.transport import (OT_KINDS, TransportMap, apply_map, fit_map, knn_borrow,
+                              nn_indices, SINKHORN_BLOCK_CELLS, SINKHORN_TOL,
+                              _block_factors, _linear_map, _moments, _sinkhorn_potentials,
+                              _sqrt_psd)
 
 
 def _random_spd(rng, d):
@@ -29,19 +28,19 @@ def _random_spd(rng, d):
 # ---------------------------------------------------------------------------
 
 def test_moments_two_points():
-    mom = estimate_moments(FeatureMatrix([[0.0, 0.0], [2.0, 0.0]]))
-    assert np.allclose(mom.mean, [1.0, 0.0])
-    assert np.allclose(mom.cov, np.diag([1.0, 0.0]) + 1e-6 * np.eye(2))
+    mean, cov = _moments(FeatureMatrix([[0.0, 0.0], [2.0, 0.0]]))
+    assert np.allclose(mean, [1.0, 0.0])
+    assert np.allclose(cov, np.diag([1.0, 0.0]) + 1e-6 * np.eye(2))
 
 
 def test_moments_identical_points():
-    mom = estimate_moments(FeatureMatrix([[3.0, -1.0]] * 5))
-    assert np.allclose(mom.cov, 1e-6 * np.eye(2))
+    _, cov = _moments(FeatureMatrix([[3.0, -1.0]] * 5))
+    assert np.allclose(cov, 1e-6 * np.eye(2))
 
 
 def test_moments_too_few_rows():
     with pytest.raises(SingularCovariance, match="moment estimation needs at least 2 rows"):
-        estimate_moments(FeatureMatrix([[1.0]]))
+        _moments(FeatureMatrix([[1.0]]))
 
 
 def test_moments_of_transformed_gaussian():
@@ -49,17 +48,10 @@ def test_moments_of_transformed_gaussian():
     rng = np.random.default_rng(12)
     z = rng.standard_normal((1_000_000, 2))
     x1 = z @ GROUP1_MIX.T + GROUP1_OFFSET
-    mom = estimate_moments(FeatureMatrix(x1))
+    mean, cov = _moments(FeatureMatrix(x1))
     target_cov = GROUP1_MIX @ GROUP1_MIX
-    assert np.linalg.norm(mom.mean - GROUP1_OFFSET) / np.linalg.norm(GROUP1_OFFSET) < 0.01
-    assert (np.linalg.norm(mom.cov - target_cov) / np.linalg.norm(target_cov)) < 0.01
-
-
-def test_gaussian_moments_validation():
-    with pytest.raises(DataError):
-        GaussianMoments(mean=np.zeros(2), cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(DataError):
-        GaussianMoments(mean=np.zeros(2), cov=np.array([[1.0, 0.0], [0.0, -1.0]]))
+    assert np.linalg.norm(mean - GROUP1_OFFSET) / np.linalg.norm(GROUP1_OFFSET) < 0.01
+    assert (np.linalg.norm(cov - target_cov) / np.linalg.norm(target_cov)) < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +59,7 @@ def test_gaussian_moments_validation():
 # ---------------------------------------------------------------------------
 
 def test_linear_pure_translation():
-    src = GaussianMoments(mean=np.zeros(2), cov=np.eye(2))
-    dst = GaussianMoments(mean=np.array([1.0, 1.0]), cov=np.eye(2))
-    tmap = fit_linear_ot(src, dst)
+    tmap = _linear_map((np.zeros(2), np.eye(2)), (np.array([1.0, 1.0]), np.eye(2)))
     assert np.allclose(tmap.A, np.eye(2), atol=1e-10)
     assert np.allclose(tmap.b, [1.0, 1.0], atol=1e-10)
 
@@ -77,44 +67,39 @@ def test_linear_pure_translation():
 def test_linear_recovers_planted_square_root():
     # target covariance [[5,4],[4,5]] has eigenpairs (9, 1) on (1,1)/(1,-1),
     # so its square root is [[2,1],[1,2]]
-    src = GaussianMoments(mean=np.zeros(2), cov=np.eye(2))
-    dst = GaussianMoments(mean=np.zeros(2), cov=np.array([[5.0, 4.0], [4.0, 5.0]]))
-    tmap = fit_linear_ot(src, dst)
-    evals, evecs = np.linalg.eigh(dst.cov)
+    cov = np.array([[5.0, 4.0], [4.0, 5.0]])
+    tmap = _linear_map((np.zeros(2), np.eye(2)), (np.zeros(2), cov))
+    evals, evecs = np.linalg.eigh(cov)
     oracle = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
     assert np.allclose(oracle, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
     assert np.allclose(tmap.A, oracle, atol=1e-10)
 
 
 def test_linear_isotropic_rescale():
-    src = GaussianMoments(mean=np.zeros(3), cov=4.0 * np.eye(3))
-    dst = GaussianMoments(mean=np.zeros(3), cov=np.eye(3))
-    tmap = fit_linear_ot(src, dst)
+    tmap = _linear_map((np.zeros(3), 4.0 * np.eye(3)), (np.zeros(3), np.eye(3)))
     assert np.allclose(tmap.A, 0.5 * np.eye(3), atol=1e-10)
 
 
 def test_linear_singular_covariance():
-    src = GaussianMoments(mean=np.zeros(2), cov=np.diag([1.0, 1e-15]))
-    dst = GaussianMoments(mean=np.zeros(2), cov=np.eye(2))
     with pytest.raises(SingularCovariance):
-        fit_linear_ot(src, dst)
+        _linear_map((np.zeros(2), np.diag([1.0, 1e-15])), (np.zeros(2), np.eye(2)))
 
 
 def test_pushforward_identity_random_pairs():
     rng = np.random.default_rng(3)
     for _ in range(15):
         d = int(rng.integers(1, 9))
-        src = GaussianMoments(mean=rng.standard_normal(d), cov=_random_spd(rng, d))
-        dst = GaussianMoments(mean=rng.standard_normal(d), cov=_random_spd(rng, d))
-        tmap = fit_linear_ot(src, dst)
-        push = tmap.A @ src.cov @ tmap.A.T
-        assert np.linalg.norm(push - dst.cov) / np.linalg.norm(dst.cov) <= 1e-8
+        src = (rng.standard_normal(d), _random_spd(rng, d))
+        dst = (rng.standard_normal(d), _random_spd(rng, d))
+        tmap = _linear_map(src, dst)
+        push = tmap.A @ src[1] @ tmap.A.T
+        assert np.linalg.norm(push - dst[1]) / np.linalg.norm(dst[1]) <= 1e-8
 
 
 def test_monge_self_map_is_identity():
     rng = np.random.default_rng(4)
-    mom = GaussianMoments(mean=rng.standard_normal(4), cov=_random_spd(rng, 4))
-    tmap = fit_linear_ot(mom, mom)
+    mom = (rng.standard_normal(4), _random_spd(rng, 4))
+    tmap = _linear_map(mom, mom)
     assert np.abs(tmap.A - np.eye(4)).max() <= 1e-8
     assert np.abs(tmap.b).max() <= 1e-8
 
@@ -141,18 +126,17 @@ def test_fit_then_apply_matches_destination_moments():
     rng = np.random.default_rng(5)
     src = FeatureMatrix(rng.standard_normal((20_000, 2)) @ np.diag([1.0, 3.0]) + 2.0)
     dst = FeatureMatrix(rng.standard_normal((20_000, 2)) @ np.array([[1.0, 0.4], [0.4, 1.0]]) - 1.0)
-    tmap = fit_linear_ot(estimate_moments(src), estimate_moments(dst))
-    image = apply_map(tmap, src)
-    got, want = estimate_moments(image), estimate_moments(dst)
-    assert np.abs(got.mean - want.mean).max() < 0.05
-    assert np.linalg.norm(got.cov - want.cov) / np.linalg.norm(want.cov) < 0.05
+    image = apply_map(fit_map(src, dst, "linear"), src)
+    (got_mean, got_cov), (want_mean, want_cov) = _moments(image), _moments(dst)
+    assert np.abs(got_mean - want_mean).max() < 0.05
+    assert np.linalg.norm(got_cov - want_cov) / np.linalg.norm(want_cov) < 0.05
 
 
 def test_matrix_sqrt_up_to_d32():
     rng = np.random.default_rng(6)
     for d in (1, 2, 5, 16, 32):
         s = _random_spd(rng, d)
-        root = matrix_sqrt_psd(s)
+        root = _sqrt_psd(s)
         assert np.linalg.norm(root @ root - s) / np.linalg.norm(s) <= 1e-10
 
 
@@ -173,7 +157,7 @@ def test_block_product_ignores_where_the_data_sits():
 
 def test_sinkhorn_single_pair():
     src = FeatureMatrix([[0.0]])
-    tmap = fit_sinkhorn(src, FeatureMatrix([[5.0]]))
+    tmap = fit_map(src, FeatureMatrix([[5.0]]), "sinkhorn")
     assert np.allclose(sinkhorn_plan(tmap, src), [[1.0]])
 
 
@@ -181,7 +165,7 @@ def test_sinkhorn_equal_costs_uniform():
     # two sources equidistant from two destinations
     src = FeatureMatrix([[0.0, 1.0], [0.0, -1.0]])
     dst = FeatureMatrix([[1.0, 0.0], [-1.0, 0.0]])
-    tmap = fit_sinkhorn(src, dst)
+    tmap = fit_map(src, dst, "sinkhorn")
     assert np.allclose(sinkhorn_plan(tmap, src), 0.5, atol=1e-9)
 
 
@@ -190,7 +174,7 @@ def test_sinkhorn_2x2_closed_form():
     # uniform marginals the scaling is symmetric and pi~ has diagonal
     # 1/(1+e^-10) exactly
     pts = [[0.0], [math.sqrt(10.0)]]
-    tmap = fit_sinkhorn(FeatureMatrix(pts), FeatureMatrix(pts), eta=1.0)
+    tmap = fit_map(FeatureMatrix(pts), FeatureMatrix(pts), "sinkhorn", eta=1.0)
     plan = sinkhorn_plan(tmap, pts)
     q = math.exp(-10.0)
     want = np.array([[1.0, q], [q, 1.0]]) / (1.0 + q)
@@ -202,7 +186,7 @@ def test_sinkhorn_marginals_and_nonnegativity():
     rng = np.random.default_rng(7)
     src = FeatureMatrix(rng.standard_normal((120, 3)))
     dst = FeatureMatrix(rng.standard_normal((80, 3)))
-    tmap = fit_sinkhorn(src, dst)
+    tmap = fit_map(src, dst, "sinkhorn")
     assert tmap.converged
     pi = sinkhorn_plan(tmap, src) / 120
     assert (pi >= 0).all()
@@ -220,7 +204,7 @@ def test_sinkhorn_log_domain_far_clouds():
              ([[0.0], [1.0]], [[0.0], [50.0], [100.0]], 0.1)]
     for src, dst, eta in cases:
         src, dst = FeatureMatrix(src), FeatureMatrix(dst)
-        tmap = fit_sinkhorn(src, dst, eta=eta)
+        tmap = fit_map(src, dst, "sinkhorn", eta=eta)
         assert tmap.converged
         pi = sinkhorn_plan(tmap, src) / src.n
         assert np.abs(pi.sum(axis=0) - 1 / dst.n).sum() <= 1e-9
@@ -231,8 +215,8 @@ def test_sinkhorn_row_permutation_equivariance():
     src = rng.standard_normal((25, 2))
     dst = FeatureMatrix(rng.standard_normal((35, 2)))
     perm = rng.permutation(25)
-    t1 = fit_sinkhorn(FeatureMatrix(src), dst)
-    t2 = fit_sinkhorn(FeatureMatrix(src[perm]), dst)
+    t1 = fit_map(FeatureMatrix(src), dst, "sinkhorn")
+    t2 = fit_map(FeatureMatrix(src[perm]), dst, "sinkhorn")
     assert np.allclose(sinkhorn_plan(t1, src)[perm], sinkhorn_plan(t2, src[perm]),
                        atol=1e-12)
 
@@ -241,11 +225,11 @@ def test_sinkhorn_subsampled_fit():
     rng = np.random.default_rng(10)
     src = FeatureMatrix(rng.standard_normal((130, 2)))
     dst = FeatureMatrix(rng.standard_normal((90, 2)))
-    tmap = fit_sinkhorn(src, dst, max_points=50, seed=3)
+    tmap = fit_map(src, dst, "sinkhorn", max_points=50, seed=3)
     plan = sinkhorn_plan(tmap, src)
     assert plan.shape == (130, 50)
     assert np.abs(plan.sum(axis=1) - 1.0).max() < 1e-9
-    again = fit_sinkhorn(src, dst, max_points=50, seed=3)
+    again = fit_map(src, dst, "sinkhorn", max_points=50, seed=3)
     assert np.array_equal(plan, sinkhorn_plan(again, src))
     assert np.array_equal(tmap.dst_reference, again.dst_reference)
 
@@ -303,7 +287,7 @@ def test_sinkhorn_fit_passes_each_source_row_through_the_kernel_pass_once(monkey
     n = 3 * (SINKHORN_BLOCK_CELLS // 1000) + 7
     src = FeatureMatrix(rng.standard_normal((n, 2)))
     dst = FeatureMatrix(rng.standard_normal((1000, 2)) + 0.5)
-    assert fit_sinkhorn(src, dst).converged
+    assert fit_map(src, dst, "sinkhorn").converged
     assert sum(rows) == n and len(rows) == 4
 
 
@@ -341,7 +325,7 @@ def test_sinkhorn_keeps_exact_kernel_ones_when_the_destination_is_far_larger():
     cases = [(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)) * 1e10),
              (rng.standard_normal((300, 2)), rng.standard_normal((200, 2)) * 1e50)]
     for src, dst in cases:
-        tmap = fit_sinkhorn(FeatureMatrix(src), FeatureMatrix(dst))
+        tmap = fit_map(FeatureMatrix(src), FeatureMatrix(dst), "sinkhorn")
         assert tmap.converged and np.isfinite(tmap.gn).all()
 
 
@@ -351,10 +335,10 @@ def test_sinkhorn_source_far_larger_than_the_destination():
     rng = np.random.default_rng(15)
     src, dst = rng.standard_normal((300, 2)), rng.standard_normal((200, 2))
     for scale in (1e50, 1e150):
-        tmap = fit_sinkhorn(FeatureMatrix(src * scale), FeatureMatrix(dst))
+        tmap = fit_map(FeatureMatrix(src * scale), FeatureMatrix(dst), "sinkhorn")
         assert tmap.converged and np.ptp(tmap.gn) == 0.0
     with pytest.raises(NumericalUnderflow, match="cost matrix is not finite"):
-        fit_sinkhorn(FeatureMatrix(src * 1e155), FeatureMatrix(dst))
+        fit_map(FeatureMatrix(src * 1e155), FeatureMatrix(dst), "sinkhorn")
 
 
 @pytest.mark.parametrize("eta, error", [(1e-300, NumericalUnderflow), (1e-320, NumericalError)])
@@ -367,28 +351,21 @@ def test_sinkhorn_tiny_eta_raises_without_runtime_warnings(eta, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error):
-            fit_sinkhorn(src, dst, eta=eta)
+            fit_map(src, dst, "sinkhorn", eta=eta)
 
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
 def test_sinkhorn_rejects_a_bad_eta(eta):
     pts = FeatureMatrix([[0.0], [1.0]])
-    with pytest.raises(DataError):
-        fit_sinkhorn(pts, pts, eta=eta)
-
-
-def test_sinkhorn_map_rejects_a_bad_potential():
-    ref = np.zeros((3, 2))
-    for gn in (np.zeros(2), np.array([0.0, np.nan, 0.0])):
-        with pytest.raises(DataError):
-            TransportMap(kind="sinkhorn-barycentric", dst_reference=ref, gn=gn, eta=1.0)
+    with pytest.raises(DataError, match="eta must be finite and positive"):
+        fit_map(pts, pts, "sinkhorn", eta=eta)
 
 
 def test_barycentric_identity_permutation():
     # With a flat potential and a tiny eta each row's plan is a point mass on
     # its nearest reference row, so rows sitting on dst[[1, 2, 0]] map there.
     dst = FeatureMatrix([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    tmap = TransportMap(kind="sinkhorn-barycentric", dst_reference=dst.values,
+    tmap = TransportMap(kind="sinkhorn", dst_reference=dst.values,
                         gn=np.zeros(3), eta=1e-3)
     src = FeatureMatrix(dst.values[[1, 2, 0]])
     assert np.allclose(sinkhorn_plan(tmap, src), np.eye(3)[[1, 2, 0]])
@@ -401,7 +378,7 @@ def test_barycentric_uniform_maps_to_centroid():
     # flat potential the plan is uniform and each row maps to the centroid.
     dst = FeatureMatrix([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
                          [0.0, 2.0, 0.0], [2.0, 2.0, 0.0]])
-    tmap = TransportMap(kind="sinkhorn-barycentric", dst_reference=dst.values,
+    tmap = TransportMap(kind="sinkhorn", dst_reference=dst.values,
                         gn=np.zeros(4), eta=1.0)
     src = FeatureMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 5.0]])
     assert np.allclose(sinkhorn_plan(tmap, src), 0.25)
@@ -415,7 +392,7 @@ def test_barycentric_image_is_the_plan_applied_to_the_reference():
     src = FeatureMatrix(rng.standard_normal((2_500, 3)))
     dst = FeatureMatrix(rng.standard_normal((300, 3)) + 0.5)
     for max_points in (5_000, 200):
-        tmap = fit_sinkhorn(src, dst, max_points=max_points, seed=1)
+        tmap = fit_map(src, dst, "sinkhorn", max_points=max_points, seed=1)
         out = apply_map(tmap, src)
         want = sinkhorn_plan(tmap, src) @ tmap.dst_reference
         assert np.allclose(out.values, want, rtol=0.0, atol=1e-12)
@@ -424,7 +401,7 @@ def test_barycentric_image_is_the_plan_applied_to_the_reference():
     offset, m = 1e6, 4000
     src = FeatureMatrix(rng.standard_normal((3 * (SINKHORN_BLOCK_CELLS // m) + 7, 3)) + offset)
     dst = FeatureMatrix(rng.standard_normal((m, 3)) + 0.5 + offset)
-    tmap = fit_sinkhorn(src, dst)
+    tmap = fit_map(src, dst, "sinkhorn")
     out = apply_map(tmap, src).values - offset
     want = sinkhorn_plan(tmap, src) @ tmap.dst_reference - offset
     assert np.allclose(out, want, rtol=0.0, atol=1e-9)
@@ -434,7 +411,7 @@ def test_sinkhorn_map_applies_to_the_rows_it_is_given():
     rng = np.random.default_rng(16)
     src = FeatureMatrix(rng.standard_normal((100, 2)))
     dst = FeatureMatrix(rng.standard_normal((80, 2)) - 1.0)
-    tmap = fit_sinkhorn(src, dst)
+    tmap = fit_map(src, dst, "sinkhorn")
     full = apply_map(tmap, src)
     rows = rng.choice(100, size=10, replace=False)
     part = apply_map(tmap, src.take(rows))
@@ -480,7 +457,7 @@ def test_barycentric_mean_matches_destination_mean():
     # feasibility makes the projected cloud's mean equal the destination mean
     feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(2000, 0)
     x0, x1 = feats.take(groups.indices(0)), feats.take(groups.indices(1))
-    tmap = fit_sinkhorn(x1, x0, eta=1.0)
+    tmap = fit_map(x1, x0, "sinkhorn", eta=1.0)
     projected = apply_map(tmap, x1)
     assert np.linalg.norm(projected.values.mean(axis=0) - x0.values.mean(axis=0)) < 0.1
 
@@ -497,7 +474,7 @@ def test_per_core_passes_on_eight_workers_match_one_worker_bit_for_bit(monkeypat
     src = rng.standard_normal((8 * (SINKHORN_BLOCK_CELLS // m) + 7, 2))
     near, far = rng.standard_normal((m, 2)) + 0.5, rng.standard_normal((m, 2)) + 5.0
     queries = rng.standard_normal((8 * transport._GROUP_ROWS + 7, 2))
-    tmap = fit_sinkhorn(FeatureMatrix(src), FeatureMatrix(near))
+    tmap = fit_map(FeatureMatrix(src), FeatureMatrix(near), "sinkhorn")
     passes = {"fit": lambda: _sinkhorn_potentials(src, near, 1.0),
               "absorbing fit": lambda: _sinkhorn_potentials(src, far, 0.2),
               "apply": lambda: (apply_map(tmap, FeatureMatrix(src)).values,),
@@ -700,22 +677,20 @@ def test_overflowing_moments_and_linear_maps_are_numerical_errors():
     x = np.random.default_rng(10).standard_normal((50, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SingularCovariance, match="covariance is not finite"):
-            estimate_moments(FeatureMatrix(x * 1e160))
-        big = estimate_moments(FeatureMatrix(x * 1e100))     # finite, ~1e200
+            _moments(FeatureMatrix(x * 1e160))
+        big = _moments(FeatureMatrix(x * 1e100))     # finite, ~1e200
         with pytest.raises(SingularCovariance, match="linear map coefficients are not finite"):
-            fit_linear_ot(big, big)
+            _linear_map(big, big)
 
 
 def test_moment_checks_are_relative_to_the_covariance_scale():
     # two rows at 1e18: a PSD covariance whose rounding puts an eigenvalue
     # near -7e19, far below the absolute -1e-9 but not the relative bound
     x = FeatureMatrix([[-2.23974757e18, 7.92044298e18], [-3.28167411e18, 6.10941175e18]])
-    mom = estimate_moments(x)
-    assert np.linalg.eigvalsh(mom.cov).min() < -1e-9
+    mom = _moments(x)
+    assert np.linalg.eigvalsh(mom[1]).min() < -1e-9
     with pytest.raises(SingularCovariance, match="condition number"):
-        fit_linear_ot(mom, mom)
-    with pytest.raises(DataError, match="positive semidefinite"):
-        GaussianMoments(mom.mean, -mom.cov)
+        _linear_map(mom, mom)
 
 
 def test_knn_multi_column_labels():
@@ -779,3 +754,11 @@ def test_fit_map_rejects_unknown_kind():
     pts = FeatureMatrix([[0.0], [1.0]])
     with pytest.raises(DataError):
         fit_map(pts, pts, "quadratic")
+
+
+@pytest.mark.parametrize("ot_kind", OT_KINDS)
+def test_fit_map_rejects_mismatched_dimensions(ot_kind):
+    rng = np.random.default_rng(27)
+    src, dst = FeatureMatrix(rng.standard_normal((20, 2))), FeatureMatrix(rng.standard_normal((30, 3)))
+    with pytest.raises(DataError, match="source and destination dimensions differ"):
+        fit_map(src, dst, ot_kind)
