@@ -15,21 +15,22 @@
 After mapping, labels are borrowed from Euclidean nearest neighbors in the
 destination cloud, found exactly and ranked by (squared distance, index), by a
 blocked scan of the destination rows that k-d tree leaf boxes cannot rule out.
-A tree query would prune more finely at a few dimensions but falls behind the
-scan above about ten, where real feature vectors live. The Sinkhorn fit is one
-Anderson-accelerated, absorption-stabilised scaling loop, valid at any
-distance between the clouds.
-Its one dense fit-size array is the kernel, which is why fits above a point cap
-are subsampled. Every pairwise block is one matmul of a row block with the
-factors of _block_factors, less its row terms where they do not cancel, on
-clouds centered on the destination mean, so results do not depend on where the
-data sits in feature space. The fit walks the kernel in cache-sized row blocks,
-two passes to build it and one per scaling sweep; the apply and the scan stream
+At k = 1 the scan settles a row from its largest entry and runner-up, and only
+near-ties are ranked. A tree query would prune more finely at a few dimensions
+but falls behind the scan above about ten, where real feature vectors live.
+The Sinkhorn fit is one Anderson-accelerated, absorption-stabilised scaling
+loop, valid at any distance between the clouds. Its one dense fit-size array
+is the kernel, which is why fits above a point cap are subsampled. Every
+pairwise block is one matmul of a row block with the factors of
+_block_factors, less its row terms where they do not cancel, on clouds
+centered on the destination mean, so results do not depend on where the data
+sits in feature space. The fit walks the kernel in cache-sized row blocks, two
+passes to build it and one per scaling sweep; the apply and the scan stream
 blocks of at most the same size through one buffer per worker, so no n_src x
 n_dst array is ever held. Every pass but the sweeps, which are bound by memory
-bandwidth, splits its blocks (the scan, its source groups) into one
-contiguous run per usable core. Each
-block is computed as in a serial pass, so no result depends on the core count.
+bandwidth, splits its blocks (the scan, its source groups) into one contiguous
+run per usable core. Each block is computed as in a serial pass, so no result
+depends on the core count.
 """
 
 from __future__ import annotations
@@ -326,7 +327,10 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
     so the nearest rows hold the largest entries. Every column within 1e-9
     (|q| + max|r|)^2 of the row's k-th largest, a margin far above the
     expanded form's rounding, is a candidate, and the candidates are ranked
-    by (squared distance from coordinate differences, index).
+    by (squared distance from coordinate differences, index). At k = 1 a row
+    whose runner-up (its largest entry once the argmax is set to -inf) lies
+    more than the margin below its largest has one candidate, the argmax;
+    only the other rows, exact or near ties, go through that ranking.
     """
     src, dst = _as_values(x_src), _as_values(x_dst)
     if dst.shape[0] == 0:
@@ -390,13 +394,24 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
             for lo in range(a, b, step):
                 hi = min(lo + step, b)
                 e = np.matmul(lhs[lo:hi], r, out=buf[:(hi - lo) * m].reshape(hi - lo, m))
-                hits = np.flatnonzero(e >= (_kth_largest(e, k) - margin[lo:hi])[:, None])
+                sel = slice(lo, hi)            # the block's rows that go to the candidate pass
+                if k == 1:                     # settle rows whose runner-up is out of the margin
+                    at_row, best = np.arange(hi - lo), e.argmax(axis=1)
+                    top = e[at_row, best]
+                    e[at_row, best] = -np.inf
+                    tied = e[at_row, e.argmax(axis=1)] >= top - margin[lo:hi]
+                    out[group[lo:hi], 0] = index[best]    # tied rows are ranked below
+                    if not tied.any():
+                        continue
+                    e[at_row, best] = top
+                    sel, e = lo + np.flatnonzero(tied), e[tied]
+                hits = np.flatnonzero(e >= (_kth_largest(e, k) - margin[sel])[:, None])
                 rows, cols = np.divmod(hits, m)         # rows ascending
-                d2 = ((np.take(src, lo + rows, axis=0) - np.take(y, cols, axis=0)) ** 2).sum(axis=-1)
+                d2 = ((np.take(src[sel], rows, axis=0) - np.take(y, cols, axis=0)) ** 2).sum(axis=-1)
                 cols = index[cols]
                 ranked = cols[np.lexsort((cols, d2, rows))]
-                first = np.searchsorted(rows, np.arange(hi - lo))
-                out[group[lo:hi]] = ranked[first[:, None] + np.arange(k)]
+                first = np.searchsorted(rows, np.arange(len(e)))
+                out[group[sel]] = ranked[first[:, None] + np.arange(k)]
 
     _per_core(scan, plan)
     return out

@@ -2,11 +2,13 @@
 
 Regenerate them with
 
-    PYTHONPATH=src python tests/regen_golden.py
+    PYTHONPATH=src python tests/regen_golden.py [--check]
 
 which runs every case through `wsfair.cli.main` and rewrites
 `tests/golden/<case>/`. Do so only for a change that alters output bytes on
-purpose, and say in CHANGES.md which outputs moved and why.
+purpose, and say in CHANGES.md which outputs moved and why. With `--check` it
+regenerates every case into a temporary directory, writes nothing, prints each
+golden file whose bytes differ (or that one side lacks) and exits 1 if any do.
 
 The cases are the benchmark workloads' `wsfair run` commands at 2,000 rows
 per group, an `sbm-sinkhorn` run on lfcount data, whose groups sit 10 to 50
@@ -17,6 +19,7 @@ seed 0, and the README's three sweeps at seeds 0 and 1.
 
 from __future__ import annotations
 
+import argparse
 import shutil
 import sys
 import tempfile
@@ -73,14 +76,31 @@ def produce(case: str, workdir: Path) -> Path:
     return out
 
 
-def main() -> int:
+def differing(case: str, out: Path) -> list:
+    """Names of the files of `case` whose bytes in `out` and in GOLDEN differ."""
+    names = {p.name for d in (out, GOLDEN / case) if d.is_dir() for p in d.iterdir()}
+    return [name for name in sorted(names)
+            if not ((out / name).is_file() and (GOLDEN / case / name).is_file()
+                    and (out / name).read_bytes() == (GOLDEN / case / name).read_bytes())]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate tests/golden/.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; list golden files that differ, exit 1 if any")
+    check, changed = parser.parse_args(argv).check, 0
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             out = produce(case, Path(tmp))
+            if check:
+                for name in differing(case, out):
+                    changed += 1
+                    print(f"{case}/{name}")
+                continue
             shutil.rmtree(GOLDEN / case, ignore_errors=True)
             shutil.copytree(out, GOLDEN / case)
         print(f"wrote {GOLDEN / case}")
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import brute_force_nn, plain_sinkhorn, sinkhorn_plan
 from wsfair.core import (DataError, FeatureMatrix, NumericalError, NumericalUnderflow,
@@ -629,6 +632,31 @@ def test_pruned_scan_matches_the_oracle(monkeypatch, k, d):
         assert np.array_equal(nn_indices(s, t, min(k, len(t))), want), (s.shape, t.shape)
         pruned |= min(widths) < len(t)
     assert pruned
+
+
+@st.composite
+def _lattice_clouds(draw):
+    """(src, dst): up to 200 rows a side on the {-s, ..., s}^d lattice,
+    d in {1, 2, 3} and s in {1, ..., 4}, so rows repeat and many neighbours
+    tie exactly, both moved by 0 or 1e6. Far from the origin the expanded
+    form's rounding can order exactly tied rows either way."""
+    d, s = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    rows = st.integers(1, 200).flatmap(
+        lambda n: hnp.arrays(np.int64, (n, d), elements=st.integers(-s, s)))
+    return draw(rows) + offset, draw(rows) + offset
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_lattice_clouds())
+def test_property_nearest_neighbour_matches_the_oracle_on_lattices(clouds):
+    # Leaves of 4 rows and groups of 16 give many blocks a mix of rows settled
+    # from their runner-up and rows with tied neighbours.
+    src, dst = clouds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_LEAF_ROWS", 4)
+        mp.setattr(transport, "_GROUP_ROWS", 16)
+        check_against_oracle(src, dst, 1)
 
 
 def test_nn_indices_uses_every_destination_row_when_k_is_n_dst():
