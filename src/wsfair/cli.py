@@ -156,6 +156,14 @@ def _check_knn_k(args, methods, smaller: int):
         raise BadArgs(f"--knn-k must be at most the smaller group's {smaller} rows")
 
 
+def _load_inputs(args):
+    """(features, groups, votes, labels or None) from the CSVs named by `args`.
+    The feature ids only align the other files' rows, so they are dropped here."""
+    feats, groups, ids = load_feature_csv(args.features)
+    weak = load_weak_csv(args.weak, ids)
+    return feats, groups, weak, load_label_csv(args.labels, ids) if args.labels else None
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -226,9 +234,7 @@ def cmd_run(args, out: _Outputs) -> int:
         raise BadArgs(str(exc)) from None
     if not 0.0 < args.class_prior < 1.0:
         raise BadArgs("--class-prior must lie strictly inside (0, 1)")
-    feats, groups, ids = load_feature_csv(args.features)
-    weak = load_weak_csv(args.weak, ids)
-    truth = load_label_csv(args.labels, ids) if args.labels else None
+    feats, groups, weak, truth = _load_inputs(args)
     if args.direct_lf_eval and not 0 <= args.lf_index < weak.m:
         raise BadArgs(f"--lf-index must index one of {weak.m} LFs")
     _check_knn_k(args, [args.method], min(groups.indices(0).size, groups.indices(1).size))
@@ -375,9 +381,7 @@ def cmd_sweep(args, out: _Outputs) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_center_scan(args, out: _Outputs) -> int:
-    feats, groups, ids = load_feature_csv(args.features)
-    weak = load_weak_csv(args.weak, ids)
-    truth = load_label_csv(args.labels, ids)
+    feats, groups, weak, truth = _load_inputs(args)
     if not 0 <= args.lf < weak.m:
         raise BadArgs(f"--lf must index one of {weak.m} LFs")
     correct = weak.votes[:, args.lf] == truth.labels

@@ -13,7 +13,10 @@ map it hit, a sweep to its cell, and anything else ends with exit code 3.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +261,17 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _CountedReader(io.BufferedReader):
+    """A buffered binary file that counts the bytes its text wrapper has taken."""
+
+    count = 0
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self.count += len(data)
+        return data
+
+
 def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
     """(header, records): the body parsed in one pass of numpy's C reader.
 
@@ -265,27 +279,42 @@ def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
     by `fields(width)`. A row whose cell count differs from the header's, a
     cell that does not parse, or bytes that are not UTF-8 are a DataError
     naming the file.
+
+    One open reads and checks the header and the lines up to the first
+    non-blank one. numpy then reads the body in blocks from the file's
+    absolute name, which it cannot take for a URL, skipping the header line,
+    when the file is a regular one whose name has none of the suffixes that
+    numpy decompresses. Otherwise, as for a pipe, which can be read only
+    once, it reads the lines already taken and then the rest of the open file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    raw = io.FileIO(path)
+    regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
+    # only a pipe's bytes are counted: a pipe cannot be read again to place a bad byte
+    with io.TextIOWrapper((io.BufferedReader if regular else _CountedReader)(raw),
+                          encoding="utf-8") as fh:
         try:    # decodes the first chunk of the file, outside numpy's reader
             header = next(csv.reader([fh.readline()]), [])
-            head = []  # lines up to the first non-blank one; the rest streams, never read whole
+            head = []  # lines up to the first non-blank one
             for line in fh:
                 head.append(line)
                 if line.strip():
                     break
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc, fh, regular) from None
         if header[:len(prefix)] != prefix or len(header) < min_width:
             raise DataError(f"{path}: expected header {expected}")
         if not (head and head[-1].strip()):
             raise DataError(f"{path}: no data rows")
+        if regular and not os.fspath(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+            body, skip = os.path.abspath(path), 1
+        else:   # streamed, never read whole
+            body, skip = itertools.chain(head, fh), 0
         try:
-            return header, np.loadtxt(itertools.chain(head, fh),
-                                      [("id", object)] + fields(len(header)), delimiter=",",
-                                      comments=None, quotechar='"', ndmin=1)
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
+            return header, np.loadtxt(body, [("id", object)] + fields(len(header)),
+                                      delimiter=",", comments=None, quotechar='"',
+                                      ndmin=1, skiprows=skip, encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc, fh, regular) from None
         except ValueError as exc:
             if "columns but" in str(exc):  # numpy's wording for a row of the wrong width
                 raise DataError(f"{path}: every row must have the header's "
@@ -293,11 +322,18 @@ def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
             raise DataError(f"{path}: {exc}") from None
 
 
-def _decode_error(path) -> DataError:
-    """The error for a file that is not UTF-8, placed by byte offset and line in
-    the whole file: a decoder reading in chunks counts from its chunk."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _decode_error(path, exc: UnicodeDecodeError, fh, regular: bool) -> DataError:
+    """The error for a file that is not UTF-8, placed by byte offset in the
+    whole file: a decoder reading in chunks counts from its chunk. A regular
+    file is read again to find the offset and the line. A pipe cannot be, so
+    the offset comes from the bytes `fh` has read, the last of which the
+    decoder was given with any it still held."""
+    if not regular:
+        offset = fh.buffer.count - len(exc.object) + exc.start
+        return DataError(f"{path}: the input is not UTF-8 ({exc.reason} at byte offset "
+                         f"{offset})")
+    with open(path, "rb") as raw:
+        data = raw.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:  # its position is the byte offset in the file

@@ -5,9 +5,14 @@ check: plain rejection-free samplers and closed-form formulas only. The
 references that do call the library say so.
 """
 
+import contextlib
 import math
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wsfair.core import (DegenerateMoments, format_real, load_feature_csv, load_weak_csv,
                          split_by_group)
@@ -195,3 +200,43 @@ def estimate_csv(features_path, weak_path) -> str:
         ests["0"] = resolve_signs(triplet_estimate(sp.w0), sp.w0)
         ests["1"] = resolve_signs(triplet_estimate(sp.w1), sp.w1)
     return accuracies_to_csv(ests, weak.lf_names)
+
+
+# Named pipes stand in for `<(cat file)` inputs: a pipe is read once, in order.
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+
+
+def _feed(path, data: bytes, done: threading.Event) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except BrokenPipeError:  # the reader stopped early, as on a data error
+        pass
+    while not done.wait(0.02):  # a later reader gets end-of-file, as from a spent pipe
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader is waiting
+            pass
+
+
+@contextlib.contextmanager
+def fifos(directory, texts: dict):
+    """Yield {name: path} of named pipes in `directory`, each fed `texts[name]`
+    (bytes) once by its own thread. On exit a pipe that no reader opened, or
+    that its reader left unfinished, is opened and closed until its writer ends."""
+    done, feeds = threading.Event(), {}
+    for name, data in texts.items():
+        path = Path(directory) / name
+        os.mkfifo(path)
+        feeds[path] = threading.Thread(target=_feed, args=(path, data, done), daemon=True)
+        feeds[path].start()
+    try:
+        yield {path.name: path for path in feeds}
+    finally:
+        done.set()
+        for path, thread in feeds.items():
+            while thread.is_alive():
+                fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+                thread.join(0.05)
+                os.close(fd)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (estimate_csv, line_feature_csv_text, line_label_csv_text,
-                      line_weak_csv_text)
+from conftest import (estimate_csv, fifos, line_feature_csv_text, line_label_csv_text,
+                      line_weak_csv_text, needs_fifo)
 from wsfair import endmodel, metrics, synth
 from wsfair.cli import _COMMANDS, METHODS, _per_lf_csv, build_parser, main
 from wsfair.core import (FeatureMatrix, GroupAssignment, LabelVector, NumericalError,
@@ -191,6 +191,29 @@ def test_run_byte_identical_across_thread_settings(tmp_path):
         blobs.append((rd / "report.json").read_bytes()
                      + (rd / "per_lf.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@needs_fifo
+@pytest.mark.parametrize("command", ["run", "center-scan"])
+def test_piped_inputs_write_the_same_bytes_as_the_files(tmp_path, command):
+    # as `--features <(cat features.csv)` does: each input is a pipe, read once
+    data = tmp_path / "data"
+    assert _run("synth", "--experiment", "lfcount", "--n", "2000", "--m", "12",
+                "--seed", "3", "--outdir", str(data)) == 0
+    names = ("features.csv", "weak.csv", "labels.csv")
+    tail = (("--method", "sbm-linear", "--outdir") if command == "run"
+            else ("--lf", "0", "--out"))
+    blobs = {}
+    (tmp_path / "pipes").mkdir()
+    with fifos(tmp_path / "pipes", {n: (data / n).read_bytes() for n in names}) as pipes:
+        for route, paths in (("file", {n: data / n for n in names}), ("pipe", pipes)):
+            out = tmp_path / route
+            assert _run(command, "--features", str(paths["features.csv"]),
+                        "--weak", str(paths["weak.csv"]), "--labels", str(paths["labels.csv"]),
+                        *tail, str(out)) == 0
+            blobs[route] = ([(out / f).read_bytes() for f in ("report.json", "per_lf.csv")]
+                            if command == "run" else out.read_bytes())
+    assert blobs["pipe"] == blobs["file"]
 
 
 def test_sweep_shift_accuracy_converges_to_half(tmp_path):

@@ -1,6 +1,8 @@
 import io
+import os
 import tempfile
 import tracemalloc
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_feature_csv_text, line_label_csv_text, line_weak_csv_text
+from conftest import (fifos, line_feature_csv_text, line_label_csv_text,
+                      line_weak_csv_text, needs_fifo)
+from wsfair import core
 from wsfair.core import (_CSV_BLOCK_ROWS, DataError, FeatureMatrix, GroupAssignment,
                          LabelVector, NumericalError, ScoreVector, WeakLabelMatrix,
                          feature_csv_text, label_csv_text, load_feature_csv,
@@ -191,14 +195,18 @@ def test_malformed_csv_cell_is_a_data_error_naming_the_file(tmp_path, name, old,
         load_label_csv(paths["l.csv"], ids)
 
 
+def _load_paths(paths):
+    feats, groups, ids = load_feature_csv(paths["f.csv"])
+    weak = load_weak_csv(paths["w.csv"], ids)
+    return feats, groups, ids, weak, load_label_csv(paths["l.csv"], ids)
+
+
 def _load_all(tmp_path, texts):
     paths = {}
     for fname, text in texts.items():
         paths[fname] = tmp_path / fname
         paths[fname].write_bytes(text.encode("utf-8"))
-    feats, groups, ids = load_feature_csv(paths["f.csv"])
-    weak = load_weak_csv(paths["w.csv"], ids)
-    return feats, groups, ids, weak, load_label_csv(paths["l.csv"], ids)
+    return _load_paths(paths)
 
 
 def _assert_same_load(a, b):
@@ -244,10 +252,11 @@ def test_weak_csv_load_peak_is_a_small_multiple_of_the_file(tmp_path):
 
 @pytest.mark.parametrize("position", [3, 100, 490_000, -50])  # header, first rows, late, last row
 def test_non_utf8_byte_is_a_data_error_naming_the_file(tmp_path, position):
-    # the widest vote file a run loads. The file object decodes it in chunks of
-    # about 8 KiB, the first before numpy's reader starts; a decode error's own
-    # position counts from its chunk, so the message gives the byte's offset
-    # and line in the file instead
+    # the widest vote file a run loads. The loader's open file decodes the first
+    # chunk of about 8 KiB (the header and the first rows); numpy then reopens
+    # the file by name and decodes the rest in its own chunks. A decode error's
+    # own position counts from its chunk, so the message gives the byte's
+    # offset and line in the file instead
     _, _, _, weak, _ = gen_lfcount_dataset(20_000, 24, 0)
     text = bytearray(weak_csv_text(weak).encode("utf-8"))
     assert len(text) > 2 * 8192
@@ -260,6 +269,140 @@ def test_non_utf8_byte_is_a_data_error_naming_the_file(tmp_path, position):
         load_weak_csv(wp, tuple(str(i) for i in range(weak.n)))
     assert str(err.value) == (f"{wp}: 'utf-8' codec can't decode byte 0xff in position "
                               f"{position}: invalid start byte (line {line})")
+
+
+@needs_fifo
+@pytest.mark.parametrize("position", [3, 100_000, -50])  # header, line 1,555, last row
+def test_non_utf8_byte_in_a_pipe_is_a_data_error_naming_the_file(tmp_path, position):
+    # a pipe cannot be read again to find the line, so the message gives the
+    # byte's offset in the stream and never claims that the file changed
+    _, _, _, weak, _ = gen_lfcount_dataset(20_000, 24, 0)
+    text = bytearray(weak_csv_text(weak).encode("utf-8"))
+    position %= len(text)
+    text[position] = 0xFF
+    with fifos(tmp_path, {"w.csv": bytes(text)}) as paths:
+        with pytest.raises(DataError) as err:
+            load_weak_csv(paths["w.csv"], tuple(str(i) for i in range(weak.n)))
+    assert str(err.value) == (f"{paths['w.csv']}: the input is not UTF-8 (invalid start "
+                              f"byte at byte offset {position})")
+
+
+def _recorded_loadtxt_sources(monkeypatch):
+    """The first argument of every np.loadtxt call the loaders make from now on."""
+    sources, loadtxt = [], np.loadtxt
+
+    def recording(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(core.np, "loadtxt", recording)
+    return sources
+
+
+def test_regular_csv_body_is_read_by_numpy_from_its_name(tmp_path, monkeypatch):
+    # numpy's C reader reads a named file in blocks, but builds one Python
+    # string per row from a line iterator
+    sources = _recorded_loadtxt_sources(monkeypatch)
+    _load_all(tmp_path, _GOOD_CSV)
+    assert sources == [os.path.abspath(tmp_path / n) for n in ("f.csv", "w.csv", "l.csv")]
+
+
+@needs_fifo
+def test_piped_csvs_load_as_the_regular_files(tmp_path, monkeypatch):
+    # each file is larger than a pipe's 64 KiB buffer and streams through the
+    # loader's own open file, which is the only reader a pipe can have
+    feats, groups, y, weak, _ = gen_lfcount_dataset(10_000, 24, 1)
+    texts = {"f.csv": feature_csv_text(feats, groups), "w.csv": weak_csv_text(weak),
+             "l.csv": label_csv_text(y)}
+    assert min(len(t) for t in texts.values()) > 65_536
+    (tmp_path / "file").mkdir()
+    (tmp_path / "pipe").mkdir()
+    expected = _load_all(tmp_path / "file", texts)
+    sources = _recorded_loadtxt_sources(monkeypatch)
+    with fifos(tmp_path / "pipe", {k: v.encode("utf-8") for k, v in texts.items()}) as paths:
+        piped = _load_paths(paths)
+    _assert_same_load(piped, expected)
+    assert len(sources) == 3 and not any(isinstance(s, str) for s in sources)
+
+
+@pytest.mark.parametrize("name", ["lab.csv.gz", "lab.csv.bz2", "lab.csv.xz", "lab.csv.lzma",
+                                  "http://host/lab.csv"])
+def test_plain_csv_named_like_an_archive_or_a_url_loads_as_text(tmp_path, monkeypatch, name):
+    # numpy opens a name by suffix (gzip, bz2, lzma) and fetches one that
+    # parses as a URL; the loaders read every file as plain UTF-8 text, locally
+    def no_fetch(*args, **kwargs):
+        raise AssertionError(f"a network fetch was attempted: {args}")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    monkeypatch.chdir(tmp_path)
+    labels = Path(name)
+    labels.parent.mkdir(parents=True, exist_ok=True)  # http:/host/ for the URL-like name
+    labels.write_text(_GOOD_CSV["l.csv"], encoding="utf-8")
+    for fname in ("f.csv", "w.csv"):
+        Path(fname).write_text(_GOOD_CSV[fname], encoding="utf-8")
+    _, _, ids = load_feature_csv("f.csv")
+    assert load_label_csv(name, ids).labels.tolist() == [1, -1]
+    assert load_weak_csv("w.csv", ids).votes.tolist() == [[1, -1, 1], [-1, -1, 1]]
+
+
+def _edit_bodies(edit):
+    return {k: v.split("\n", 1)[0] + "\n" + edit(v.split("\n", 1)[1])
+            for k, v in _GOOD_CSV.items()}
+
+
+_GOOD_LOAD = ([[1.5, 2.0], [-3.0, 0.04]], [0, 1], ("0", "1"), [[1, -1, 1], [-1, -1, 1]],
+              ("lf_1", "lf_2", "lf_3"), [1, -1])
+
+# (files that replace _GOOD_CSV's, then the load as lists, or the DataError's
+# message with "{}" for the files' directory)
+_EDGE_CASES = {
+    "blank lines after the header": (_edit_bodies(lambda b: "\n\n" + b), _GOOD_LOAD),
+    "whitespace-only line after the header": (
+        {"w.csv": "id,lf_1,lf_2,lf_3\n \t\n0,1,-1,1\n1,-1,-1,1\n"},
+        "{}/w.csv: every row must have the header's 4 cells"),
+    "whitespace-only line between rows": (
+        {"l.csv": "id,y\n0,1\n  \n1,-1\n"},
+        "{}/l.csv: every row must have the header's 2 cells"),
+    "lone CR line ends": ({k: v.replace("\n", "\r") for k, v in _GOOD_CSV.items()},
+                          _GOOD_LOAD),
+    "line breaks quoted in ids": (
+        {"f.csv": 'id,group,f1\n"a\r\nb",0,1.5\n"c\nd",1,2\n"e\rf",1,3\n',
+         "w.csv": 'id,lf_1\n"e\rf",1\n"a\nb",-1\n"c\r\nd",1\n',
+         "l.csv": 'id,y\n"c\nd",1\n"e\nf",-1\n"a\nb",1\n'},
+        ([[1.5], [2.0], [3.0]], [0, 1, 1], ("a\nb", "c\nd", "e\nf"), [[-1], [1], [1]],
+         ("lf_1",), [1, 1, -1])),
+    "header-only vote file": ({"w.csv": "id,lf_1,lf_2,lf_3\n"}, "{}/w.csv: no data rows"),
+    "label file of blank lines": ({"l.csv": "id,y\n\n \n"}, "{}/l.csv: no data rows"),
+    "BOM before the header": ({"f.csv": "\ufeff" + _GOOD_CSV["f.csv"]},
+                              "{}/f.csv: expected header id,group,f1,..."),
+    "BOM before an id": ({"w.csv": _GOOD_CSV["w.csv"].replace("\n0,", "\n\ufeff0,")},
+                         "{}/w.csv: ids do not match the feature CSV"),
+    "NUL in an id": ({k: v.replace("\n1,", "\n1\x00,") for k, v in _GOOD_CSV.items()},
+                     _GOOD_LOAD[:2] + (("0", "1\x00"),) + _GOOD_LOAD[3:]),
+    "NUL in a vote": (
+        {"w.csv": _GOOD_CSV["w.csv"].replace("1,-1,-1,1", "1,-1,-1\x00,1")},
+        "{}/w.csv: could not convert string '-1\\x00' to int8 at row 1, column 3."),
+    "NUL line": ({"l.csv": "id,y\n\x00\n0,1\n1,-1\n"},
+                 "{}/l.csv: every row must have the header's 2 cells"),
+}
+
+
+@pytest.mark.parametrize("route", ["file", pytest.param("pipe", marks=needs_fifo)])
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_edge_case_csvs_load_alike_from_files_and_pipes(tmp_path, case, route):
+    edits, expected = _EDGE_CASES[case]
+    texts = dict(_GOOD_CSV, **edits)
+    try:
+        if route == "pipe":
+            with fifos(tmp_path, {k: v.encode("utf-8") for k, v in texts.items()}) as paths:
+                feats, groups, ids, weak, y = _load_paths(paths)
+        else:
+            feats, groups, ids, weak, y = _load_all(tmp_path, texts)
+    except DataError as exc:
+        assert str(exc) == expected.format(tmp_path)
+        return
+    assert (feats.values.tolist(), groups.group_of.tolist(), ids, weak.votes.tolist(),
+            weak.lf_names, y.labels.tolist()) == expected
 
 
 @pytest.mark.parametrize("header", [
