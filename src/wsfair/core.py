@@ -289,9 +289,7 @@ def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
     """
     raw = io.FileIO(path)
     regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
-    # only a pipe's bytes are counted: a pipe cannot be read again to place a bad byte
-    with io.TextIOWrapper((io.BufferedReader if regular else _CountedReader)(raw),
-                          encoding="utf-8") as fh:
+    with io.TextIOWrapper(_CountedReader(raw), encoding="utf-8") as fh:
         try:    # decodes the first chunk of the file, outside numpy's reader
             header = next(csv.reader([fh.readline()]), [])
             head = []  # lines up to the first non-blank one
