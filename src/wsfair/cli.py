@@ -69,8 +69,7 @@ class _Outputs:
 
     def write(self, path, text: str):
         path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         self.paths.append(path)
@@ -226,6 +225,20 @@ def _label_model_fit(result: sbm.PipelineResult, lf_names: tuple) -> list:
     return [dict(zip(keys, row)) for row in zip(lf_names, *(c.tolist() for c in cols))]
 
 
+_SWEEP_METRICS = ("accuracy", "f1", "dp_gap", "eo_gap")
+
+
+def _metrics(preds: list, truth, groups: GroupAssignment):
+    """The metric block of `preds`, None entries skipped (None if none is left):
+    each of _SWEEP_METRICS averaged over the predictions that define it, then
+    n0 and n1. One prediction's block is its FairnessReport's JSON."""
+    blocks = [mx.fairness_report(p, truth, groups).to_json() for p in preds if p is not None]
+    for k in _SWEEP_METRICS if blocks else ():
+        vals = [b[k] for b in blocks if b[k] is not None]
+        blocks[0][k] = float(np.mean(vals)) if vals else None
+    return blocks[0] if blocks else None
+
+
 def cmd_run(args, out: _Outputs) -> int:
     cfg = _sbm_config(args, args.method, args.seed)
     try:
@@ -243,11 +256,7 @@ def cmd_run(args, out: _Outputs) -> int:
                               train_cfg=train_cfg, hard_labels=args.hard_labels,
                               postprocess=args.postprocess == "dp-threshold")
 
-    def report_of(pred: LabelVector):
-        return None if pred is None else mx.fairness_report(pred, truth, groups).to_json()
-
-    direct = (LabelVector(result.weak_used.votes[:, args.lf_index])
-              if args.direct_lf_eval else None)
+    direct = LabelVector(result.weak_used.votes[:, args.lf_index]) if args.direct_lf_eval else None
     report = {
         "spec_version": SPEC_VERSION,
         "config": {"method": args.method, "epsilon": args.epsilon, "eta": args.eta,
@@ -259,12 +268,12 @@ def cmd_run(args, out: _Outputs) -> int:
                    "lf_index": args.lf_index,
                    "endmodel": {"l2": args.l2, "max_iters": args.max_iters,
                                 "tol": args.tol}},
-        "label_model": report_of(result.labels),
+        "label_model": _metrics([result.labels], truth, groups),
         "label_model_fit": _label_model_fit(result, weak.lf_names),
-        "end_model": report_of(result.end_labels),
+        "end_model": _metrics([result.end_labels], truth, groups),
         "end_model_fit": result.end_model.training_meta,
-        "end_model_postprocessed": report_of(result.post_labels),
-        "direct_lf": report_of(direct),
+        "end_model_postprocessed": _metrics([result.post_labels], truth, groups),
+        "direct_lf": _metrics([direct], truth, groups),
         "thresholds": list(result.thresholds) if result.thresholds else None,
         "sbm_audit": result.audit.to_json() if result.audit else None,
     }
@@ -279,25 +288,20 @@ def cmd_run(args, out: _Outputs) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_METRICS = ("accuracy", "f1", "dp_gap", "eo_gap")
-
-
 def _sweep_cell(experiment: str, x: int, seed: int, methods, args) -> dict:
-    """One (grid value, seed) dataset, generated once, and method -> its
-    metrics, or the NumericalError that stopped that method. The metrics are
-    the pseudolabels', or under direct-lf the mean over the evaluated LF
-    columns of the votes used; the shift experiment scores LF column 0."""
+    """One (grid value, seed) dataset, generated once, and method -> the
+    metric block of its pseudolabels, or under direct-lf of the evaluated LF
+    columns of the votes used, or the NumericalError that stopped that method.
+    The shift experiment scores LF column 0."""
     if experiment == "shift":
         _, _, truth, weak, _ = synth.gen_shift_dataset(args.n, seed, theta=args.theta,
                                                        shift=x)
         acc = float((weak.votes[:, 0] == truth.labels).mean())
         return {"lf": {"accuracy": acc, "f1": None, "dp_gap": None, "eo_gap": None}}
-    if experiment == "samples":
-        feats, groups, truth, weak, _ = synth.gen_gaussian_pair_dataset(x, seed)
-        lfs = [0]
-    else:
-        feats, groups, truth, weak, _ = synth.gen_lfcount_dataset(args.n, x, seed)
-        lfs = range(weak.m)
+    samples = experiment == "samples"
+    feats, groups, truth, weak, _ = (synth.gen_gaussian_pair_dataset(x, seed) if samples
+                                     else synth.gen_lfcount_dataset(args.n, x, seed))
+    lfs = [0] if samples else range(weak.m)
     results = {}
     for method in methods:             # a numerical failure stays in its method
         cfg = _sbm_config(args, method, seed)
@@ -307,13 +311,9 @@ def _sweep_cell(experiment: str, x: int, seed: int, methods, args) -> dict:
             else:                      # the LF columns never reach the label model
                 used = weak if cfg is None else sbm.run_sbm(feats, groups, weak, cfg)[0]
                 preds = [LabelVector(used.votes[:, j]) for j in lfs]
-            reports = [mx.fairness_report(pred, truth, groups) for pred in preds]
+            results[method] = _metrics(preds, truth, groups)
         except NumericalError as exc:
             results[method] = exc
-            continue
-        vals = {k: [getattr(r, k) for r in reports if getattr(r, k) is not None]
-                for k in _SWEEP_METRICS}
-        results[method] = {k: float(np.mean(v)) if v else None for k, v in vals.items()}
     return results
 
 

@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import os
+import re
 import stat
 from dataclasses import dataclass
 
@@ -272,13 +273,19 @@ class _CountedReader(io.BufferedReader):
         return data
 
 
+# numpy's text for a row of the wrong width, which numbers rows from 1, or for a
+# cell that does not parse, from 0; neither counts the header or blank lines
+_NUMPY_ROW = re.compile(r"^the dtype passed requires \d+ columns but (\d+) were found "
+                        r"at row (\d+);|at row (\d+)(, column \d+\.)$")
+
+
 def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
     """(header, records): the body parsed in one pass of numpy's C reader.
 
     Each record holds the `id` cell as its exact text, then the cells typed
     by `fields(width)`. A row whose cell count differs from the header's, a
     cell that does not parse, or bytes that are not UTF-8 are a DataError
-    naming the file.
+    naming the file; data rows count from 1, skipping the header and blank lines.
 
     One open reads and checks the header and the lines up to the first
     non-blank one. numpy then reads the body in blocks from the file's
@@ -313,11 +320,15 @@ def _read_csv(path, prefix: list, min_width: int, expected: str, fields):
                                       ndmin=1, skiprows=skip, encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise _decode_error(path, exc, fh, regular) from None
-        except ValueError as exc:
-            if "columns but" in str(exc):  # numpy's wording for a row of the wrong width
-                raise DataError(f"{path}: every row must have the header's "
-                                f"{len(header)} cells") from None
-            raise DataError(f"{path}: {exc}") from None
+        except ValueError as exc:  # numpy's row, if it names one, as a data row
+            text = str(exc)
+            found = _NUMPY_ROW.search(text)
+            if found and found[1]:
+                text = (f"every row must have the header's {len(header)} cells; "
+                        f"data row {found[2]} has {found[1]}")
+            elif found:
+                text = f"{text[:found.start()]}at data row {int(found[3]) + 1}{found[4]}"
+            raise DataError(f"{path}: {text}") from None
 
 
 def _decode_error(path, exc: UnicodeDecodeError, fh, regular: bool) -> DataError:

@@ -677,6 +677,57 @@ def test_sweep_cell_equals_run_label_model(tmp_path, method):
 
 
 @pytest.mark.parametrize("method", ["baseline", "sbm-linear"])
+@pytest.mark.parametrize("experiment,family,lfs", [("samples", "gaussian-pair", [0]),
+                                                   ("lfs", "lfcount", [0, 1, 2])],
+                         ids=["samples", "lfs"])
+def test_direct_lf_sweep_cell_equals_run_direct_lf(tmp_path, method, experiment, family,
+                                                   lfs):
+    # a samples cell scores LF column 0; an lfs cell at m = 3 averages all three
+    n, seed, m = 300, 2, 3
+    per_seed = tmp_path / "p.csv"
+    assert _run("sweep", "--experiment", experiment, "--n", str(n),
+                "--grid", str(n if experiment == "samples" else m),
+                "--seeds", f"{seed}..{seed}", "--methods", method, "--eval", "direct-lf",
+                "--out", str(tmp_path / "s.csv"), "--per-seed-out", str(per_seed)) == 0
+    data = tmp_path / "data"
+    assert _run("synth", "--experiment", family, "--n", str(n), "--m", str(m),
+                "--seed", str(seed), "--outdir", str(data)) == 0
+    blocks = []
+    for j in lfs:
+        rd = tmp_path / f"out{j}"
+        assert _run(*_run_args(data, rd, "--method", method, "--seed", str(seed),
+                               "--direct-lf-eval", "--lf-index", str(j))) == 0
+        blocks.append(json.loads((rd / "report.json").read_text())["direct_lf"])
+    want = {}
+    for k in ("accuracy", "f1", "dp_gap", "eo_gap"):
+        vals = [b[k] for b in blocks if b[k] is not None]
+        if vals:
+            want[k] = float(np.mean(vals))
+    rows = [line.split(",") for line in per_seed.read_text().splitlines()[1:]]
+    assert {metric: float(v) for _, _, _, metric, v in rows} == want
+
+
+@pytest.mark.parametrize("extra,calls", [
+    ((), 2), (("--postprocess", "dp-threshold"), 3),
+    (("--postprocess", "dp-threshold", "--direct-lf-eval"), 4)],
+    ids=["neither", "postprocess", "postprocess-direct-lf"])
+def test_run_scores_only_the_blocks_it_writes(tmp_path, monkeypatch, extra, calls):
+    # the 24 LF columns are scored only for the one block --direct-lf-eval writes
+    scored = []
+
+    def counted(*args, _fn=metrics.fairness_report):
+        scored.append(args[0])
+        return _fn(*args)
+
+    monkeypatch.setattr(metrics, "fairness_report", counted)
+    data = tmp_path / "data"
+    assert _run("synth", "--experiment", "lfcount", "--n", "400", "--m", "24",
+                "--seed", "1", "--outdir", str(data)) == 0
+    assert _run(*_run_args(data, tmp_path / "out", *extra)) == 0
+    assert len(scored) == calls
+
+
+@pytest.mark.parametrize("method", ["baseline", "sbm-linear"])
 def test_run_calls_end_model_stages_through_their_modules(tmp_path, monkeypatch,
                                                           method):
     # the benchmark's span wrappers replace these module attributes; each

@@ -359,10 +359,10 @@ _EDGE_CASES = {
     "blank lines after the header": (_edit_bodies(lambda b: "\n\n" + b), _GOOD_LOAD),
     "whitespace-only line after the header": (
         {"w.csv": "id,lf_1,lf_2,lf_3\n \t\n0,1,-1,1\n1,-1,-1,1\n"},
-        "{}/w.csv: every row must have the header's 4 cells"),
+        "{}/w.csv: every row must have the header's 4 cells; data row 1 has 1"),
     "whitespace-only line between rows": (
         {"l.csv": "id,y\n0,1\n  \n1,-1\n"},
-        "{}/l.csv: every row must have the header's 2 cells"),
+        "{}/l.csv: every row must have the header's 2 cells; data row 2 has 1"),
     "lone CR line ends": ({k: v.replace("\n", "\r") for k, v in _GOOD_CSV.items()},
                           _GOOD_LOAD),
     "line breaks quoted in ids": (
@@ -381,9 +381,19 @@ _EDGE_CASES = {
                      _GOOD_LOAD[:2] + (("0", "1\x00"),) + _GOOD_LOAD[3:]),
     "NUL in a vote": (
         {"w.csv": _GOOD_CSV["w.csv"].replace("1,-1,-1,1", "1,-1,-1\x00,1")},
-        "{}/w.csv: could not convert string '-1\\x00' to int8 at row 1, column 3."),
+        "{}/w.csv: could not convert string '-1\\x00' to int8 at data row 2, column 3."),
     "NUL line": ({"l.csv": "id,y\n\x00\n0,1\n1,-1\n"},
-                 "{}/l.csv: every row must have the header's 2 cells"),
+                 "{}/l.csv: every row must have the header's 2 cells; data row 1 has 1"),
+    # data rows count from 1, skipping the header and blank lines
+    "bad vote in the first data row": (
+        {"w.csv": "id,lf_1,lf_2,lf_3\n0,1,x,1\n1,-1,-1,1\n"},
+        "{}/w.csv: could not convert string 'x' to int8 at data row 1, column 3."),
+    "bad vote after a blank line": (
+        {"w.csv": "id,lf_1,lf_2,lf_3\n0,1,-1,1\n\n1,-1,x,1\n"},
+        "{}/w.csv: could not convert string 'x' to int8 at data row 2, column 3."),
+    "short third data row": (
+        {"w.csv": "id,lf_1,lf_2,lf_3\n0,1,-1,1\n1,-1,-1,1\n2,1,1\n"},
+        "{}/w.csv: every row must have the header's 4 cells; data row 3 has 3"),
 }
 
 
