@@ -7,9 +7,8 @@ NumericalError stays in the LFs of the map it hit (`sbm_audit[].error`); a
 sweep keeps any other in its cell, as an error row. All randomness flows from
 --seed; identical arguments produce byte-identical files. A sweep generates
 each (grid value, seed) dataset once and runs every method on it;
-WSFAIR_THREADS caps the datasets in flight (absent means one at a time). It
-does not cap the Sinkhorn kernel passes and the neighbor scan, which use every
-usable core. Neither setting changes results.
+WSFAIR_THREADS caps the datasets in flight (absent means one at a time); these
+are the package's only threads, and their number does not change results.
 """
 
 from __future__ import annotations

@@ -26,17 +26,12 @@ _block_factors, less its row terms where they do not cancel, on clouds
 centered on the destination mean, so results do not depend on where the data
 sits in feature space. The fit walks the kernel in cache-sized row blocks, two
 passes to build it and one per scaling sweep; the apply and the scan stream
-blocks of at most the same size through one buffer per worker, so no n_src x
-n_dst array is ever held. Every pass but the sweeps, which are bound by memory
-bandwidth, splits its blocks (the scan, its source groups) into one contiguous
-run per usable core. Each block is computed as in a serial pass, so no result
-depends on the core count.
+blocks of at most the same size through one buffer, so no n_src x n_dst array
+is ever held. Every pass runs in the calling thread and starts none.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +133,7 @@ def _block_factors(x: np.ndarray, y: np.ndarray, eta: float, col=0.0):
     With mu the mean of y, lhs = [2(x - mu)/eta, 1], rhs = [(y - mu)^T;
     col - |y - mu|^2/eta] and xx = |x - mu|^2/eta; centering keeps them precise
     far from the origin. Row terms are subtracted after the matmul: a third
-    column would take d = 2 blocks past OpenBLAS's threading threshold, and its
-    threads contend with ours.
+    column would take d = 2 blocks past OpenBLAS's threading threshold.
     """
     with np.errstate(all="ignore"):    # overflow leaves entries the caller tests
         mean = y.mean(axis=0)
@@ -154,32 +148,12 @@ def _block_rows(n_cols: int) -> int:
     return max(1, SINKHORN_BLOCK_CELLS // n_cols)
 
 
-def _cores() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:             # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _quiet(fn, run, *args):
-    with np.errstate(all="ignore"):    # errstate is per thread
-        return fn(run, *args)
-
-
-def _per_core(fn, items, *args) -> list:
-    """[fn(run, *args) for each run]: `items` cut into one contiguous run per
-    usable core, the runs side by side in a thread pool made for this call.
-    Each run ignores floating-point errors itself, since a caller's errstate
-    does not reach other threads."""
-    n = min(_cores(), len(items))
-    if n <= 1:
-        return [_quiet(fn, items, *args)]
-    cuts = [len(items) * i // n for i in range(n + 1)]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        runs = [pool.submit(_quiet, fn, items[lo:hi], *args)
-                for lo, hi in zip(cuts, cuts[1:])]
-        return [run.result() for run in runs]
+def _kernel_pass(blocks, lhs, rhs, xx, fn, gn):
+    """K = exp(fn - C + gn), written block by block over the blocks' fn - C."""
+    for s, kb, _ in blocks:
+        np.subtract(np.matmul(lhs[s], rhs, out=kb), xx[s, None], out=kb)
+        np.add(kb, fn[s, None], out=kb)
+        np.exp(np.add(kb, gn, out=kb), out=kb)
 
 
 def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float):
@@ -211,9 +185,9 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float):
     blocks = [(s, k[s], u[s]) for s in (slice(lo, lo + step) for lo in range(0, n_src, step))]
     (lhs, rhs, xx), fn = _block_factors(src, dst, eta), np.empty(n_src)
 
-    def first_pass(run):               # fn - C into K; the run's column maximum
+    with np.errstate(all="ignore"):
         top, row = np.full(n_dst, -np.inf), np.empty(n_dst)
-        for s, kb, _ in run:
+        for s, kb, _ in blocks:        # fn - C into K; the column maxima set gn
             np.subtract(np.matmul(lhs[s], rhs, out=kb), xx[s, None], out=kb)   # -C
             fb = np.max(kb, axis=1, out=fn[s])
             np.subtract(kb, fb[:, None], out=kb)
@@ -221,19 +195,9 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float):
                 raise NumericalUnderflow("cost matrix is not finite")
             np.negative(fb, out=fb)
             np.maximum(top, np.max(kb, axis=0, out=row), out=top)
-        return top
-
-    def kernel_pass(run):              # K = exp(fn - C + gn)
-        for s, kb, _ in run:
-            np.subtract(np.matmul(lhs[s], rhs, out=kb), xx[s, None], out=kb)
-            np.add(kb, fn[s, None], out=kb)
-            np.exp(np.add(kb, gn, out=kb), out=kb)
-
-    # a maximum is exact, so the per-run column maxima combine bit for bit
-    gn = -np.maximum.reduce(_per_core(first_pass, blocks))
-    _per_core(kernel_pass, blocks)
-    with np.errstate(all="ignore"):
-        row, ktu = np.empty(n_dst), np.empty(n_dst)
+        gn = -top
+        _kernel_pass(blocks, lhs, rhs, xx, fn, gn)
+        ktu = np.empty(n_dst)
         x = x_acc = np.zeros(n_dst)
         err, sweeps, hist, plain = np.inf, 0, [], None   # hist: (x, G(x)) accepted
         while sweeps < SINKHORN_MAX_ITERS:
@@ -255,7 +219,7 @@ def _sinkhorn_potentials(src: np.ndarray, dst: np.ndarray, eta: float):
                 raise NumericalUnderflow("sinkhorn potentials are not finite")
             if np.abs(x).max() > SINKHORN_ABSORB:
                 fn, gn, g, x_acc, hist = fn + np.log(u), gn + x, g - x, np.zeros(n_dst), []
-                _per_core(kernel_pass, blocks)
+                _kernel_pass(blocks, lhs, rhs, xx, fn, gn)
             hist = hist[-ANDERSON_DEPTH:] + [(x_acc, g)]
             x, plain = g, None
             if len(hist) > 1:
@@ -307,7 +271,7 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
     """(n_src, k) destination indices ordered by (distance, index).
 
     Exact search on both clouds centered on the destination mean, by a scan of
-    the destination rows that leaf boxes cannot rule out, on every core.
+    the destination rows that leaf boxes cannot rule out.
     Squared distances are recomputed from coordinate differences, and exact
     ties are broken toward the lowest destination row index.
 
@@ -382,9 +346,9 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
         plan.append((a, b, None if len(kept) == len(sizes) else kept))
     out = np.empty((len(src), k), dtype=np.int64)
 
-    def scan(run):
+    with np.errstate(all="ignore"):
         buf = np.empty(max(SINKHORN_BLOCK_CELLS, len(dst)))
-        for a, b, kept in run:
+        for a, b, kept in plan:
             r, y, index = rhs, dst, leaf        # every leaf kept: no copy
             if kept is not None:
                 keep = positions(kept)
@@ -412,8 +376,6 @@ def nn_indices(x_src, x_dst, k: int = 1) -> np.ndarray:
                 ranked = cols[np.lexsort((cols, d2, rows))]
                 first = np.searchsorted(rows, np.arange(len(e)))
                 out[group[sel]] = ranked[first[:, None] + np.arange(k)]
-
-    _per_core(scan, plan)
     return out
 
 
@@ -473,10 +435,9 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
 
     A linear map takes a row x to A x + b. A Sinkhorn row x maps to the
     softmax(gn - |x - y|^2/eta)-weighted average of the destination reference
-    points y, computed in row blocks of
-    SINKHORN_BLOCK_CELLS kernel cells, one contiguous run of blocks per usable
-    core, each through its own reused buffer: one block product with gn in
-    the column slot, whose constant |x|^2 term cancels in the softmax.
+    points y, computed in row blocks of SINKHORN_BLOCK_CELLS kernel cells
+    through one reused buffer: one block product with gn in the column slot,
+    whose constant |x|^2 term cancels in the softmax.
     """
     if tmap.kind == "none":
         return x_src
@@ -489,13 +450,11 @@ def apply_map(tmap: TransportMap, x_src: FeatureMatrix) -> FeatureMatrix:
     mean, centered = ref.mean(axis=0), rhs[:-1].T
     step, out = _block_rows(len(ref)), np.empty((x_src.n, x_src.d))
 
-    def image(run):
+    with np.errstate(all="ignore"):
         buf = np.empty((step, len(ref)))
-        for lo in run:
+        for lo in range(0, x_src.n, step):
             rows = lhs[lo:lo + step]
             w = np.matmul(rows, rhs, out=buf[:len(rows)])
             np.exp(np.subtract(w, w.max(axis=1, keepdims=True), out=w), out=w)
             out[lo:lo + len(rows)] = (w @ centered) / w.sum(axis=1, keepdims=True) + mean
-
-    _per_core(image, range(0, x_src.n, step))
     return FeatureMatrix(out)

@@ -1,6 +1,5 @@
 import math
-import sys
-import time
+import threading
 import tracemalloc
 import warnings
 
@@ -243,14 +242,13 @@ def _cost_over_eta(src, dst, eta):
 
 def _kernel_rows(monkeypatch):
     """List that records the rows of every block the Sinkhorn kernel pass writes."""
-    rows, quiet = [], transport._quiet
+    rows, kernel_pass = [], transport._kernel_pass
 
-    def counting(fn, run, *args):
-        if fn.__name__ == "kernel_pass":
-            rows.extend(len(kb) for _, kb, _ in run)
-        return quiet(fn, run, *args)
+    def counting(blocks, *args):
+        rows.extend(len(kb) for _, kb, _ in blocks)
+        return kernel_pass(blocks, *args)
 
-    monkeypatch.setattr(transport, "_quiet", counting)
+    monkeypatch.setattr(transport, "_kernel_pass", counting)
     return rows
 
 
@@ -465,53 +463,28 @@ def test_barycentric_mean_matches_destination_mean():
     assert np.linalg.norm(projected.values.mean(axis=0) - x0.values.mean(axis=0)) < 0.1
 
 
-def test_per_core_passes_on_eight_workers_match_one_worker_bit_for_bit(monkeypatch):
-    # Eight workers on fewer cores, switching threads every microsecond,
-    # interleave the runs of every pass. Each pass walks 9 blocks (the scan,
-    # 9 source groups), so one worker takes them all and eight take one or
-    # two each. A skipped or doubled run changes a result or the rows the
-    # fits pass through the kernel pass; the far fit at eta 0.2 absorbs,
-    # which reruns that pass.
+def test_no_transport_call_starts_a_thread(monkeypatch):
+    # The fit spans 9 kernel row blocks, the apply 9 row blocks and the scan 6
+    # source groups, and the far clouds at eta 0.2 absorb, which reruns the
+    # kernel pass. Every pass runs in the calling thread.
+    def refuse(thread):
+        raise RuntimeError(f"transport started thread {thread.name}")
+
     rng = np.random.default_rng(25)
     m = 1000
-    src = rng.standard_normal((8 * (SINKHORN_BLOCK_CELLS // m) + 7, 2))
-    near, far = rng.standard_normal((m, 2)) + 0.5, rng.standard_normal((m, 2)) + 5.0
-    queries = rng.standard_normal((8 * transport._GROUP_ROWS + 7, 2))
-    tmap = fit_map(FeatureMatrix(src), FeatureMatrix(near), "sinkhorn")
-    passes = {"fit": lambda: _sinkhorn_potentials(src, near, 1.0),
-              "absorbing fit": lambda: _sinkhorn_potentials(src, far, 0.2),
-              "apply": lambda: (apply_map(tmap, FeatureMatrix(src)).values,),
-              "scan": lambda: (nn_indices(queries, near, 3),)}
-    rows, sizes, quiet = _kernel_rows(monkeypatch), [], transport._quiet
-
-    def sizing(fn, run, *args):
-        sizes.append(len(run))
-        return quiet(fn, run, *args)
-
-    monkeypatch.setattr(transport, "_quiet", sizing)
-    results = []
-    for workers, interval in ((1, sys.getswitchinterval()), (8, 1e-6)):
-        monkeypatch.setattr(transport, "_cores", lambda: workers)
-        sizes.clear()
-        saved = sys.getswitchinterval()
-        sys.setswitchinterval(interval)
-        try:
-            start, got = time.perf_counter(), {}
-            for name, run in passes.items():
-                rows.clear()
-                got[name] = (run(), sum(rows))
-            elapsed = time.perf_counter() - start
-        finally:
-            sys.setswitchinterval(saved)
-        assert elapsed < 30.0, f"{workers} workers took {elapsed:.1f} s"
-        assert set(sizes) == ({9} if workers == 1 else {1, 2})
-        results.append(got)
-    one, eight = results
-    assert one["fit"][1] == len(src) < one["absorbing fit"][1]
-    for name in passes:
-        (want, want_rows), (out, out_rows) = one[name], eight[name]
-        assert out_rows == want_rows, name
-        assert all(np.array_equal(a, b) for a, b in zip(out, want)), name
+    src = FeatureMatrix(rng.standard_normal((8 * (SINKHORN_BLOCK_CELLS // m) + 7, 2)))
+    far = FeatureMatrix(rng.standard_normal((m, 2)) + 5.0)
+    labels = np.where(rng.random(m) < 0.5, -1, 1).astype(np.int8)
+    with monkeypatch.context() as patched:
+        patched.setattr(threading.Thread, "start", refuse)
+        tmap = fit_map(src, far, "sinkhorn", eta=0.2)
+        mapped = apply_map(tmap, src)
+        borrowed = knn_borrow(mapped, far, labels, k=3)
+    assert tmap.converged and np.isfinite(mapped.values).all()
+    assert borrowed.shape == (src.n,)
+    rows = _kernel_rows(monkeypatch)
+    _sinkhorn_potentials(src.values, far.values, 0.2)
+    assert sum(rows) > src.n            # the fit absorbed
 
 
 # ---------------------------------------------------------------------------
