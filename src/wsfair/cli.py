@@ -230,8 +230,8 @@ _SWEEP_METRICS = ("accuracy", "f1", "dp_gap", "eo_gap")
 def _metrics(preds: list, truth, groups: GroupAssignment):
     """The metric block of `preds`, None entries skipped (None if none is left):
     each of _SWEEP_METRICS averaged over the predictions that define it, then
-    n0 and n1. One prediction's block is its FairnessReport's JSON."""
-    blocks = [mx.fairness_report(p, truth, groups).to_json() for p in preds if p is not None]
+    n0 and n1. One prediction's block is its fairness_report."""
+    blocks = [mx.fairness_report(p, truth, groups) for p in preds if p is not None]
     for k in _SWEEP_METRICS if blocks else ():
         vals = [b[k] for b in blocks if b[k] is not None]
         blocks[0][k] = float(np.mean(vals)) if vals else None

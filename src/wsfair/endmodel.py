@@ -48,29 +48,26 @@ def _as_targets(targets, n: int) -> np.ndarray:
     elif isinstance(targets, LabelVector):
         t = (targets.labels.astype(np.float64) + 1.0) / 2.0
     else:
-        t = np.asarray(targets, dtype=np.float64)
-        if t.min(initial=0.0) < 0.0 or t.max(initial=0.0) > 1.0:
-            raise DataError("targets must lie in [0, 1]")
+        raise DataError(f"targets must be a ScoreVector or a LabelVector, not "
+                        f"{type(targets).__name__}")
     if t.shape != (n,):
         raise DataError("targets length does not match features")
     return t
 
 
-def _loss_grad_p(w: np.ndarray, b: float, x: np.ndarray, targets: np.ndarray,
-                 l2: float):
-    """(loss, grad_w, grad_b, p): mean cross-entropy with soft targets plus
-    (l2/2)||w||^2, its gradient, and p = sigmoid(z).
+def _loss_grad_p(theta: np.ndarray, x: np.ndarray, targets: np.ndarray, l2: float):
+    """(loss, grad, p) at theta = (w, b): mean cross-entropy with soft targets
+    plus (l2/2)||w||^2, its gradient in theta, and p = sigmoid(z).
 
     Cross-entropy per row is softplus(z) - t*z with z = x.w + b, which is
     stable for large |z|.
     """
-    z = x @ w + b
+    w = theta[:-1]
+    z = x @ w + theta[-1]
     loss = float(np.mean(np.logaddexp(0.0, z) - targets * z) + 0.5 * l2 * (w @ w))
     p = sigmoid(z)
     resid = p - targets
-    grad_w = x.T @ resid / x.shape[0] + l2 * w
-    grad_b = float(resid.mean())
-    return loss, grad_w, grad_b, p
+    return loss, np.append(x.T @ resid / x.shape[0] + l2 * w, resid.mean()), p
 
 
 def _standardize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -104,30 +101,28 @@ def train_logreg(x: FeatureMatrix, targets, config: TrainConfig = None) -> Logis
     xt = np.column_stack([xs, np.ones(x.n)])
     ridge = np.diag(np.append(np.full(x.d, cfg.l2), 0.0))
 
-    w = np.zeros(x.d)
-    b = 0.0
-    loss, grad_w, grad_b, p = _loss_grad_p(w, b, xs, t, cfg.l2)
+    theta = np.zeros(x.d + 1)          # (w, b)
+    loss, grad, p = _loss_grad_p(theta, xs, t, cfg.l2)
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
         if not np.isfinite(loss):
             raise NonFiniteLoss("training loss is not finite")
-        if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) < cfg.tol:
+        if np.abs(grad).max() < cfg.tol:
             iters -= 1
             break
         hess = xt.T @ (xt * (p * (1.0 - p))[:, None]) / x.n + ridge
-        step = np.linalg.lstsq(hess, np.append(grad_w, grad_b), rcond=None)[0]
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         alpha = 1.0
         while True:
-            w_new = w - alpha * step[:-1]
-            b_new = b - alpha * step[-1]
-            loss_new, gw_new, gb_new, p_new = _loss_grad_p(w_new, b_new, xs, t, cfg.l2)
+            theta_new = theta - alpha * step
+            loss_new, grad_new, p_new = _loss_grad_p(theta_new, xs, t, cfg.l2)
             if np.isfinite(loss_new) and loss_new <= loss:
                 break
             alpha /= 2.0
             if alpha < 1e-12:
                 raise NonFiniteLoss("step size underflowed while backtracking")
-        w, b, loss, grad_w, grad_b, p = w_new, b_new, loss_new, gw_new, gb_new, p_new
-    return LogisticModel(weights=w, bias=float(b), standardize_mean=mean,
+        theta, loss, grad, p = theta_new, loss_new, grad_new, p_new
+    return LogisticModel(weights=theta[:-1], bias=float(theta[-1]), standardize_mean=mean,
                          standardize_std=std,
                          training_meta={"iterations": iters, "final_loss": loss})
 

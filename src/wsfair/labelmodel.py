@@ -19,7 +19,7 @@ float64 copies are of VOTE_BLOCK_ROWS rows at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ VOTE_BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class AccuracyEstimate:
-    """Per-LF accuracy estimates on the correlation scale.
+    """Per-LF signed accuracy estimates on the correlation scale.
 
     clamp_flags marks estimates that hit the numerical clamp, moment_flags
     marks LFs for which some triple had a negative moment-product ratio
@@ -50,7 +50,7 @@ class AccuracyEstimate:
     clamp_flags: np.ndarray
     moment_flags: np.ndarray
     degenerate_flags: np.ndarray
-    tie_flags: np.ndarray = None
+    tie_flags: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,15 @@ def triplet_magnitudes_from_moments(moments: np.ndarray, *, strict: bool = True)
 
 
 def triplet_estimate(weak: WeakLabelMatrix, *, strict: bool = True) -> AccuracyEstimate:
-    """Estimate accuracy magnitudes (signs unresolved) by the triplet method."""
+    """Estimate signed accuracies: triplet magnitudes, clamped, then signed by
+    resolve_signs."""
     mags, neg_flags, degenerate = triplet_magnitudes_from_moments(
         pairwise_moments(weak), strict=strict)
     clamped = (mags < DELTA) | (mags > 1.0 - DELTA)
     clamped &= ~degenerate
-    return AccuracyEstimate(per_lf=np.clip(mags, DELTA, 1.0 - DELTA),
-                            clamp_flags=clamped,
-                            moment_flags=neg_flags,
-                            degenerate_flags=degenerate)
+    signed, ties = resolve_signs(np.clip(mags, DELTA, 1.0 - DELTA), weak)
+    return AccuracyEstimate(per_lf=signed, clamp_flags=clamped, moment_flags=neg_flags,
+                            degenerate_flags=degenerate, tie_flags=ties)
 
 
 def majority_vote(weak: WeakLabelMatrix) -> LabelVector:
@@ -122,8 +122,8 @@ def majority_vote(weak: WeakLabelMatrix) -> LabelVector:
     return LabelVector(np.where(s >= 0, 1, -1))
 
 
-def resolve_signs(magnitudes: AccuracyEstimate, weak: WeakLabelMatrix) -> AccuracyEstimate:
-    """Attach signs to triplet magnitudes.
+def resolve_signs(magnitudes: np.ndarray, weak: WeakLabelMatrix):
+    """(signed, ties): signs attached to per-LF accuracy magnitudes.
 
     Each LF gets the sign of its agreement rate with the unweighted majority
     vote (exactly zero agreement defaults to + and is flagged). If the mean
@@ -132,11 +132,10 @@ def resolve_signs(magnitudes: AccuracyEstimate, weak: WeakLabelMatrix) -> Accura
     """
     agree = _majority_agreement(weak)
     ties = agree == 0.0
-    signs = np.where(agree >= 0.0, 1.0, -1.0)
-    signed = signs * magnitudes.per_lf
+    signed = np.where(agree >= 0.0, 1.0, -1.0) * magnitudes
     if signed.mean() < 0.0:
         signed = -signed
-    return replace(magnitudes, per_lf=signed, tie_flags=ties)
+    return signed, ties
 
 
 def _majority_agreement(weak: WeakLabelMatrix) -> np.ndarray:

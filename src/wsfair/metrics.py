@@ -22,22 +22,6 @@ CENTER_SCAN_MAX_CANDIDATES = 2000
 
 
 @dataclass(frozen=True)
-class FairnessReport:
-    """Metrics of one prediction; each is None when its inputs are missing."""
-
-    accuracy: float        # None without truth
-    f1: float              # None without truth
-    dp_gap: float          # None with one group
-    eo_gap: float          # None without truth, with one group, or when undefined
-    n_per_group: tuple
-
-    def to_json(self) -> dict:
-        return {"accuracy": self.accuracy, "f1": self.f1, "dp_gap": self.dp_gap,
-                "eo_gap": self.eo_gap, "n0": self.n_per_group[0],
-                "n1": self.n_per_group[1]}
-
-
-@dataclass(frozen=True)
 class CenterScan:
     best_center_row: int
     curve: dict            # group id -> list of (radius, cumulative accuracy)
@@ -97,8 +81,10 @@ def accuracy_f1(pred: LabelVector, truth: LabelVector):
     return acc, 2.0 * tp / (2 * tp + fp + fn)
 
 
-def fairness_report(pred: LabelVector, truth, groups: GroupAssignment) -> FairnessReport:
-    """Report of `pred`; `truth` may be None and `groups` may hold one group."""
+def fairness_report(pred: LabelVector, truth, groups: GroupAssignment) -> dict:
+    """{accuracy, f1, dp_gap, eo_gap, n0, n1} of `pred`. Without `truth` (None)
+    accuracy, f1 and eo_gap are None; with one group in `groups`, dp_gap and
+    eo_gap are; eo_gap is also None where it is undefined."""
     if groups.n != pred.n:
         raise DataError("group assignment length does not match predictions")
     n0 = int((groups.group_of == 0).sum())
@@ -110,7 +96,7 @@ def fairness_report(pred: LabelVector, truth, groups: GroupAssignment) -> Fairne
         gap = dp_gap(pred, groups)
         if truth is not None:
             eo = eo_gap(pred, truth, groups)
-    return FairnessReport(accuracy=acc, f1=f1, dp_gap=gap, eo_gap=eo, n_per_group=(n0, n1))
+    return {"accuracy": acc, "f1": f1, "dp_gap": gap, "eo_gap": eo, "n0": n0, "n1": n1}
 
 
 def _cuts(scores: np.ndarray, ref_pos: np.ndarray):

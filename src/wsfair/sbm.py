@@ -15,7 +15,7 @@ continues. A DataError, unusable input, propagates. `run_pipeline` feeds the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -73,18 +73,14 @@ class SbmAudit:
     estimates: tuple = field(compare=False, repr=False)
 
     def to_json(self) -> list:
-        return [{"lf": d.lf, "a0": d.a0, "a1": d.a1, "direction": d.direction,
-                 "rows_rewritten": d.rows_rewritten, "map_id": d.map_id,
-                 "error": d.error} for d in self.per_lf]
+        return [asdict(d) for d in self.per_lf]
 
 
 def group_accuracies(weak0: WeakLabelMatrix, weak1: WeakLabelMatrix):
     """Signed non-strict triplet estimates computed independently per group."""
     if weak0.n == 0 or weak1.n == 0:
         raise DataError("both groups must be non-empty")
-    est0 = lm.resolve_signs(lm.triplet_estimate(weak0, strict=False), weak0)
-    est1 = lm.resolve_signs(lm.triplet_estimate(weak1, strict=False), weak1)
-    return est0, est1
+    return lm.triplet_estimate(weak0, strict=False), lm.triplet_estimate(weak1, strict=False)
 
 
 def run_sbm(features: FeatureMatrix, groups: GroupAssignment, weak: WeakLabelMatrix,
@@ -161,7 +157,7 @@ def run_pipeline(features: FeatureMatrix, groups: GroupAssignment,
         group_est = audit.estimates
     elif groups.indices(0).size and groups.indices(1).size:
         group_est = group_accuracies(*(weak.take(groups.indices(g)) for g in (0, 1)))
-    est = lm.resolve_signs(lm.triplet_estimate(used), used)
+    est = lm.triplet_estimate(used)
     params = lm.fit_label_model(est, class_prior)
     scores = lm.predict_proba(params, used)
     labels = lm.predict_labels(scores)

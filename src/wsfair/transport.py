@@ -389,12 +389,9 @@ def knn_borrow(x_mapped_src, x_dst, labels_dst, k: int = 1) -> np.ndarray:
     labels, n_dst = np.asarray(labels_dst), len(_as_values(x_dst))
     if len(labels) != n_dst:
         raise DataError(f"{len(labels)} vote rows for {n_dst} destination rows")
-    idx = nn_indices(x_mapped_src, x_dst, k)
-    single = labels.ndim == 1
-    cols = labels[:, None] if single else labels
-    summed = cols[idx].sum(axis=1, dtype=np.int64)  # cols[idx] is (n_src, k, c)
-    borrowed = np.where(summed >= 0, 1, -1).astype(np.int8)
-    return borrowed[:, 0] if single else borrowed
+    # labels[idx] is (n_src, k) for one column and (n_src, k, c) for a stack
+    summed = labels[nn_indices(x_mapped_src, x_dst, k)].sum(axis=1, dtype=np.int64)
+    return np.where(summed >= 0, 1, -1).astype(np.int8)
 
 
 def fit_map(x_src: FeatureMatrix, x_dst: FeatureMatrix, ot_kind: str, *,

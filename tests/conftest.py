@@ -17,7 +17,7 @@ import pytest
 from wsfair.core import (DegenerateMoments, format_real, load_feature_csv, load_weak_csv,
                          split_by_group)
 from wsfair.endmodel import _loss_grad_p
-from wsfair.labelmodel import DELTA, DENOM_FLOOR, resolve_signs, triplet_estimate
+from wsfair.labelmodel import DELTA, DENOM_FLOOR, triplet_estimate
 
 
 def sample_ci_votes(accuracies, n, seed, class_prior=0.5):
@@ -46,7 +46,8 @@ def loss_and_grad(w, b, x, targets, l2):
     """The end model's (loss, grad_w, grad_b) without its probabilities: the
     gradient checks difference this loss and compare the result with its
     gradient."""
-    return _loss_grad_p(w, b, x, targets, l2)[:3]
+    loss, grad, _ = _loss_grad_p(np.append(w, b), x, targets, l2)
+    return loss, grad[:-1], grad[-1]
 
 
 def brute_force_nn(src, dst, k):
@@ -194,11 +195,10 @@ def accuracies_to_csv(estimates: dict, lf_names: tuple) -> str:
 def estimate_csv(features_path, weak_path) -> str:
     feats, groups, ids = load_feature_csv(features_path)
     weak = load_weak_csv(weak_path, ids)
-    ests = {"all": resolve_signs(triplet_estimate(weak), weak)}
+    ests = {"all": triplet_estimate(weak)}
     if groups.indices(0).size and groups.indices(1).size:
         sp = split_by_group(feats, groups, weak)
-        ests["0"] = resolve_signs(triplet_estimate(sp.w0), sp.w0)
-        ests["1"] = resolve_signs(triplet_estimate(sp.w1), sp.w1)
+        ests["0"], ests["1"] = triplet_estimate(sp.w0), triplet_estimate(sp.w1)
     return accuracies_to_csv(ests, weak.lf_names)
 
 

@@ -47,11 +47,11 @@ def test_criterion_1_gauss_pair_reproduction():
         corrected, _ = run_sbm(feats, groups, weak, cfg)
         base = _direct_lf_metrics(weak, truth, groups)
         fixed = _direct_lf_metrics(corrected, truth, groups)
-        base_dp.append(base.dp_gap)
-        base_acc.append(base.accuracy)
-        sbm_dp.append(fixed.dp_gap)
-        sbm_eo.append(fixed.eo_gap)
-        sbm_acc.append(fixed.accuracy)
+        base_dp.append(base["dp_gap"])
+        base_acc.append(base["accuracy"])
+        sbm_dp.append(fixed["dp_gap"])
+        sbm_eo.append(fixed["eo_gap"])
+        sbm_acc.append(fixed["accuracy"])
     elapsed = time.monotonic() - t0
     med = lambda v: float(np.median(v))
     ok = (med(sbm_dp) <= 0.05 and med(sbm_eo) <= 0.05 and med(base_dp) >= 0.3
@@ -68,7 +68,7 @@ def test_criterion_2_sample_count_trend():
         feats, groups, truth, weak, _ = gen_gaussian_pair_dataset(100, seed)
         corrected, _ = run_sbm(feats, groups, weak,
                                SbmConfig(epsilon=0.05, ot_kind="linear", seed=seed))
-        vals.append(_direct_lf_metrics(corrected, truth, groups).dp_gap)
+        vals.append(_direct_lf_metrics(corrected, truth, groups)["dp_gap"])
     vals = np.array(vals)
     mean, sd, median = vals.mean(), vals.std(), float(np.median(vals))
     ok = mean - 1.96 * sd <= 0.05 and median <= 0.05
@@ -89,7 +89,7 @@ def test_criterion_3_lf_count_experiment():
                                    SbmConfig(epsilon=0.05, ot_kind="linear",
                                              seed=seed))
             lf_mean = lambda w: float(np.mean(
-                [_direct_lf_metrics(w, truth, groups, j).dp_gap for j in range(m)]))
+                [_direct_lf_metrics(w, truth, groups, j)["dp_gap"] for j in range(m)]))
             base_vals.append(lf_mean(weak))
             sbm_vals.append(lf_mean(corrected))
         base_med.append(float(np.median(base_vals)))
@@ -130,8 +130,8 @@ def _label_model_medians(experiment, ot_kind):
         cfg = None if ot_kind is None else SbmConfig(ot_kind=ot_kind, seed=seed,
                                                      sinkhorn_max_points=1_000)
         rep = fairness_report(run_pipeline(feats, groups, weak, cfg).labels, truth, groups)
-        acc.append(rep.accuracy)
-        dp.append(rep.dp_gap)
+        acc.append(rep["accuracy"])
+        dp.append(rep["dp_gap"])
     return float(np.median(acc)), float(np.median(dp))
 
 

@@ -520,7 +520,7 @@ def test_direct_lf_sweep_cell_skips_the_label_model(tmp_path):
     want = fairness_report(LabelVector(used.votes[:, 0]), truth, groups)
     rows = [line.split(",") for line in per_seed.read_text().splitlines()[1:]]
     assert {metric: float(v) for _, _, _, metric, v in rows} == {
-        k: getattr(want, k) for k in ("accuracy", "f1", "dp_gap", "eo_gap")}
+        k: want[k] for k in ("accuracy", "f1", "dp_gap", "eo_gap")}
 
 
 @pytest.mark.parametrize("name", ["features.csv", "weak.csv", "labels.csv"])
@@ -647,7 +647,7 @@ def test_run_report_formats_one_pipeline_call(tmp_path, method):
     for key, pred in (("label_model", res.labels), ("end_model", res.end_labels),
                       ("end_model_postprocessed", res.post_labels),
                       ("direct_lf", LabelVector(res.weak_used.votes[:, 1]))):
-        assert report[key] == fairness_report(pred, truth, groups).to_json()
+        assert report[key] == fairness_report(pred, truth, groups)
     assert report["thresholds"] == list(res.thresholds)
     assert report["end_model_fit"] == res.end_model.training_meta
     assert report["sbm_audit"] == (res.audit.to_json() if cfg else None)

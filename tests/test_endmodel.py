@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from wsfair.core import FeatureMatrix, LabelVector, ScoreVector
+from wsfair import endmodel
+from wsfair.core import DataError, FeatureMatrix, LabelVector, ScoreVector
 from wsfair.endmodel import LogisticModel, TrainConfig, predict_logreg, train_logreg
 from wsfair.labelmodel import predict_labels
 from wsfair.metrics import accuracy_f1
@@ -69,6 +70,39 @@ def test_backtracking_tames_large_learning_rate():
     assert model.training_meta["final_loss"] < init_loss
     acc, _ = accuracy_f1(predict_labels(predict_logreg(model, x)), y)
     assert acc > 0.95
+
+
+def test_line_search_halves_the_step_until_the_loss_does_not_rise(monkeypatch):
+    # unpenalised, near-separable 9 x 2 data: 15 Newton steps take 21 loss
+    # evaluations, the start's, one per step and 5 after a halving
+    x = FeatureMatrix([[0.06427292905422854, 1.6327860428718666],
+                       [-0.3737651800143556, -0.1328257628694626],
+                       [-0.4115812394307839, -0.18433966181608008],
+                       [-0.9571790360187669, -1.1798074236338052],
+                       [-1.0381027574228243, 2.9610632586888928],
+                       [-1.5043379178972724, -0.17125939948985316],
+                       [0.7196641437425577, -0.8784283879046018],
+                       [0.23640186338153782, 1.4650348532431037],
+                       [-0.9427335556552788, 0.20205810783282738]])
+    hi, lo = 1 - 1e-9, 1e-9
+    targets = ScoreVector([hi, hi, lo, lo, hi, lo, hi, hi, lo])
+    calls, loss_grad_p = [], endmodel._loss_grad_p
+
+    def counted(*args):
+        calls.append(1)
+        return loss_grad_p(*args)
+
+    monkeypatch.setattr(endmodel, "_loss_grad_p", counted)
+    meta = train_logreg(x, targets, TrainConfig(l2=0.0, max_iters=100)).training_meta
+    assert (meta["iterations"], len(calls)) == (15, 21)
+    assert meta["final_loss"] == pytest.approx(2.3577245520168396e-05, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("targets", [np.full(4, 0.5), [1, -1, 1, -1]])
+def test_targets_must_be_scores_or_labels(targets):
+    x = FeatureMatrix(np.arange(8.0).reshape(4, 2))
+    with pytest.raises(DataError, match="targets must be a ScoreVector or a LabelVector"):
+        train_logreg(x, targets)
 
 
 def test_soft_binary_targets_equal_hard_labels():

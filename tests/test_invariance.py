@@ -16,6 +16,10 @@ from wsfair.sbm import (DIRECTION_0_TO_1, DIRECTION_1_TO_0, DIRECTION_NONE,
 from wsfair.synth import gen_gaussian_pair_dataset, gen_lfcount_dataset
 from wsfair.transport import OT_KINDS
 
+# the rewrite's transport passes run in the test's thread; a numpy warning
+# that one of them lets out fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 N_PER_GROUP = 5_000     # at the Sinkhorn cap, so that fit is not subsampled
 MIRROR = {DIRECTION_NONE: DIRECTION_NONE, DIRECTION_0_TO_1: DIRECTION_1_TO_0,
           DIRECTION_1_TO_0: DIRECTION_0_TO_1}

@@ -164,7 +164,7 @@ def test_sampling_consistency_errors_shrink_with_n():
 
 def test_signs_all_agreeing():
     votes, _ = sample_ci_votes([0.999, 0.999, 0.999], 50, seed=0)
-    est = resolve_signs(triplet_estimate(WeakLabelMatrix(votes)), WeakLabelMatrix(votes))
+    est = triplet_estimate(WeakLabelMatrix(votes))
     assert (est.per_lf > 0).all()
 
 
@@ -173,7 +173,7 @@ def test_sign_of_flipped_lf():
     y = np.where(rng.random(400) < 0.5, 1, -1)
     votes = np.column_stack([y, y, y, y, y, -y])
     weak = WeakLabelMatrix(votes)
-    est = resolve_signs(triplet_estimate(weak), weak)
+    est = triplet_estimate(weak)
     # oracle: agreement with the majority vote, computed directly
     mv = np.sign(votes.sum(axis=1) + 0.5)
     agree = [(votes[:, j] * mv).mean() for j in range(6)]
@@ -188,7 +188,7 @@ def test_anticorrelated_pair_flagged_against_majority():
     noisy = np.where(flips, -y, y)
     votes = np.column_stack([y, noisy, -y, y])
     weak = WeakLabelMatrix(votes)
-    est = resolve_signs(triplet_estimate(weak), weak)
+    est = triplet_estimate(weak)
     assert est.per_lf[2] < 0
     assert (est.per_lf[[0, 1, 3]] > 0).all()
 
@@ -202,13 +202,9 @@ def test_global_flip_when_mean_negative():
     mild1 = np.where(rng.random(600) < 0.2, -y, y)
     mild2 = np.where(rng.random(600) < 0.2, -y, y)
     weak = WeakLabelMatrix(np.column_stack([-y, mild1, mild2]))
-    mags = AccuracyEstimate(per_lf=np.array([0.9, 0.1, 0.1]),
-                            clamp_flags=np.zeros(3, bool),
-                            moment_flags=np.zeros(3, bool),
-                            degenerate_flags=np.zeros(3, bool))
-    est = resolve_signs(mags, weak)
-    assert est.per_lf[0] > 0
-    assert est.per_lf[1] < 0 and est.per_lf[2] < 0
+    signed, _ = resolve_signs(np.array([0.9, 0.1, 0.1]), weak)
+    assert signed[0] > 0
+    assert signed[1] < 0 and signed[2] < 0
 
 
 def test_tie_defaults_to_positive_and_flags():
@@ -217,7 +213,7 @@ def test_tie_defaults_to_positive_and_flags():
     tie = np.array([1, 1, -1, -1])
     votes = np.tile(np.column_stack([c, c, c, tie]), (5, 1))
     weak = WeakLabelMatrix(votes)
-    est = resolve_signs(triplet_estimate(weak, strict=False), weak)
+    est = triplet_estimate(weak, strict=False)
     mv = np.where(votes.sum(axis=1) >= 0, 1, -1)
     assert (votes[:, 3] * mv).mean() == 0
     assert est.tie_flags.tolist() == [False, False, False, True]
@@ -230,9 +226,9 @@ def test_tie_defaults_to_positive_and_flags():
 
 def _estimate(values):
     values = np.asarray(values, dtype=float)
-    return AccuracyEstimate(per_lf=values, clamp_flags=np.zeros(values.size, bool),
-                            moment_flags=np.zeros(values.size, bool),
-                            degenerate_flags=np.zeros(values.size, bool))
+    flags = np.zeros(values.size, bool)
+    return AccuracyEstimate(per_lf=values, clamp_flags=flags, moment_flags=flags,
+                            degenerate_flags=flags, tie_flags=flags)
 
 
 def test_weights_closed_form():
@@ -367,7 +363,7 @@ def test_label_model_peak_is_a_small_multiple_of_the_votes():
     _, _, _, weak, _ = gen_lfcount_dataset(20_000, 24, 0)
     tracemalloc.start()
     try:
-        est = resolve_signs(triplet_estimate(weak), weak)
+        est = triplet_estimate(weak)
         predict_proba(fit_label_model(est), weak)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -82,6 +82,11 @@ def test_accuracy_f1_examples():
     assert f1 == pytest.approx(2.0 / 3.0)
 
 
+def test_f1_is_zero_without_a_positive_in_prediction_or_truth():
+    neg = LabelVector([-1, -1])
+    assert accuracy_f1(neg, neg) == (1.0, 0.0)
+
+
 def test_accuracy_plus_error_is_one():
     rng = np.random.default_rng(1)
     pred = LabelVector(rng.choice([-1, 1], 97))
@@ -99,8 +104,7 @@ def test_length_mismatch():
 def test_fairness_report_json():
     pred = LabelVector([1, -1, 1, 1])
     truth = LabelVector([1, 1, -1, -1])   # no positives in group 1
-    rep = fairness_report(pred, truth, _groups([0, 0, 1, 1]))
-    js = rep.to_json()
+    js = fairness_report(pred, truth, _groups([0, 0, 1, 1]))
     assert set(js) == {"accuracy", "f1", "dp_gap", "eo_gap", "n0", "n1"}
     assert js["eo_gap"] is None
     assert js["n0"] == 2 and js["n1"] == 2
@@ -108,13 +112,13 @@ def test_fairness_report_json():
 
 def test_fairness_report_without_truth_or_second_group():
     pred = LabelVector([1, -1, 1, 1])
-    no_truth = fairness_report(pred, None, _groups([0, 0, 1, 1])).to_json()
+    no_truth = fairness_report(pred, None, _groups([0, 0, 1, 1]))
     assert no_truth == {"accuracy": None, "f1": None, "dp_gap": 0.5, "eo_gap": None,
                         "n0": 2, "n1": 2}
     one_group = fairness_report(pred, LabelVector([1, 1, 1, -1]), _groups([1, 1, 1, 1]))
-    assert one_group.accuracy == 0.5 and one_group.f1 == pytest.approx(2 / 3)
-    assert one_group.dp_gap is None and one_group.eo_gap is None
-    assert one_group.n_per_group == (0, 4)
+    assert one_group["accuracy"] == 0.5 and one_group["f1"] == pytest.approx(2 / 3)
+    assert one_group["dp_gap"] is None and one_group["eo_gap"] is None
+    assert (one_group["n0"], one_group["n1"]) == (0, 4)
     with pytest.raises(DataError, match="group assignment length does not match predictions"):
         fairness_report(pred, None, _groups([0, 1]))
 
@@ -340,6 +344,19 @@ def test_center_scan_radii_strictly_increasing():
     for pts in scan.curve.values():
         radii = [r for r, _ in pts]
         assert all(a < b for a, b in zip(radii, radii[1:]))
+
+
+def test_center_scan_merges_shells_of_equal_radius():
+    # 15 positions, each held by 2 rows of each group: every group shell is
+    # one row, and rows at one distance from the center end one curve point
+    x = np.repeat(np.arange(15.0), 4)
+    correct = np.random.default_rng(9).random(60) < 0.6
+    groups = _groups(np.tile([0, 1], 30))
+    scan = center_scan(FeatureMatrix(x[:, None]), correct, groups)
+    for g, pts in scan.curve.items():
+        d = np.abs(x - x[scan.best_center_row])[groups.group_of == g]
+        want = [(r, float(correct[groups.group_of == g][d <= r].mean())) for r in np.unique(d)]
+        assert pts == want
 
 
 def test_center_scan_too_few_rows():

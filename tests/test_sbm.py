@@ -270,6 +270,22 @@ def test_pipeline_estimates_each_group_once(monkeypatch, ot_kind):
         assert [(d.a0, d.a1) for d in res.audit.per_lf] == list(zip(est0.per_lf, est1.per_lf))
 
 
+@pytest.mark.parametrize("ot_kind", [None, "linear"])
+def test_every_estimate_resolves_signs_through_the_module(monkeypatch, ot_kind):
+    # triplet_estimate looks resolve_signs up in labelmodel's namespace, where
+    # a wrapper (the benchmark's estimate span) sees each of the 3 estimates
+    feats, groups, _, weak, _ = _gauss_pair(300, seed=2)
+    calls, resolve = [], labelmodel.resolve_signs
+
+    def counted(magnitudes, w):
+        calls.append(w.n)
+        return resolve(magnitudes, w)
+
+    monkeypatch.setattr(labelmodel, "resolve_signs", counted)
+    run_pipeline(feats, groups, weak, None if ot_kind is None else SbmConfig(ot_kind=ot_kind))
+    assert sorted(calls) == [300, 300, 600]
+
+
 def test_pipeline_sbm_beats_baseline_on_gauss_pair():
     # label-model level: accuracy strictly up, DP gap strictly down, per seed
     for seed in range(3):

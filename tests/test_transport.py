@@ -19,6 +19,10 @@ from wsfair.transport import (OT_KINDS, TransportMap, apply_map, fit_map, knn_bo
                               _block_factors, _linear_map, _moments, _sinkhorn_potentials,
                               _sqrt_psd)
 
+# every transport pass runs in the test's thread, so a numpy warning that one
+# of them lets out fails the test that made it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _random_spd(rng, d):
     b = rng.standard_normal((d, d))
@@ -653,6 +657,12 @@ def test_knn_k_bounds_and_empty_destination():
         knn_borrow(src, FeatureMatrix([[1.0]]), np.array([1]), k=2)
     with pytest.raises(DataError, match="destination set is empty"):
         knn_borrow(src, np.empty((0, 1)), np.array([]), k=1)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_nn_indices_without_source_rows(k):
+    out = nn_indices(np.empty((0, 2)), np.ones((4, 2)), k)
+    assert out.shape == (0, k) and out.dtype == np.int64
 
 
 @pytest.mark.parametrize("n_labels", [2, 4])
